@@ -32,6 +32,16 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
 
+# Kernel matrices are built in row chunks of about this many entries
+# (128 KiB of float64 per temporary), so the per-dimension factors of a
+# chunk stay in cache and no temporary grows with n.  Chunk heights are
+# multiples of _ROW_ALIGN rows: BLAS matrix-vector kernels work through
+# rows in small fixed groups (four in OpenBLAS on x86-64), so a product
+# taken chunk by chunk groups rows as an unchunked one does and matches
+# it bit for bit.
+_CHUNK_ENTRIES = 1 << 14
+_ROW_ALIGN = 8
+
 __all__ = [
     "AnovaSpec",
     "default_spec",
@@ -41,6 +51,7 @@ __all__ = [
     "kernel_full",
     "null_space_eval",
     "gram_matrix",
+    "chunk_rows",
     "assemble_matrices",
     "rescale_term_weights",
 ]
@@ -231,9 +242,7 @@ def kernel_full(x, z, spec: AnovaSpec):
     """Full penalized kernel: scale-weighted sum of the spec's terms."""
     xa = np.atleast_2d(_check_unit(x, "x"))
     za = np.atleast_2d(_check_unit(z, "z"))
-    out = np.zeros((xa.shape[0], za.shape[0]))
-    for theta, (kind, ref) in zip(spec.term_scales, spec.terms()):
-        out += theta * _term_block(xa, za, kind, ref)
+    out = gram_matrix(xa, za, spec)
     return float(out[0, 0]) if out.size == 1 else out
 
 
@@ -263,13 +272,67 @@ def null_space_eval(x, spec: AnovaSpec):
     return S[0] if single else S
 
 
-def gram_matrix(Xa, Xb, spec: AnovaSpec) -> np.ndarray:
-    """Kernel matrix of the full penalized kernel between two point sets."""
+def chunk_rows(q: int) -> int:
+    """Row-chunk height for kernel matrices with q columns.
+
+    A chunk holds about _CHUNK_ENTRIES entries, rounded down to a
+    multiple of _ROW_ALIGN rows.
+    """
+    return max(_ROW_ALIGN, _CHUNK_ENTRIES // max(q, 1) // _ROW_ALIGN * _ROW_ALIGN)
+
+
+def gram_matrix(Xa, Xb, spec: AnovaSpec, out=None) -> np.ndarray:
+    """Kernel matrix of the full penalized kernel between two point sets.
+
+    Rows are built in chunks of chunk_rows(len(Xb)).  Per chunk, R1 of
+    every main-effect dimension and the linear product k1(x_j) k1(z_j)'
+    of every interaction dimension are computed once and shared by all
+    terms; each term is then formed exactly as _term_block forms it, so
+    the result is bitwise identical to the scale-weighted sum of
+    _term_block over the terms.
+
+    Parameters
+    ----------
+    Xa, Xb : array_like
+        Point sets, (n, d) and (q, d).
+    spec : AnovaSpec
+    out : ndarray, optional
+        (n, q) float64 array, possibly a strided view (such as the R*
+        columns of the design [S | R*]), that receives the result.
+
+    Returns
+    -------
+    ndarray
+        out, or a new (n, q) array.
+    """
     Xa = np.atleast_2d(np.asarray(Xa, dtype=np.float64))
     Xb = np.atleast_2d(np.asarray(Xb, dtype=np.float64))
-    out = np.zeros((Xa.shape[0], Xb.shape[0]))
-    for theta, (kind, ref) in zip(spec.term_scales, spec.terms()):
-        out += theta * _term_block(Xa, Xb, kind, ref)
+    n, q = Xa.shape[0], Xb.shape[0]
+    if out is None:
+        out = np.empty((n, q))
+    elif out.shape != (n, q) or out.dtype != np.float64:
+        raise InvalidInputError(f"out must be a float64 ({n}, {q}) array")
+    terms = list(zip(spec.term_scales, spec.terms()))
+    linear_dims = sorted({j for _, (kind, ref) in terms if kind == "inter" for j in ref})
+    k1b = {j: _k1(Xb[:, j]) for j in linear_dims}
+    rows = chunk_rows(q)
+    for lo in range(0, n, rows):
+        chunk = Xa[lo : lo + rows]
+        r1 = {j: _r1_cross(chunk[:, j], Xb[:, j]) for j in spec.main_effects}
+        lin = {j: np.outer(_k1(chunk[:, j]), k1b[j]) for j in linear_dims}
+        block = out[lo : lo + rows]
+        block.fill(0.0)
+        for theta, (kind, ref) in terms:
+            if kind == "main":
+                block += theta * r1[ref]
+                continue
+            a, b = ref
+            # Same operation order as _term_block: r1a*r1b + r1a*linb + lina*r1b.
+            term = r1[a] * r1[b]
+            term += r1[a] * lin[b]
+            term += lin[a] * r1[b]
+            term *= theta
+            block += term
     return out
 
 
@@ -324,12 +387,11 @@ def assemble_matrices(data, sel, spec: AnovaSpec):
         S is n x m with columns the unpenalized basis at the data;
         Rstar is n x q with entries kernel(data row i, basis point j);
         Rstarstar is the q x q block of Rstar on the selected rows
-        (bitwise identical floats by construction).
+        (bitwise identical floats by construction).  S and Rstar are
+        column views of the one design array the solver fits on.
     """
-    if sel.indices.max(initial=-1) >= data.n or sel.indices.min(initial=0) < 0:
-        raise InvalidInputError("selection indices out of range for dataset")
-    S = null_space_eval(data.X, spec)
-    basis = data.X[sel.indices]
-    Rstar = gram_matrix(data.X, basis, spec)
-    Rstarstar = Rstar[sel.indices]
-    return S, Rstar, Rstarstar
+    # The solver owns assembly (it imports this module, hence the late import).
+    from .solver import design_matrices
+
+    B, Rstarstar = design_matrices(data, sel, spec)
+    return B[:, : spec.m], B[:, spec.m :], Rstarstar

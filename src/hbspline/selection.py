@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import InvalidConfigError, InvalidInputError
 from .hilbert import CurveOrder, index_to_center, point_to_index
@@ -440,6 +439,10 @@ def sbs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:
     if cfg.method != "sbs":
         raise InvalidConfigError(f"sbs_select got method {cfg.method!r}")
     _check_q(data, cfg)
+    # Imported here: scipy.stats is slow to import and no other selector
+    # needs it.
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=data.d, scramble=True, seed=int(cfg.seed) & (2**63 - 1))
     m = max(1, math.ceil(math.log2(cfg.q))) if cfg.q > 1 else 0
     targets = sob.random_base2(m)[: cfg.q]

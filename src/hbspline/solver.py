@@ -16,9 +16,10 @@ cross-validation over a log-spaced grid followed by a short
 golden-section refinement between the winning grid point's neighbors.
 
 Everything the per-lambda search needs (B'B, B'y, y'y with
-B = [S, R*]) is precomputed once, so scanning the grid costs no
-additional passes over the n rows: total fitting cost is one O(n*q^2)
-assembly plus grid work independent of n.
+B = [S, R*]) is precomputed once, and one factorization plus one
+symmetric eigendecomposition of the (m+q) x (m+q) normal matrix then
+score every lambda in O(m+q): total fitting cost is one O(n*q^2)
+assembly plus O((m+q)^3) work independent of n.
 """
 
 from __future__ import annotations
@@ -28,14 +29,20 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
+from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs, solve_triangular
 
 from .errors import (
     InvalidConfigError,
     InvalidInputError,
     SingularSystemError,
 )
-from .kernels import AnovaSpec, gram_matrix, null_space_eval, rescale_term_weights
+from .kernels import (
+    AnovaSpec,
+    chunk_rows,
+    gram_matrix,
+    null_space_eval,
+    rescale_term_weights,
+)
 from .selection import apply_scaler
 
 __all__ = [
@@ -43,6 +50,7 @@ __all__ = [
     "FittedModel",
     "solve_coefficients",
     "smoother_diag",
+    "design_matrices",
     "gcv_select",
     "fit_fixed_lambda",
     "predict",
@@ -101,48 +109,45 @@ class FittedModel:
 
 
 class _PenalizedSystem:
-    """Cached quadratic forms; per-lambda work is free of the n rows."""
+    """Cached quadratic forms; per-lambda work is free of the n rows.
 
-    def __init__(self, S, Rstar, Rstarstar, y):
-        S = np.asarray(S, dtype=np.float64)
-        Rstar = np.asarray(Rstar, dtype=np.float64)
+    B = [S | R*] is the n x (m+q) design, G = B'B, and P is the penalty
+    blockdiag(0, R**); the normal matrix at lambda is G + n lam P.
+    """
+
+    def __init__(self, B, Rstarstar, y, m: int):
+        B = np.asarray(B, dtype=np.float64)
         Rss = np.asarray(Rstarstar, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
-        n, m = S.shape
-        q = Rstar.shape[1]
-        if Rstar.shape[0] != n or Rss.shape != (q, q) or y.shape[0] != n:
+        n = B.shape[0]
+        q = B.shape[1] - m
+        if q < 0 or Rss.shape != (q, q) or y.shape[0] != n:
             raise InvalidInputError("fitting matrices are not conformal")
         if n < m + 1:
             raise InvalidConfigError(
                 f"need at least m+1={m + 1} rows to fit, got {n}"
             )
         self.n, self.m, self.q = n, m, q
-        self.B = np.hstack([S, Rstar])
+        self.B = B
         self.G = self.B.T @ self.B
         self.b = self.B.T @ y
         self.yty = float(y @ y)
         self.y = y
         self.Rss = Rss
 
+    @classmethod
+    def from_blocks(cls, S, Rstar, Rstarstar, y):
+        S = np.asarray(S, dtype=np.float64)
+        Rstar = np.asarray(Rstar, dtype=np.float64)
+        if Rstar.shape[0] != S.shape[0]:
+            raise InvalidInputError("fitting matrices are not conformal")
+        return cls(np.hstack([S, Rstar]), Rstarstar, y, S.shape[1])
+
     def _factor(self, lam: float):
         """Cholesky of the normal matrix, escalating jitter on failure."""
         M = self.G.copy()
         M[self.m :, self.m :] += (self.n * lam) * self.Rss
-        scale = float(np.trace(M)) / M.shape[0]
-        for rel in _JITTER_LADDER:
-            jitter = rel * scale
-            try:
-                Mj = M if jitter == 0.0 else M + jitter * np.eye(M.shape[0])
-                c = cho_factor(Mj, lower=True, check_finite=False)
-                return c, Mj, jitter
-            except np.linalg.LinAlgError:
-                continue
-        cond = float(np.linalg.cond(M))
-        raise SingularSystemError(
-            f"normal equations not factorizable at lambda={lam:g} "
-            f"(condition estimate {cond:.3e})",
-            condition_estimate=cond,
-        )
+        return _cholesky(M, f"lambda={lam:g}")
 
     def _theta(self, c) -> np.ndarray:
         return cho_solve(c, self.b, check_finite=False)
@@ -155,7 +160,10 @@ class _PenalizedSystem:
         return max(rss, 0.0)
 
     def gcv(self, lam: float) -> tuple[float, float, np.ndarray, float]:
-        """V(lambda) plus trace, coefficients, and jitter used."""
+        """V(lambda) plus trace, coefficients, and jitter used.
+
+        One Cholesky factorization per call; the reference for _GcvScan.
+        """
         c, _, jitter = self._factor(lam)
         theta = self._theta(c)
         tr = self._trace_A(c)
@@ -166,6 +174,104 @@ class _PenalizedSystem:
         return (rss / self.n) / denom, tr, theta, jitter
 
 
+def _cholesky(M: np.ndarray, where: str):
+    """cho_factor of M, retrying with the jitter ladder; (c, Mj, jitter)."""
+    scale = float(np.trace(M)) / M.shape[0]
+    for rel in _JITTER_LADDER:
+        jitter = rel * scale
+        try:
+            Mj = M if jitter == 0.0 else M + jitter * np.eye(M.shape[0])
+            c = cho_factor(Mj, lower=True, check_finite=False)
+            return c, Mj, jitter
+        except np.linalg.LinAlgError:
+            continue
+    cond = float(np.linalg.cond(M))
+    raise SingularSystemError(
+        f"normal equations not factorizable at {where} "
+        f"(condition estimate {cond:.3e})",
+        condition_estimate=cond,
+    )
+
+
+class _GcvScan:
+    """V(lambda) for any lambda from one factorization and one eigh.
+
+    With P = blockdiag(0, R**), M0 = G + s P, s = tr G / tr P, and
+    M0 = L L', the matrix C = L^-1 G L^-T has eigenvalues gamma in
+    [0, 1].  The normal matrix at lambda is G + t (M0 - G) with
+    t = n lam / s, i.e. L U diag(gamma + t (1 - gamma)) U' L'.  With
+    z = U' L^-1 B'y, d = gamma + t (1 - gamma) and
+    shrink = t (1 - gamma) / d, summing over the r directions that are
+    not null in G,
+
+        n - trace A = (n - r) + sum shrink
+        RSS         = y'y - sum z^2 (1 + shrink) / d
+                    = RSS_0 + sum (z^2 / gamma) shrink^2
+
+    where RSS_0 = y'y - sum z^2 / gamma is the residual of y off the
+    columns of B (0 when r = n).  Each lambda costs O(m + q).
+    """
+
+    def __init__(self, sys_: _PenalizedSystem):
+        m = sys_.m
+        # Repeated basis points give identical R** rows and R* columns:
+        # the fit depends only on the sum of their coefficients, and M0
+        # is singular along their difference.  One copy of each gives
+        # the same V(lambda) from a nonsingular M0.
+        first = {}
+        for i, row in enumerate(sys_.Rss):
+            first.setdefault(row.tobytes(), i)
+        first = np.fromiter(first.values(), dtype=np.int64)
+        cols = np.concatenate([np.arange(m), m + first])
+        G = sys_.G[np.ix_(cols, cols)]
+        Rss = sys_.Rss[np.ix_(first, first)]
+        self.n = sys_.n
+        self.yty = sys_.yty
+        self.s = float(np.trace(G)) / float(np.trace(Rss))
+        M0 = G.copy()
+        M0[m:, m:] += self.s * Rss
+        (L, _), _, jitter = _cholesky(M0, "the GCV scan's reference matrix")
+        if jitter:
+            logger.debug("jitter %.3e applied to the GCV scan's reference matrix", jitter)
+        (sygst,) = get_lapack_funcs(("sygst",), (G,))
+        C, info = sygst(G, L, itype=1, lower=1)  # lower triangle of L^-1 G L^-T
+        if info != 0:
+            raise SingularSystemError(f"reducing the GCV scan's eigenproblem failed (info {info})")
+        gamma, U = np.linalg.eigh(C, UPLO="L")
+        z = U.T @ solve_triangular(L, sys_.b[cols], lower=True, check_finite=False)
+        # Null directions of G add 1 to n - trace A and nothing to the RSS.
+        # They are those with gamma <= 0, and at least the p - n smallest
+        # (eigh sorts ascending), since G = B'B has rank at most n.
+        p = gamma.shape[0]
+        kept = (gamma > 0.0) & (np.arange(p) >= p - self.n)
+        self.gamma = np.minimum(gamma[kept], 1.0)
+        self.z2 = z[kept] ** 2
+        self.free = self.n - self.gamma.shape[0]
+        # With rank n, B spans R^n and y has no residual off its columns.
+        rss0 = self.yty - float((self.z2 / self.gamma).sum()) if self.free else 0.0
+        self.rss0 = max(rss0, 0.0)
+
+    def scores(self, lams) -> np.ndarray:
+        """V at each lambda; inf where trace(A) reaches n."""
+        t = (self.n * np.atleast_1d(np.asarray(lams, dtype=np.float64)) / self.s)[:, None]
+        d = self.gamma + t * (1.0 - self.gamma)
+        shrink = t * (1.0 - self.gamma) / d
+        resid_dof = self.free + shrink.sum(axis=1)
+        # The first RSS form loses all digits as RSS << y'y (fits that
+        # nearly interpolate); the second stays exact there but carries
+        # the rounding error of small gammas, so it is used only then.
+        rss = self.yty - (self.z2 * (1.0 + shrink) / d).sum(axis=1)
+        near = rss < np.sqrt(np.finfo(np.float64).eps) * self.yty
+        if near.any():
+            tail = (self.z2 / self.gamma * shrink[near] ** 2).sum(axis=1)
+            rss[near] = self.rss0 + tail
+        denom = (resid_dof / self.n) ** 2
+        return np.divide(rss / self.n, denom, out=np.full_like(denom, np.inf), where=denom > 0.0)
+
+    def score(self, lam: float) -> float:
+        return float(self.scores([lam])[0])
+
+
 def _condition_estimate(Mj: np.ndarray, c) -> float:
     """1-norm condition estimate from the Cholesky factor."""
     (pocon,) = get_lapack_funcs(("pocon",), (Mj,))
@@ -174,6 +280,11 @@ def _condition_estimate(Mj: np.ndarray, c) -> float:
     if info != 0 or rcond <= 0.0:
         return float("inf")
     return 1.0 / float(rcond)
+
+
+def _check_lambda(lam):
+    if not (np.isfinite(lam) and lam > 0):
+        raise InvalidConfigError(f"lambda must be positive, got {lam!r}")
 
 
 def solve_coefficients(S, Rstar, Rstarstar, y, lam: float):
@@ -200,9 +311,8 @@ def solve_coefficients(S, Rstar, Rstarstar, y, lam: float):
         If Cholesky fails after the full jitter ladder; carries the
         condition estimate of the unjittered matrix.
     """
-    if not (np.isfinite(lam) and lam > 0):
-        raise InvalidConfigError(f"lambda must be positive, got {lam!r}")
-    sys_ = _PenalizedSystem(S, Rstar, Rstarstar, y)
+    _check_lambda(lam)
+    sys_ = _PenalizedSystem.from_blocks(S, Rstar, Rstarstar, y)
     c, _, jitter = sys_._factor(lam)
     if jitter:
         logger.debug("jitter %.3e applied at lambda=%g", jitter, lam)
@@ -216,9 +326,8 @@ def smoother_diag(S, Rstar, Rstarstar, y, lam: float):
     Returns (trace_A, yhat) where yhat = A(lambda) y and trace(A) is
     computed exactly as trace(M^-1 B'B); the trace lies in [m, m+q].
     """
-    if not (np.isfinite(lam) and lam > 0):
-        raise InvalidConfigError(f"lambda must be positive, got {lam!r}")
-    sys_ = _PenalizedSystem(S, Rstar, Rstarstar, y)
+    _check_lambda(lam)
+    sys_ = _PenalizedSystem.from_blocks(S, Rstar, Rstarstar, y)
     c, _, _ = sys_._factor(lam)
     theta = sys_._theta(c)
     return sys_._trace_A(c), sys_.B @ theta
@@ -230,7 +339,101 @@ def penalized_objective(S, Rstar, Rstarstar, y, alpha, beta, lam: float) -> floa
     return float(r @ r) / len(y) + lam * float(beta @ (Rstarstar @ beta))
 
 
+def design_matrices(data, sel, spec: AnovaSpec):
+    """The design B = [S | R*] of a basis selection, and R**.
+
+    B is n x (m+q): S, the unpenalized basis at the data, then R*, the
+    kernel between every data row and every basis point, written in
+    place by the chunked kernel builder.  R** (q x q) is the selected
+    rows of R*, so its floats are bitwise those of R*.
+    """
+    if sel.indices.max(initial=-1) >= data.n or sel.indices.min(initial=0) < 0:
+        raise InvalidInputError("selection indices out of range for dataset")
+    m = spec.m
+    B = np.empty((data.n, m + sel.indices.shape[0]))
+    B[:, :m] = null_space_eval(data.X, spec)
+    gram_matrix(data.X, data.X[sel.indices], spec, out=B[:, m:])
+    return B, B[sel.indices, m:]
+
+
 _INVGR = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _gcv_search(sys_: _PenalizedSystem, grid: LambdaGrid) -> tuple[float, int]:
+    """GCV-optimal lambda and the count of grid points with no finite score.
+
+    Scans the grid, then refines with three golden-section steps in
+    log-lambda between the winning point's grid neighbors.  Ties in
+    the score go to the smaller lambda.
+    """
+    scan = _GcvScan(sys_)
+    lams = grid.values()
+    scores = scan.scores(lams)
+    n_fail = int(np.count_nonzero(~np.isfinite(scores)))
+    best_i = int(np.argmin(scores))  # argmin takes the first, smallest lambda
+    best_lam = float(lams[best_i])
+    best_V = float(scores[best_i])
+
+    # Golden-section refinement in log-lambda between the neighbors.
+    lo = np.log(lams[max(best_i - 1, 0)])
+    hi = np.log(lams[min(best_i + 1, lams.shape[0] - 1)])
+    if hi > lo:
+        x1 = hi - _INVGR * (hi - lo)
+        x2 = lo + _INVGR * (hi - lo)
+        f1 = scan.score(np.exp(x1))
+        f2 = scan.score(np.exp(x2))
+        for _ in range(3):
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _INVGR * (hi - lo)
+                f1 = scan.score(np.exp(x1))
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _INVGR * (hi - lo)
+                f2 = scan.score(np.exp(x2))
+        for xv, fv in ((x1, f1), (x2, f2)):
+            lv = float(np.exp(xv))
+            if fv < best_V or (fv == best_V and lv < best_lam):
+                best_V, best_lam = float(fv), lv
+    return best_lam, n_fail
+
+
+def _fit(data, sel, spec: AnovaSpec, rescale: bool, lam=None, grid=None) -> FittedModel:
+    """Fit at lam, or at the GCV choice over grid when lam is None."""
+    basis_points = np.array(data.X[sel.indices], dtype=np.float64)
+    if rescale:
+        spec = rescale_term_weights(data, spec, basis_points)
+    B, Rstarstar = design_matrices(data, sel, spec)
+    sys_ = _PenalizedSystem(B, Rstarstar, data.y, spec.m)
+    diagnostics = {}
+    if lam is None:
+        lam, diagnostics["grid_failures"] = _gcv_search(sys_, grid or LambdaGrid())
+
+    # Final solve at lambda, scoring from actual residuals.
+    c, Mj, jitter = sys_._factor(lam)
+    theta = sys_._theta(c)
+    trace_A = sys_._trace_A(c)
+    resid = data.y - sys_.B @ theta
+    rss = float(resid @ resid)
+    gcv_score = (rss / sys_.n) / (1.0 - trace_A / sys_.n) ** 2
+    diagnostics.update({
+        "trace_A": float(trace_A),
+        "condition_estimate": _condition_estimate(Mj, c),
+        "jitter": float(jitter),
+        "n": sys_.n,
+        "q": sys_.q,
+        "m": sys_.m,
+    })
+    return FittedModel(
+        spec=spec,
+        basis_points=basis_points,
+        alpha=np.array(theta[: sys_.m]),
+        beta=np.array(theta[sys_.m :]),
+        lam=float(lam),
+        gcv_score=float(gcv_score),
+        scaler=np.array(data.scaler),
+        diagnostics=diagnostics,
+    )
 
 
 def gcv_select(
@@ -244,7 +447,9 @@ def gcv_select(
 
     Scans the grid, then refines with three golden-section steps in
     log-lambda between the winning point's grid neighbors.  Ties in
-    the score go to the smaller lambda.
+    the score go to the smaller lambda.  The scan scores every lambda
+    from one factorization and one symmetric eigendecomposition; the
+    chosen lambda is then solved by Cholesky.
 
     Parameters
     ----------
@@ -261,123 +466,13 @@ def gcv_select(
         Model at the best lambda; diagnostics carry the influence
         trace, a condition estimate, and any jitter applied.
     """
-    grid = grid or LambdaGrid()
-    basis_points = np.array(data.X[sel.indices], dtype=np.float64)
-    if rescale:
-        spec = rescale_term_weights(data, spec, basis_points)
-    S = null_space_eval(data.X, spec)
-    Rstar = gram_matrix(data.X, basis_points, spec)
-    Rstarstar = Rstar[sel.indices]
-    sys_ = _PenalizedSystem(S, Rstar, Rstarstar, data.y)
-
-    lams = grid.values()
-    scores = np.empty(lams.shape[0])
-    n_fail = 0
-    for i, lam in enumerate(lams):
-        try:
-            scores[i], _, _, _ = sys_.gcv(lam)
-        except SingularSystemError:
-            scores[i] = np.inf
-            n_fail += 1
-    if n_fail == lams.shape[0]:
-        raise SingularSystemError("every lambda grid point failed to factorize")
-
-    best_i = int(np.argmin(scores))  # argmin takes the first, smallest lambda
-    best_lam = float(lams[best_i])
-    best_V = float(scores[best_i])
-
-    # Golden-section refinement in log-lambda between the neighbors.
-    lo = np.log(lams[max(best_i - 1, 0)])
-    hi = np.log(lams[min(best_i + 1, lams.shape[0] - 1)])
-    if hi > lo:
-        x1 = hi - _INVGR * (hi - lo)
-        x2 = lo + _INVGR * (hi - lo)
-        f1 = _safe_gcv(sys_, np.exp(x1))
-        f2 = _safe_gcv(sys_, np.exp(x2))
-        for _ in range(3):
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _INVGR * (hi - lo)
-                f1 = _safe_gcv(sys_, np.exp(x1))
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _INVGR * (hi - lo)
-                f2 = _safe_gcv(sys_, np.exp(x2))
-        for xv, fv in ((x1, f1), (x2, f2)):
-            lv = float(np.exp(xv))
-            if fv < best_V or (fv == best_V and lv < best_lam):
-                best_V, best_lam = float(fv), lv
-
-    # Final solve at the winner, scoring from actual residuals.
-    c, Mj, jitter = sys_._factor(best_lam)
-    theta = sys_._theta(c)
-    trace_A = sys_._trace_A(c)
-    fitted = sys_.B @ theta
-    resid = data.y - fitted
-    rss = float(resid @ resid)
-    gcv_score = (rss / sys_.n) / (1.0 - trace_A / sys_.n) ** 2
-    diagnostics = {
-        "trace_A": float(trace_A),
-        "condition_estimate": _condition_estimate(Mj, c),
-        "jitter": float(jitter),
-        "n": sys_.n,
-        "q": sys_.q,
-        "m": sys_.m,
-        "grid_failures": n_fail,
-    }
-    return FittedModel(
-        spec=spec,
-        basis_points=basis_points,
-        alpha=np.array(theta[: sys_.m]),
-        beta=np.array(theta[sys_.m :]),
-        lam=best_lam,
-        gcv_score=float(gcv_score),
-        scaler=np.array(data.scaler),
-        diagnostics=diagnostics,
-    )
-
-
-def _safe_gcv(sys_: _PenalizedSystem, lam: float) -> float:
-    try:
-        return sys_.gcv(lam)[0]
-    except SingularSystemError:
-        return np.inf
+    return _fit(data, sel, spec, rescale, grid=grid)
 
 
 def fit_fixed_lambda(data, sel, spec: AnovaSpec, lam: float, rescale: bool = True) -> FittedModel:
     """Fit on a basis selection at a caller-chosen lambda."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise InvalidConfigError(f"lambda must be positive, got {lam!r}")
-    basis_points = np.array(data.X[sel.indices], dtype=np.float64)
-    if rescale:
-        spec = rescale_term_weights(data, spec, basis_points)
-    S = null_space_eval(data.X, spec)
-    Rstar = gram_matrix(data.X, basis_points, spec)
-    Rstarstar = Rstar[sel.indices]
-    sys_ = _PenalizedSystem(S, Rstar, Rstarstar, data.y)
-    c, Mj, jitter = sys_._factor(lam)
-    theta = sys_._theta(c)
-    trace_A = sys_._trace_A(c)
-    resid = data.y - sys_.B @ theta
-    rss = float(resid @ resid)
-    gcv_score = (rss / sys_.n) / (1.0 - trace_A / sys_.n) ** 2
-    return FittedModel(
-        spec=spec,
-        basis_points=basis_points,
-        alpha=np.array(theta[: sys_.m]),
-        beta=np.array(theta[sys_.m :]),
-        lam=float(lam),
-        gcv_score=float(gcv_score),
-        scaler=np.array(data.scaler),
-        diagnostics={
-            "trace_A": float(trace_A),
-            "condition_estimate": _condition_estimate(Mj, c),
-            "jitter": float(jitter),
-            "n": sys_.n,
-            "q": sys_.q,
-            "m": sys_.m,
-        },
-    )
+    _check_lambda(lam)
+    return _fit(data, sel, spec, rescale, lam=lam)
 
 
 def predict(model: FittedModel, Xnew) -> np.ndarray:
@@ -411,7 +506,16 @@ def predict_with_diagnostics(model: FittedModel, Xnew) -> tuple[np.ndarray, int]
         logger.debug("%d coordinates clamped into the unit cube", clamped)
     pred = null_space_eval(scaled, model.spec) @ model.alpha
     if model.beta.size:
-        pred = pred + gram_matrix(scaled, model.basis_points, model.spec) @ model.beta
+        # Stream the rows: only one chunk of the kernel matrix exists at a
+        # time.  A lone last row joins the chunk before it, because BLAS
+        # takes a one-row product down its dot path, which rounds
+        # differently from the matrix-vector path of an unchunked product.
+        n, rows, lo = pred.shape[0], chunk_rows(model.beta.size), 0
+        while lo < n:
+            hi = n if n - lo <= rows + 1 else lo + rows
+            K = gram_matrix(scaled[lo:hi], model.basis_points, model.spec)
+            pred[lo:hi] += K @ model.beta
+            lo = hi
     return pred, clamped
 
 
@@ -452,33 +556,82 @@ def save_model(model: FittedModel, path, predictors=None):
         fh.write("\n")
 
 
+def _model_field(obj, key):
+    if key not in obj:
+        raise InvalidInputError(f"model file lacks the {key!r} field")
+    return obj[key]
+
+
+def _model_array(obj, key, shape) -> np.ndarray:
+    """A numeric model field of the given shape with finite entries."""
+    try:
+        arr = np.asarray(_model_field(obj, key), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"model field {key!r} is not numeric") from None
+    if arr.size == 0 and 0 in shape:
+        arr = arr.reshape(shape)  # JSON stores an empty (0, d) array as []
+    if arr.shape != shape:
+        raise InvalidInputError(
+            f"model field {key!r} has shape {arr.shape}, expected {shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"model field {key!r} holds non-finite values")
+    return arr
+
+
 def load_model(path) -> FittedModel:
-    """Read a model written by save_model; rejects unknown versions."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    """Read a model written by save_model; rejects unknown versions.
+
+    Raises
+    ------
+    InvalidInputError
+        Naming the field, when the file is not a JSON object, a field
+        is missing, or an array has the wrong shape for the spec
+        (alpha: m; beta: one entry per basis point; basis points and
+        scaler: d columns) or a non-finite entry.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read model file {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"model file {path} does not hold a JSON object")
     version = obj.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise InvalidInputError(
             f"unsupported model format_version {version!r}; "
             f"this reader handles {MODEL_FORMAT_VERSION}"
         )
-    spec = AnovaSpec(
-        d=int(obj["spec"]["d"]),
-        main_effects=tuple(obj["spec"]["main_effects"]),
-        interactions=tuple(tuple(p) for p in obj["spec"]["interactions"]),
-        term_scales=tuple(obj["spec"]["term_scales"]),
-    )
-    model = FittedModel(
+    raw_spec = _model_field(obj, "spec")
+    try:
+        spec = AnovaSpec(
+            d=int(raw_spec["d"]),
+            main_effects=tuple(raw_spec["main_effects"]),
+            interactions=tuple(tuple(p) for p in raw_spec["interactions"]),
+            term_scales=tuple(raw_spec["term_scales"]),
+        )
+    except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
+        raise InvalidInputError(f"model field 'spec' is invalid: {exc}") from None
+    basis_points = _model_field(obj, "basis_points")
+    if not isinstance(basis_points, list):
+        raise InvalidInputError("model field 'basis_points' is not a list")
+    q = len(basis_points)
+    try:
+        lam = float(_model_field(obj, "lambda"))
+        gcv_score = float(_model_field(obj, "gcv_score"))
+    except (TypeError, ValueError):
+        raise InvalidInputError("model fields 'lambda' and 'gcv_score' must be numbers") from None
+    return FittedModel(
         spec=spec,
-        basis_points=np.asarray(obj["basis_points"], dtype=np.float64),
-        alpha=np.asarray(obj["alpha"], dtype=np.float64),
-        beta=np.asarray(obj["beta"], dtype=np.float64),
-        lam=float(obj["lambda"]),
-        gcv_score=float(obj["gcv_score"]),
-        scaler=np.asarray(obj["scaler"], dtype=np.float64),
+        basis_points=_model_array(obj, "basis_points", (q, spec.d)),
+        alpha=_model_array(obj, "alpha", (spec.m,)),
+        beta=_model_array(obj, "beta", (q,)),
+        lam=lam,
+        gcv_score=gcv_score,
+        scaler=_model_array(obj, "scaler", (2, spec.d)),
         diagnostics=dict(obj.get("diagnostics", {})),
     )
-    return model
 
 
 def model_predictor_names(path) -> list | None:

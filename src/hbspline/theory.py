@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri, stdtr
-from scipy.stats import qmc
 
 from .errors import InvalidConfigError, InvalidInputError
 from .selection import (
@@ -109,6 +108,10 @@ def _qmc_design(dist: str, d: int, log2_points: int, seed: int, d2_variant: str)
         raise InvalidConfigError(
             "reference integral supports the mixture reading of the t design"
         )
+    # Imported here so that importing the CLI does not load scipy.stats,
+    # which is slow to import.
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=d, scramble=True, seed=seed)
     U = sob.random_base2(log2_points)
     eps = 2.0**-53

@@ -220,6 +220,26 @@ class TestPredict:
         manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
         assert manifest["warnings"]["clamped_coordinates"] == 2
 
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("beta", lambda obj: obj.update(beta=obj["beta"][:-1])),
+            ("alpha", lambda obj: obj.pop("alpha")),
+            ("beta", lambda obj: obj["beta"].__setitem__(0, float("nan"))),
+        ],
+        ids=["truncated-beta", "missing-alpha", "nan-beta"],
+    )
+    def test_malformed_model_exits_2(self, fitted, tmp_path, capsys, field, damage):
+        obj = json.loads(fitted.read_text())
+        damage(obj)
+        fitted.write_text(json.dumps(obj))
+        out = tmp_path / "o.csv"
+        rc = main(["predict", "--model", str(fitted),
+                   "--data", str(tmp_path / "train.csv"), "--out", str(out)])
+        assert rc == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_mismatch_exits_2(self, fitted, tmp_path):
         obj = json.loads(fitted.read_text())
         obj["format_version"] = 999
@@ -327,3 +347,20 @@ class TestUsage:
         assert main([]) == 1
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import, and neither fit nor predict needs it.
+    import os
+    import subprocess
+    import sys
+
+    import hbspline
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hbspline.__file__)))
+    code = "import sys, hbspline.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -18,6 +18,7 @@ from hbspline import (
     rescale_term_weights,
 )
 from hbspline.errors import InvalidConfigError, InvalidInputError
+from hbspline.kernels import _term_block, chunk_rows
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 
@@ -295,3 +296,68 @@ class TestNullSpaceExactness:
             assert np.allclose(alpha, [2.0, 3.0, 0.0], atol=1e-8)
             assert np.max(np.abs(beta)) < 1e-8
             assert np.max(np.abs(y - S @ alpha - Rstar @ beta)) < 1e-8
+
+
+def term_block_sum(Xa, Xb, spec):
+    """Reference: the scale-weighted sum of every term's _term_block."""
+    out = np.zeros((Xa.shape[0], Xb.shape[0]))
+    for theta, (kind, ref) in zip(spec.term_scales, spec.terms()):
+        out += theta * _term_block(Xa, Xb, kind, ref)
+    return out
+
+
+class TestGramMatrixBuilder:
+    """The chunked builder is bitwise the _term_block sum."""
+
+    SPEC = AnovaSpec(
+        d=3,
+        main_effects=(0, 1, 2),
+        interactions=((0, 1), (0, 2), (1, 2)),
+        term_scales=(0.7, 1.3, 2.1, 0.4, 5.0, 1.9),
+    )
+
+    @pytest.mark.parametrize(
+        "n, q",
+        [
+            (3 * chunk_rows(30) + 5, 30),  # not a multiple of the chunk height
+            (chunk_rows(30) // 3, 30),  # smaller than one chunk
+            (1, 1),
+            (1, 25),
+            (2 * chunk_rows(1) + 3, 1),
+        ],
+    )
+    def test_matches_term_block_sum(self, rng, n, q):
+        X, Z = rng.random((n, 3)), rng.random((q, 3))
+        assert np.array_equal(gram_matrix(X, Z, self.SPEC), term_block_sum(X, Z, self.SPEC))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AnovaSpec(d=3, main_effects=(0, 1, 2), term_scales=(0.5, 2.0, 3.0)),
+            AnovaSpec(
+                d=5,
+                main_effects=(4, 1, 3),
+                interactions=((1, 4),),
+                term_scales=(1.5, 0.25, 4.0, 0.75),
+            ),
+        ],
+        ids=["mains-only", "skips-dimensions"],
+    )
+    def test_partial_specs(self, rng, spec):
+        X, Z = rng.random((2 * chunk_rows(40) + 9, spec.d)), rng.random((40, spec.d))
+        assert np.array_equal(gram_matrix(X, Z, spec), term_block_sum(X, Z, spec))
+
+    def test_writes_into_column_view_of_design(self, rng):
+        n, q, m = chunk_rows(20) + 11, 20, self.SPEC.m
+        X, Z = rng.random((n, 3)), rng.random((q, 3))
+        B = np.full((n, m + q), np.nan)
+        out = gram_matrix(X, Z, self.SPEC, out=B[:, m:])
+        assert not B[:, m:].flags.c_contiguous
+        assert np.shares_memory(out, B)
+        assert np.array_equal(B[:, m:], term_block_sum(X, Z, self.SPEC))
+        assert np.all(np.isnan(B[:, :m]))
+
+    def test_rejects_misshapen_out(self, rng):
+        X, Z = rng.random((10, 3)), rng.random((4, 3))
+        with pytest.raises(InvalidInputError):
+            gram_matrix(X, Z, self.SPEC, out=np.empty((10, 5)))

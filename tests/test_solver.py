@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from hbspline import (
+    BasisSelection,
     Dataset,
     FittedModel,
     LambdaGrid,
     SelectionConfig,
+    apply_scaler,
     assemble_matrices,
     dataset_from_unit_cube,
     default_spec,
@@ -30,7 +32,8 @@ from hbspline.errors import (
     InvalidInputError,
     SingularSystemError,
 )
-from hbspline.solver import MODEL_FORMAT_VERSION
+from hbspline.kernels import chunk_rows, gram_matrix, null_space_eval
+from hbspline.solver import MODEL_FORMAT_VERSION, _GcvScan, _PenalizedSystem
 
 
 def smooth_surface(X):
@@ -300,6 +303,97 @@ class TestPredict:
             predict(model, np.zeros((3, 5)))
         with pytest.raises(InvalidInputError):
             predict(model, np.array([[np.nan, 0.5]]))
+
+
+class TestChunkedPredict:
+    @pytest.mark.parametrize("n_chunks", [2, 3])
+    @pytest.mark.parametrize("tail", [0, 1, 5])
+    def test_matches_unchunked_expansion(self, banana_data, rng, n_chunks, tail):
+        data = banana_data(n=300, seed=30, noise=0.1)
+        sel = hbs_select(data, SelectionConfig(q=30, method="hbs", seed=13))
+        model = gcv_select(data, sel, default_spec(2))
+        X = rng.random((n_chunks * chunk_rows(30) + tail, 2))
+        scaled, _ = apply_scaler(X, model.scaler)
+        expect = (
+            null_space_eval(scaled, model.spec) @ model.alpha
+            + gram_matrix(scaled, model.basis_points, model.spec) @ model.beta
+        )
+        assert np.array_equal(predict(model, X), expect)
+
+
+def _random_system(seed, n, q, duplicates=0):
+    """Kernel system on n uniform 2-d points; the basis repeats `duplicates` points."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    X = gen.random((n, 2))
+    X[n - duplicates :] = X[:duplicates]
+    y = smooth_surface(X) + 0.2 * gen.standard_normal(n)
+    data = dataset_from_unit_cube(X, y)
+    idx = np.sort(gen.choice(n - duplicates, q - duplicates, replace=False))
+    idx = np.union1d(idx, np.concatenate([np.arange(duplicates), np.arange(n - duplicates, n)]))
+    sel = BasisSelection(
+        indices=idx.astype(np.int64),
+        bin_weight=np.full(idx.size, 1.0 / idx.size),
+        nonempty_bins=idx.size,
+        method="ubs",
+        seed=seed,
+    )
+    spec = rescale_term_weights(data, default_spec(2), data.X[sel.indices])
+    return data, sel, spec
+
+
+class TestGcvScan:
+    """The one-decomposition scan against the per-lambda Cholesky reference."""
+
+    @staticmethod
+    def reference_scores(sys_, lams):
+        return np.array([sys_.gcv(lam)[0] for lam in lams])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", ["q<n", "q=n", "duplicates"])
+    def test_matches_cholesky_reference(self, seed, shape):
+        n = 40 + 7 * seed
+        q, dup = {"q<n": (n // 3, 0), "q=n": (n, 0), "duplicates": (n // 3, 4)}[shape]
+        data, sel, spec = _random_system(seed, n, q, dup)
+        S, Rstar, Rss = assemble_matrices(data, sel, spec)
+        scan = _GcvScan(_PenalizedSystem.from_blocks(S, Rstar, Rss, data.y))
+        if dup:
+            # Repeated basis points leave the Cholesky reference singular;
+            # one copy of each spans the same fits, so the same V(lambda).
+            keep = np.unique(data.X[sel.indices], axis=0, return_index=True)[1]
+            S, Rstar, Rss = S, Rstar[:, keep], Rss[np.ix_(keep, keep)]
+        ref_sys = _PenalizedSystem.from_blocks(S, Rstar, Rss, data.y)
+        lams = LambdaGrid().values()
+        # Check 5's reasoning: below lambda ~1e-5 no two solve routes agree.
+        lams = lams[lams >= 1e-5]
+        got, ref = scan.scores(lams), self.reference_scores(ref_sys, lams)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-6
+        assert np.argmin(got) == np.argmin(ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_grid_argmin_below_basis_size(self, seed):
+        data, sel, spec = _random_system(seed, 80, 20)
+        S, Rstar, Rss = assemble_matrices(data, sel, spec)
+        sys_ = _PenalizedSystem.from_blocks(S, Rstar, Rss, data.y)
+        lams = LambdaGrid().values()
+        got, ref = _GcvScan(sys_).scores(lams), self.reference_scores(sys_, lams)
+        assert np.argmin(got) == np.argmin(ref)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-4
+
+    def test_fit_factorizes_twice(self, monkeypatch, banana_data):
+        import hbspline.solver as solver
+
+        calls = []
+        real = solver.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "cho_factor", counting)
+        data = banana_data(n=300, seed=32, noise=0.1)
+        sel = hbs_select(data, SelectionConfig(q=25, method="hbs", seed=14))
+        gcv_select(data, sel, default_spec(2))
+        assert len(calls) == 2
 
 
 class TestMse:
