@@ -43,13 +43,8 @@ from .selection import (
 )
 from .kernels import (
     AnovaSpec,
-    assemble_matrices,
-    bernoulli_k,
     default_spec,
     gram_matrix,
-    kernel_full,
-    kernel_main,
-    kernel_term,
     null_space_eval,
     rescale_term_weights,
 )
@@ -60,12 +55,9 @@ from .solver import (
     gcv_select,
     load_model,
     mse,
-    penalized_objective,
     predict,
     predict_with_diagnostics,
     save_model,
-    smoother_diag,
-    solve_coefficients,
 )
 from .bench import (
     ExperimentConfig,

@@ -76,7 +76,6 @@ def _build_parser() -> _Parser:
         "--lambda", dest="lam", type=float, default=None,
         help="fixed smoothing parameter (default: GCV search)",
     )
-    p_fit.add_argument("--gcv", action="store_true", help="force GCV search")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True, help="model JSON path")
 
@@ -147,7 +146,7 @@ def _cmd_fit(args) -> int:
         q=args.q, method=args.method, seed=args.seed, C=args.C, k=args.k
     )
     sel = select(data, cfg)
-    if args.lam is not None and not args.gcv:
+    if args.lam is not None:
         model = fit_fixed_lambda(data, sel, spec, args.lam)
     else:
         model = gcv_select(data, sel, spec, LambdaGrid())

@@ -45,23 +45,11 @@ _ROW_ALIGN = 8
 __all__ = [
     "AnovaSpec",
     "default_spec",
-    "bernoulli_k",
-    "kernel_main",
-    "kernel_term",
-    "kernel_full",
     "null_space_eval",
     "gram_matrix",
     "chunk_rows",
-    "assemble_matrices",
     "rescale_term_weights",
 ]
-
-
-def _check_unit(t, what="argument"):
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise InvalidInputError(f"{what} outside [0, 1]")
-    return arr
 
 
 def _k1(t):
@@ -77,47 +65,6 @@ def _k4(t):
     a = _k1(t)
     a2 = a * a
     return (a2 * a2 - a2 / 2.0 + 7.0 / 240.0) / 24.0
-
-
-def bernoulli_k(level: int, t):
-    """Scaled Bernoulli polynomial of level 1, 2, or 4 on [0,1].
-
-    Parameters
-    ----------
-    level : int
-        1, 2, or 4.
-    t : array_like
-        Points in [0,1]; evaluated elementwise.
-
-    Returns
-    -------
-    float or ndarray
-        k1(t) = t - 0.5, k2(t) = (k1^2 - 1/12)/2, or
-        k4(t) = (k1^4 - k1^2/2 + 7/240)/24.
-    """
-    arr = _check_unit(t)
-    if level == 1:
-        out = _k1(arr)
-    elif level == 2:
-        out = _k2(arr)
-    elif level == 4:
-        out = _k4(arr)
-    else:
-        raise InvalidInputError(f"level must be 1, 2, or 4, got {level}")
-    return float(out) if np.isscalar(t) else out
-
-
-def kernel_main(s, t):
-    """Cubic-spline kernel R1(s, t) on [0,1], elementwise.
-
-    Symmetric and positive semi-definite; R1(0,0) = 1/120.
-    """
-    a = _check_unit(s)
-    b = _check_unit(t)
-    out = _k2(a) * _k2(b) - _k4(np.abs(a - b))
-    if np.isscalar(s) and np.isscalar(t):
-        return float(out)
-    return out
 
 
 def _r1_cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -226,26 +173,6 @@ def _term_block(Xa: np.ndarray, Xb: np.ndarray, kind: str, ref) -> np.ndarray:
     return r1a * r1b + r1a * linb + lina * r1b
 
 
-def kernel_term(x, z, term, theta: float = 1.0):
-    """Evaluate one ANOVA term's kernel between two points.
-
-    term is ('main', j) or ('inter', (j, j')); theta scales the value.
-    """
-    kind, ref = term
-    xa = np.atleast_2d(_check_unit(x, "x"))
-    za = np.atleast_2d(_check_unit(z, "z"))
-    val = theta * _term_block(xa, za, kind, ref)
-    return float(val[0, 0]) if val.size == 1 else val
-
-
-def kernel_full(x, z, spec: AnovaSpec):
-    """Full penalized kernel: scale-weighted sum of the spec's terms."""
-    xa = np.atleast_2d(_check_unit(x, "x"))
-    za = np.atleast_2d(_check_unit(z, "z"))
-    out = gram_matrix(xa, za, spec)
-    return float(out[0, 0]) if out.size == 1 else out
-
-
 def null_space_eval(x, spec: AnovaSpec):
     """Evaluate the unpenalized basis: 1, then k1(x_j) per main effect.
 
@@ -260,7 +187,9 @@ def null_space_eval(x, spec: AnovaSpec):
     ndarray
         Shape (m,) for a single point, else (n, m).
     """
-    arr = _check_unit(x, "x")
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        raise InvalidInputError("x outside [0, 1]")
     single = arr.ndim == 1
     X = np.atleast_2d(arr)
     if X.shape[1] != spec.d:
@@ -377,21 +306,3 @@ def rescale_term_weights(data, spec: AnovaSpec, basis_points=None) -> AnovaSpec:
         scales.append(q / tr)
     return replace(spec, term_scales=tuple(scales))
 
-
-def assemble_matrices(data, sel, spec: AnovaSpec):
-    """Build the fitting matrices for a basis selection.
-
-    Returns
-    -------
-    (S, Rstar, Rstarstar) : tuple of ndarray
-        S is n x m with columns the unpenalized basis at the data;
-        Rstar is n x q with entries kernel(data row i, basis point j);
-        Rstarstar is the q x q block of Rstar on the selected rows
-        (bitwise identical floats by construction).  S and Rstar are
-        column views of the one design array the solver fits on.
-    """
-    # The solver owns assembly (it imports this module, hence the late import).
-    from .solver import design_matrices
-
-    B, Rstarstar = design_matrices(data, sel, spec)
-    return B[:, : spec.m], B[:, spec.m :], Rstarstar

@@ -48,15 +48,12 @@ from .selection import apply_scaler
 __all__ = [
     "LambdaGrid",
     "FittedModel",
-    "solve_coefficients",
-    "smoother_diag",
     "design_matrices",
     "gcv_select",
     "fit_fixed_lambda",
     "predict",
     "predict_with_diagnostics",
     "mse",
-    "penalized_objective",
     "save_model",
     "load_model",
     "MODEL_FORMAT_VERSION",
@@ -116,13 +113,8 @@ class _PenalizedSystem:
     """
 
     def __init__(self, B, Rstarstar, y, m: int):
-        B = np.asarray(B, dtype=np.float64)
-        Rss = np.asarray(Rstarstar, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
         n = B.shape[0]
         q = B.shape[1] - m
-        if q < 0 or Rss.shape != (q, q) or y.shape[0] != n:
-            raise InvalidInputError("fitting matrices are not conformal")
         if n < m + 1:
             raise InvalidConfigError(
                 f"need at least m+1={m + 1} rows to fit, got {n}"
@@ -132,16 +124,7 @@ class _PenalizedSystem:
         self.G = self.B.T @ self.B
         self.b = self.B.T @ y
         self.yty = float(y @ y)
-        self.y = y
-        self.Rss = Rss
-
-    @classmethod
-    def from_blocks(cls, S, Rstar, Rstarstar, y):
-        S = np.asarray(S, dtype=np.float64)
-        Rstar = np.asarray(Rstar, dtype=np.float64)
-        if Rstar.shape[0] != S.shape[0]:
-            raise InvalidInputError("fitting matrices are not conformal")
-        return cls(np.hstack([S, Rstar]), Rstarstar, y, S.shape[1])
+        self.Rss = Rstarstar
 
     def _factor(self, lam: float):
         """Cholesky of the normal matrix, escalating jitter on failure."""
@@ -282,63 +265,6 @@ def _condition_estimate(Mj: np.ndarray, c) -> float:
     return 1.0 / float(rcond)
 
 
-def _check_lambda(lam):
-    if not (np.isfinite(lam) and lam > 0):
-        raise InvalidConfigError(f"lambda must be positive, got {lam!r}")
-
-
-def solve_coefficients(S, Rstar, Rstarstar, y, lam: float):
-    """Solve the penalized normal equations at a fixed lambda.
-
-    Parameters
-    ----------
-    S, Rstar, Rstarstar : ndarray
-        Unpenalized design (n x m), kernel design (n x q), penalty
-        Gram (q x q).
-    y : ndarray
-        Responses, length n.
-    lam : float
-        Positive smoothing parameter.
-
-    Returns
-    -------
-    (alpha, beta) : tuple of ndarray
-        Coefficients of the unpenalized and kernel parts.
-
-    Raises
-    ------
-    SingularSystemError
-        If Cholesky fails after the full jitter ladder; carries the
-        condition estimate of the unjittered matrix.
-    """
-    _check_lambda(lam)
-    sys_ = _PenalizedSystem.from_blocks(S, Rstar, Rstarstar, y)
-    c, _, jitter = sys_._factor(lam)
-    if jitter:
-        logger.debug("jitter %.3e applied at lambda=%g", jitter, lam)
-    theta = sys_._theta(c)
-    return theta[: sys_.m], theta[sys_.m :]
-
-
-def smoother_diag(S, Rstar, Rstarstar, y, lam: float):
-    """Influence-matrix trace and smoothed values at one lambda.
-
-    Returns (trace_A, yhat) where yhat = A(lambda) y and trace(A) is
-    computed exactly as trace(M^-1 B'B); the trace lies in [m, m+q].
-    """
-    _check_lambda(lam)
-    sys_ = _PenalizedSystem.from_blocks(S, Rstar, Rstarstar, y)
-    c, _, _ = sys_._factor(lam)
-    theta = sys_._theta(c)
-    return sys_._trace_A(c), sys_.B @ theta
-
-
-def penalized_objective(S, Rstar, Rstarstar, y, alpha, beta, lam: float) -> float:
-    """Value of the fitting objective at given coefficients."""
-    r = y - S @ alpha - Rstar @ beta
-    return float(r @ r) / len(y) + lam * float(beta @ (Rstarstar @ beta))
-
-
 def design_matrices(data, sel, spec: AnovaSpec):
     """The design B = [S | R*] of a basis selection, and R**.
 
@@ -471,7 +397,8 @@ def gcv_select(
 
 def fit_fixed_lambda(data, sel, spec: AnovaSpec, lam: float, rescale: bool = True) -> FittedModel:
     """Fit on a basis selection at a caller-chosen lambda."""
-    _check_lambda(lam)
+    if not (np.isfinite(lam) and lam > 0):
+        raise InvalidConfigError(f"lambda must be positive, got {lam!r}")
     return _fit(data, sel, spec, rescale, lam=lam)
 
 
@@ -635,8 +562,16 @@ def load_model(path) -> FittedModel:
 
 
 def model_predictor_names(path) -> list | None:
-    """Predictor column names stored with a model file, if any."""
+    """Predictor column names stored with a model file, if any.
+
+    Raises InvalidInputError unless the field is absent or a list of
+    strings.
+    """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     names = obj.get("predictors")
-    return list(names) if names is not None else None
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(v, str) for v in names)
+    ):
+        raise InvalidInputError("model field 'predictors' is not a list of column names")
+    return names

@@ -21,7 +21,7 @@ from scipy.spatial.distance import pdist
 from hbspline.bench import ExperimentConfig, eval_function, gen_design, run_experiment
 from hbspline.cli import main as cli_main
 from hbspline.hilbert import CurveOrder, decode, encode, locality_bound_check, point_to_index
-from hbspline.kernels import assemble_matrices, default_spec, rescale_term_weights
+from hbspline.kernels import default_spec, rescale_term_weights
 from hbspline.selection import (
     SelectionConfig,
     dataset_from_unit_cube,
@@ -30,7 +30,7 @@ from hbspline.selection import (
     scale_to_unit_cube,
     ubs_select,
 )
-from hbspline.solver import LambdaGrid, gcv_select, solve_coefficients
+from hbspline.solver import LambdaGrid, design_matrices, fit_fixed_lambda, gcv_select
 from hbspline.theory import variance_scaling_study
 
 REPO = Path(__file__).resolve().parent.parent
@@ -117,10 +117,12 @@ def test_05_subset_solver_matches_classical_fit_at_full_basis():
         data = dataset_from_unit_cube(X, y)
         sel = ubs_select(data, SelectionConfig(q=n, method="ubs", seed=seed))
         spec = rescale_term_weights(data, default_spec(2), data.X[sel.indices])
-        S, R, Rss = assemble_matrices(data, sel, spec)
-        m = S.shape[1]
+        B, Rss = design_matrices(data, sel, spec)
+        m = spec.m
+        S, R = B[:, :m], B[:, m:]
         for lam in lams:
-            alpha, beta = solve_coefficients(S, R, Rss, y, lam)
+            model = fit_fixed_lambda(data, sel, spec, lam, rescale=False)
+            alpha, beta = model.alpha, model.beta
             aug = np.block(
                 [[Rss + n * lam * np.eye(n), S], [S.T, np.zeros((m, m))]]
             )

@@ -97,6 +97,13 @@ class TestFit:
             "--lambda", "0.001", "--out", str(out),
         ]) == 0
         assert load_model(out).lam == 0.001
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        assert manifest["config"]["lambda"] == load_model(out).lam
+        # No flag overrides a fixed lambda.
+        assert main([
+            "fit", "--data", data, "--response", "y", "--q", "15",
+            "--lambda", "0.001", "--gcv", "--out", str(out),
+        ]) == 1
 
     def test_explicit_predictors_subset(self, tmp_path):
         path = tmp_path / "train.csv"
@@ -226,8 +233,11 @@ class TestPredict:
             ("beta", lambda obj: obj.update(beta=obj["beta"][:-1])),
             ("alpha", lambda obj: obj.pop("alpha")),
             ("beta", lambda obj: obj["beta"].__setitem__(0, float("nan"))),
+            ("predictors", lambda obj: obj.update(predictors=5)),
+            ("predictors", lambda obj: obj.update(predictors="uv")),
         ],
-        ids=["truncated-beta", "missing-alpha", "nan-beta"],
+        ids=["truncated-beta", "missing-alpha", "nan-beta", "int-predictors",
+             "string-predictors"],
     )
     def test_malformed_model_exits_2(self, fitted, tmp_path, capsys, field, damage):
         obj = json.loads(fitted.read_text())

@@ -6,72 +6,69 @@ from hypothesis import given, strategies as st
 
 from hbspline import (
     AnovaSpec,
-    assemble_matrices,
-    bernoulli_k,
     dataset_from_unit_cube,
     default_spec,
+    fit_fixed_lambda,
     gram_matrix,
-    kernel_full,
-    kernel_main,
-    kernel_term,
     null_space_eval,
     rescale_term_weights,
 )
 from hbspline.errors import InvalidConfigError, InvalidInputError
-from hbspline.kernels import _term_block, chunk_rows
+from hbspline.kernels import _k1, _k2, _k4, _term_block, chunk_rows
+from hbspline.solver import design_matrices
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
+
+# The scaled Bernoulli polynomials k1, k2 and k4 by level.
+BERNOULLI = {1: _k1, 2: _k2, 4: _k4}
+
+
+def r1(s, t):
+    """Cubic-spline kernel R1 between two coordinate vectors, (len s, len t)."""
+    s, t = (np.reshape(np.asarray(v, dtype=np.float64), (-1, 1)) for v in (s, t))
+    return gram_matrix(s, t, AnovaSpec(d=1, main_effects=(0,)))
 
 
 class TestBernoulliK:
     def test_frozen_values(self):
-        assert bernoulli_k(1, 0.5) == 0.0
-        assert abs(bernoulli_k(2, 0.0) - 1.0 / 12.0) < 1e-15
-        assert abs(bernoulli_k(4, 0.0) - (-1.0 / 720.0)) < 1e-15
+        assert BERNOULLI[1](0.5) == 0.0
+        assert abs(BERNOULLI[2](0.0) - 1.0 / 12.0) < 1e-15
+        assert abs(BERNOULLI[4](0.0) - (-1.0 / 720.0)) < 1e-15
 
     def test_endpoint_symmetry(self):
         # All three polynomials are symmetric about t = 1/2.
         for level in (1, 2, 4):
-            left = bernoulli_k(level, 0.1)
-            right = bernoulli_k(level, 0.9)
+            left = BERNOULLI[level](0.1)
+            right = BERNOULLI[level](0.9)
             sign = -1.0 if level == 1 else 1.0
             assert abs(left - sign * right) < 1e-15
 
     def test_vectorized(self):
         t = np.linspace(0, 1, 11)
-        assert np.allclose(bernoulli_k(1, t), t - 0.5)
-
-    def test_rejects_out_of_range_and_bad_level(self):
-        with pytest.raises(InvalidInputError):
-            bernoulli_k(2, 1.5)
-        with pytest.raises(InvalidInputError):
-            bernoulli_k(3, 0.5)
+        assert np.allclose(BERNOULLI[1](t), t - 0.5)
 
     @given(unit_floats)
     def test_closed_forms(self, t):
         k1 = t - 0.5
-        assert abs(bernoulli_k(2, t) - (k1**2 - 1 / 12) / 2) < 1e-15
-        assert abs(bernoulli_k(4, t) - (k1**4 - k1**2 / 2 + 7 / 240) / 24) < 1e-15
+        assert abs(BERNOULLI[2](t) - (k1**2 - 1 / 12) / 2) < 1e-15
+        assert abs(BERNOULLI[4](t) - (k1**4 - k1**2 / 2 + 7 / 240) / 24) < 1e-15
 
 
 class TestKernelMain:
     def test_frozen_origin_value(self):
-        assert abs(kernel_main(0.0, 0.0) - 1.0 / 120.0) < 1e-15
+        assert abs(r1(0.0, 0.0)[0, 0] - 1.0 / 120.0) < 1e-15
 
     def test_symmetry(self, rng):
-        s = rng.random(10_000)
-        t = rng.random(10_000)
-        assert np.array_equal(kernel_main(s, t), kernel_main(t, s))
+        # 100 x 100 = 10,000 (s, t) pairs.
+        s = rng.random(100)
+        t = rng.random(100)
+        assert np.array_equal(r1(s, t), r1(t, s).T)
 
     def test_gram_positive_semidefinite(self, rng):
         pts = rng.random(20)
-        G = kernel_main(pts[:, None], pts[None, :])
+        G = r1(pts, pts)
         eigs = np.linalg.eigvalsh(G)
         assert eigs.min() >= -1e-10 * np.trace(G)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            kernel_main(1.1, 0.5)
 
 
 class TestAnovaSpec:
@@ -117,25 +114,33 @@ class TestAnovaSpec:
 
 
 class TestKernelTerm:
+    @staticmethod
+    def term(x, z, term, theta=1.0):
+        """One term's kernel value between two points."""
+        kind, ref = term
+        return theta * _term_block(x[None, :], z[None, :], kind, ref)[0, 0]
+
     def test_single_main_reduces_to_r1(self):
         x = np.zeros(3)
-        val = kernel_term(x, x, ("main", 0))
+        val = self.term(x, x, ("main", 0))
         assert abs(val - 1.0 / 120.0) < 1e-15
 
     def test_interaction_symmetries(self, rng):
         x = rng.random(4)
         z = rng.random(4)
-        v_xz = kernel_term(x, z, ("inter", (1, 3)))
-        v_zx = kernel_term(z, x, ("inter", (1, 3)))
+        v_xz = self.term(x, z, ("inter", (1, 3)))
+        v_zx = self.term(z, x, ("inter", (1, 3)))
         assert abs(v_xz - v_zx) < 1e-15
         # Swapping the pair members leaves the sum of products intact.
         spec_a = AnovaSpec(d=4, main_effects=(1, 3), interactions=((1, 3),))
-        assert abs(kernel_full(x, z, spec_a) - kernel_full(z, x, spec_a)) < 1e-15
+        v_xz = gram_matrix(x[None, :], z[None, :], spec_a)[0, 0]
+        v_zx = gram_matrix(z[None, :], x[None, :], spec_a)[0, 0]
+        assert abs(v_xz - v_zx) < 1e-15
 
     def test_theta_scales_linearly(self, rng):
         x, z = rng.random(2), rng.random(2)
-        base = kernel_term(x, z, ("main", 1))
-        assert abs(kernel_term(x, z, ("main", 1), theta=2.5) - 2.5 * base) < 1e-15
+        base = self.term(x, z, ("main", 1))
+        assert abs(self.term(x, z, ("main", 1), theta=2.5) - 2.5 * base) < 1e-15
 
     def test_full_kernel_gram_psd(self, rng):
         pts = rng.random((30, 2))
@@ -153,10 +158,10 @@ class TestKernelTerm:
             term_scales=(1.0, 2.0, 3.0, 4.0),
         )
         total = sum(
-            theta * kernel_term(x, z, term)
+            self.term(x, z, term, theta)
             for theta, term in zip(spec.term_scales, spec.terms())
         )
-        assert abs(kernel_full(x, z, spec) - total) < 1e-14
+        assert abs(gram_matrix(x[None, :], z[None, :], spec)[0, 0] - total) < 1e-14
 
 
 class TestNullSpaceEval:
@@ -189,7 +194,7 @@ class TestRescaleTermWeights:
         spec = default_spec(2)
         scaled = rescale_term_weights(data, spec)
         for theta, (kind, ref) in zip(scaled.term_scales, scaled.terms()):
-            G = kernel_term(data.X, data.X, (kind, ref), theta=theta)
+            G = theta * _term_block(data.X, data.X, kind, ref)
             assert abs(np.trace(G) / data.n - 1.0) < 1e-12
 
     def test_idempotent_and_ignores_incoming_scales(self, uniform_data):
@@ -211,7 +216,7 @@ class TestRescaleTermWeights:
         basis = rng.random((30, 2))
         spec = rescale_term_weights(data, default_spec(2), basis_points=basis)
         for theta, (kind, ref) in zip(spec.term_scales, spec.terms()):
-            G = kernel_term(basis, basis, (kind, ref), theta=theta)
+            G = theta * _term_block(basis, basis, kind, ref)
             assert abs(np.trace(G) / 30 - 1.0) < 1e-12
 
     def test_finite_positive_on_generated_data(self, uniform_data):
@@ -248,7 +253,8 @@ class TestAssembleMatrices:
         data = uniform_data(n=30)
         spec = default_spec(2)
         sel = self._selection(data, np.arange(30))
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
+        B, Rss = design_matrices(data, sel, spec)
+        S, Rstar = B[:, : spec.m], B[:, spec.m :]
         assert S.shape == (30, spec.m)
         assert Rstar.shape == (30, 30)
         assert np.array_equal(Rstar, Rss)
@@ -259,14 +265,16 @@ class TestAssembleMatrices:
         spec = default_spec(2)
         idx = np.array([3, 11, 19, 26, 40, 44, 45, 46, 47, 48])
         sel = self._selection(data, idx)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
+        B, Rss = design_matrices(data, sel, spec)
+        Rstar = B[:, spec.m :]
         assert np.array_equal(Rstar[idx], Rss)
 
     def test_assembled_matrices_finite_and_psd(self, uniform_data):
         data = uniform_data(n=50)
         spec = rescale_term_weights(data, default_spec(2))
         sel = self._selection(data, np.arange(0, 50, 5))
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
+        B, Rss = design_matrices(data, sel, spec)
+        S, Rstar = B[:, : spec.m], B[:, spec.m :]
         assert np.all(np.isfinite(S))
         assert np.all(np.isfinite(Rstar))
         eigs = np.linalg.eigvalsh(Rss)
@@ -276,23 +284,25 @@ class TestAssembleMatrices:
         data = uniform_data(n=20)
         sel = self._selection(data, [0, 25])
         with pytest.raises(InvalidInputError):
-            assemble_matrices(data, sel, default_spec(2))
+            design_matrices(data, sel, default_spec(2))
 
 
 class TestNullSpaceExactness:
     def test_parametric_surface_fits_with_zero_residual(self, rng):
         # y lies in the unpenalized span, so any smoothing level must
         # reproduce it exactly with no kernel contribution.
-        from hbspline import SelectionConfig, solve_coefficients, ubs_select
+        from hbspline import SelectionConfig, ubs_select
 
         X = rng.random((80, 2))
         y = 2.0 + 3.0 * (X[:, 0] - 0.5)
         data = dataset_from_unit_cube(X, y)
         spec = default_spec(2)
         sel = ubs_select(data, SelectionConfig(q=15, method="ubs", seed=3))
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
+        B, _ = design_matrices(data, sel, spec)
+        S, Rstar = B[:, : spec.m], B[:, spec.m :]
         for lam in (1e-8, 1e-3, 10.0):
-            alpha, beta = solve_coefficients(S, Rstar, Rss, y, lam)
+            model = fit_fixed_lambda(data, sel, spec, lam, rescale=False)
+            alpha, beta = model.alpha, model.beta
             assert np.allclose(alpha, [2.0, 3.0, 0.0], atol=1e-8)
             assert np.max(np.abs(beta)) < 1e-8
             assert np.max(np.abs(y - S @ alpha - Rstar @ beta)) < 1e-8

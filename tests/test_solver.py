@@ -1,5 +1,7 @@
 """Penalized least squares, GCV, prediction, and model persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from hbspline import (
     LambdaGrid,
     SelectionConfig,
     apply_scaler,
-    assemble_matrices,
     dataset_from_unit_cube,
     default_spec,
     fit_fixed_lambda,
@@ -18,13 +19,10 @@ from hbspline import (
     hbs_select,
     load_model,
     mse,
-    penalized_objective,
     predict,
     predict_with_diagnostics,
     rescale_term_weights,
     save_model,
-    smoother_diag,
-    solve_coefficients,
     ubs_select,
 )
 from hbspline.errors import (
@@ -33,7 +31,12 @@ from hbspline.errors import (
     SingularSystemError,
 )
 from hbspline.kernels import chunk_rows, gram_matrix, null_space_eval
-from hbspline.solver import MODEL_FORMAT_VERSION, _GcvScan, _PenalizedSystem
+from hbspline.solver import (
+    MODEL_FORMAT_VERSION,
+    _GcvScan,
+    _PenalizedSystem,
+    design_matrices,
+)
 
 
 def smooth_surface(X):
@@ -50,6 +53,31 @@ def make_problem(n=60, q=12, seed=0, noise=0.1, lam_spec=True):
     if lam_spec:
         spec = rescale_term_weights(data, spec, data.X[sel.indices])
     return data, sel, spec
+
+
+def blocks(data, sel, spec):
+    """S, R* and R** as views of the design that the fit solves on."""
+    B, Rss = design_matrices(data, sel, spec)
+    return B[:, : spec.m], B[:, spec.m :], Rss
+
+
+def coefficients(data, sel, spec, lam):
+    """(alpha, beta) of the fit at lam on the spec's own term scales."""
+    model = fit_fixed_lambda(data, sel, spec, lam, rescale=False)
+    return model.alpha, model.beta
+
+
+def smoother(data, sel, spec, lam):
+    """trace(A) and the smoothed values A y at lam."""
+    model = fit_fixed_lambda(data, sel, spec, lam, rescale=False)
+    B, _ = design_matrices(data, sel, spec)
+    return model.diagnostics["trace_A"], B @ np.concatenate([model.alpha, model.beta])
+
+
+def penalized_objective(S, Rstar, Rstarstar, y, alpha, beta, lam):
+    """Value of the fitting objective at given coefficients."""
+    r = y - S @ alpha - Rstar @ beta
+    return float(r @ r) / len(y) + lam * float(beta @ (Rstarstar @ beta))
 
 
 class TestLambdaGrid:
@@ -69,8 +97,8 @@ class TestLambdaGrid:
 class TestSolveCoefficients:
     def test_penalty_dominance_zeroes_kernel_part(self):
         data, sel, spec = make_problem(n=80, q=15, seed=1)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
-        alpha, beta = solve_coefficients(S, Rstar, Rss, data.y, 1e12)
+        S, Rstar, Rss = blocks(data, sel, spec)
+        alpha, beta = coefficients(data, sel, spec, 1e12)
         alpha_ls = np.linalg.lstsq(S, data.y, rcond=None)[0]
         assert np.max(np.abs(Rstar @ beta)) < 1e-6
         assert np.allclose(alpha, alpha_ls, atol=1e-6)
@@ -86,9 +114,9 @@ class TestSolveCoefficients:
         data = dataset_from_unit_cube(X, y)
         sel = ubs_select(data, SelectionConfig(q=n, method="ubs", seed=seed))
         spec = rescale_term_weights(data, default_spec(2), data.X)
-        S, R, Rss = assemble_matrices(data, sel, spec)
+        S, R, Rss = blocks(data, sel, spec)
         for lam in (1e-5, 1e-3, 1e-1, 1.0):
-            alpha, beta = solve_coefficients(S, R, Rss, y, lam)
+            alpha, beta = coefficients(data, sel, spec, lam)
             fitted = S @ alpha + R @ beta
             m = S.shape[1]
             aug = np.zeros((n + m, n + m))
@@ -102,9 +130,9 @@ class TestSolveCoefficients:
 
     def test_objective_no_worse_than_benchmark_points(self):
         data, sel, spec = make_problem(seed=2)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
+        S, Rstar, Rss = blocks(data, sel, spec)
         lam = 1e-3
-        alpha, beta = solve_coefficients(S, Rstar, Rss, data.y, lam)
+        alpha, beta = coefficients(data, sel, spec, lam)
         value = penalized_objective(S, Rstar, Rss, data.y, alpha, beta, lam)
         alpha_ls = np.linalg.lstsq(S, data.y, rcond=None)[0]
         at_null_ls = penalized_objective(
@@ -116,15 +144,12 @@ class TestSolveCoefficients:
         assert value <= at_null_ls + 1e-12
         assert value <= at_zero + 1e-12
 
-    def test_rejects_bad_lambda_and_shapes(self):
+    def test_rejects_bad_lambda(self):
         data, sel, spec = make_problem(n=40, q=8, seed=3)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
         with pytest.raises(InvalidConfigError):
-            solve_coefficients(S, Rstar, Rss, data.y, 0.0)
+            coefficients(data, sel, spec, 0.0)
         with pytest.raises(InvalidConfigError):
-            solve_coefficients(S, Rstar, Rss, data.y, -1.0)
-        with pytest.raises(InvalidInputError):
-            solve_coefficients(S, Rstar[:, :4], Rss, data.y, 1e-3)
+            coefficients(data, sel, spec, -1.0)
 
     def test_singular_system_error_carries_condition(self, monkeypatch):
         import hbspline.solver as solver
@@ -134,9 +159,8 @@ class TestSolveCoefficients:
 
         monkeypatch.setattr(solver, "cho_factor", always_fail)
         data, sel, spec = make_problem(n=40, q=8, seed=4)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
         with pytest.raises(SingularSystemError) as excinfo:
-            solve_coefficients(S, Rstar, Rss, data.y, 1e-3)
+            coefficients(data, sel, spec, 1e-3)
         assert excinfo.value.condition_estimate is not None
         assert excinfo.value.exit_code == 3
 
@@ -144,38 +168,34 @@ class TestSolveCoefficients:
 class TestSmootherDiag:
     def test_matches_explicit_hat_matrix(self):
         data, sel, spec = make_problem(n=60, q=12, seed=5)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
         lam = 3e-4
-        trace, yhat = smoother_diag(S, Rstar, Rss, data.y, lam)
+        trace, yhat = smoother(data, sel, spec, lam)
         n = data.n
         A = np.empty((n, n))
         for i in range(n):
             e = np.zeros(n)
             e[i] = 1.0
-            A[:, i] = smoother_diag(S, Rstar, Rss, e, lam)[1]
+            A[:, i] = smoother(replace(data, y=e), sel, spec, lam)[1]
         assert abs(trace - np.trace(A)) < 1e-6
         assert np.max(np.abs(A @ data.y - yhat)) < 1e-6
 
     def test_heavy_smoothing_trace_approaches_null_dimension(self):
         data, sel, spec = make_problem(n=100, q=20, seed=6)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
-        trace, _ = smoother_diag(S, Rstar, Rss, data.y, 1e12)
+        trace, _ = smoother(data, sel, spec, 1e12)
         assert abs(trace - spec.m) < 1e-6
 
     def test_interpolation_trace_approaches_n(self):
         # With q = n and almost no penalty the smoother reproduces the
         # data, so its trace approaches the sample size.
         data, sel, spec = make_problem(n=30, q=30, seed=7, noise=0.0)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
-        trace, yhat = smoother_diag(S, Rstar, Rss, data.y, 1e-12)
+        trace, yhat = smoother(data, sel, spec, 1e-12)
         assert trace > 29.5
         assert np.max(np.abs(yhat - data.y)) < 1e-4
 
     def test_trace_within_bounds_across_lambdas(self):
         data, sel, spec = make_problem(n=80, q=10, seed=8)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
         for lam in np.logspace(-8, 1, 8):
-            trace, _ = smoother_diag(S, Rstar, Rss, data.y, lam)
+            trace, _ = smoother(data, sel, spec, lam)
             assert spec.m - 1e-8 <= trace <= spec.m + sel.q + 1e-8
 
 
@@ -184,7 +204,7 @@ class TestGcvSelect:
         data = banana_data(n=400, seed=21, noise=0.1)
         sel = hbs_select(data, SelectionConfig(q=30, method="hbs", seed=2))
         model = gcv_select(data, sel, default_spec(2))
-        S, Rstar, Rss = assemble_matrices(data, sel, model.spec)
+        S, Rstar, Rss = blocks(data, sel, model.spec)
         fitted = S @ model.alpha + Rstar @ model.beta
         rss = float(np.sum((data.y - fitted) ** 2))
         trace = model.diagnostics["trace_A"]
@@ -259,8 +279,7 @@ class TestPredict:
         sel = ubs_select(data, SelectionConfig(q=20, method="ubs", seed=7))
         lam = 1e-4
         model = fit_fixed_lambda(data, sel, default_spec(2), lam)
-        S, Rstar, Rss = assemble_matrices(data, sel, model.spec)
-        _, yhat = smoother_diag(S, Rstar, Rss, data.y, lam)
+        _, yhat = smoother(data, sel, model.spec, lam)
         assert np.max(np.abs(predict(model, raw) - yhat)) < 1e-8
 
     def test_interpolates_noiseless_data_at_basis_points(self):
@@ -354,14 +373,15 @@ class TestGcvScan:
         n = 40 + 7 * seed
         q, dup = {"q<n": (n // 3, 0), "q=n": (n, 0), "duplicates": (n // 3, 4)}[shape]
         data, sel, spec = _random_system(seed, n, q, dup)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
-        scan = _GcvScan(_PenalizedSystem.from_blocks(S, Rstar, Rss, data.y))
+        B, Rss = design_matrices(data, sel, spec)
+        scan = _GcvScan(_PenalizedSystem(B, Rss, data.y, spec.m))
         if dup:
             # Repeated basis points leave the Cholesky reference singular;
             # one copy of each spans the same fits, so the same V(lambda).
             keep = np.unique(data.X[sel.indices], axis=0, return_index=True)[1]
-            S, Rstar, Rss = S, Rstar[:, keep], Rss[np.ix_(keep, keep)]
-        ref_sys = _PenalizedSystem.from_blocks(S, Rstar, Rss, data.y)
+            cols = np.concatenate([np.arange(spec.m), spec.m + keep])
+            B, Rss = B[:, cols], Rss[np.ix_(keep, keep)]
+        ref_sys = _PenalizedSystem(B, Rss, data.y, spec.m)
         lams = LambdaGrid().values()
         # Check 5's reasoning: below lambda ~1e-5 no two solve routes agree.
         lams = lams[lams >= 1e-5]
@@ -372,8 +392,8 @@ class TestGcvScan:
     @pytest.mark.parametrize("seed", range(4))
     def test_same_grid_argmin_below_basis_size(self, seed):
         data, sel, spec = _random_system(seed, 80, 20)
-        S, Rstar, Rss = assemble_matrices(data, sel, spec)
-        sys_ = _PenalizedSystem.from_blocks(S, Rstar, Rss, data.y)
+        B, Rss = design_matrices(data, sel, spec)
+        sys_ = _PenalizedSystem(B, Rss, data.y, spec.m)
         lams = LambdaGrid().values()
         got, ref = _GcvScan(sys_).scores(lams), self.reference_scores(sys_, lams)
         assert np.argmin(got) == np.argmin(ref)
