@@ -72,8 +72,9 @@ def read_numeric_csv(path, response=None, predictors=None):
     Raises
     ------
     IngestionError
-        Missing columns, ragged rows, or non-numeric cells (reported
-        with row and column).
+        Missing columns, a predictor listed twice or equal to the
+        response, ragged rows, or non-numeric cells (reported with row
+        and column).
     """
     header, body = _read_rows(path)
     col_of = {name: i for i, name in enumerate(header)}
@@ -98,6 +99,13 @@ def read_numeric_csv(path, response=None, predictors=None):
         missing = [p for p in predictors if p not in col_of]
         if missing:
             raise IngestionError(f"{path}: predictor columns not found: {missing}")
+        repeated = sorted({p for p in predictors if predictors.count(p) > 1})
+        if repeated:
+            raise IngestionError(f"{path}: predictor columns listed twice: {repeated}")
+        if response in predictors:
+            raise IngestionError(
+                f"{path}: response column {response!r} listed as a predictor"
+            )
         names = list(predictors)
     else:
         names = []

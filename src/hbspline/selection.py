@@ -77,6 +77,11 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     scaler: np.ndarray
+    # Curve index of every row per curve order k, filled by hilbert_bins.
+    # Valid for the dataset's life because X is read-only.
+    _curve_index: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.X.setflags(write=False)
@@ -262,14 +267,20 @@ def hilbert_bins(data: Dataset, C: int, k: int) -> np.ndarray:
 
     Maps each point to the center of its curve interval at order k and
     bins the centers into C equal-width bins of [0,1].  Returns the
-    length-n int64 bin array with values in [0, C).
+    length-n int64 bin array with values in [0, C).  The curve indices
+    are computed once per (dataset, k) and kept on the dataset, so
+    selections and diagnostics at several C share one mapping.
     """
     order = CurveOrder(k=k, d=data.d)
     if C > order.total_cells:
         raise InvalidConfigError(
             f"C={C} exceeds the {order.total_cells} curve cells at k={k}"
         )
-    idx = point_to_index(data.X, order)
+    idx = data._curve_index.get(k)
+    if idx is None:
+        idx = point_to_index(data.X, order)
+        idx.setflags(write=False)
+        data._curve_index[k] = idx
     centers = index_to_center(idx, order)
     return np.minimum((centers * C).astype(np.int64), C - 1)
 

@@ -565,13 +565,16 @@ def model_predictor_names(path) -> list | None:
     """Predictor column names stored with a model file, if any.
 
     Raises InvalidInputError unless the field is absent or a list of
-    strings.
+    distinct strings.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     names = obj.get("predictors")
-    if names is not None and not (
-        isinstance(names, list) and all(isinstance(v, str) for v in names)
-    ):
+    if names is None:
+        return None
+    if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
         raise InvalidInputError("model field 'predictors' is not a list of column names")
+    repeated = sorted({v for v in names if names.count(v) > 1})
+    if repeated:
+        raise InvalidInputError(f"model field 'predictors' repeats {repeated}")
     return names

@@ -39,7 +39,7 @@ from .selection import (
     hbs_select,
     ubs_select,
 )
-from .bench import gen_design
+from .bench import DISTRIBUTIONS, gen_design
 
 __all__ = [
     "EigenSurrogate",
@@ -90,45 +90,86 @@ class EigenSurrogate:
         return out
 
 
-def _t10_mixture_quantiles(u: np.ndarray) -> np.ndarray:
-    """Quantiles of the equal mixture of t(10) shifted by -5 and +5.
-
-    Inverts the mixture CDF by monotone interpolation on a dense grid;
-    tail mass beyond +-20 of either center (< 2e-9) is clamped.
-    """
+def _t10_mixture_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Dense (cdf, x) grid of the equal t(10) mixture centered at -5 and +5."""
     xs = np.linspace(-25.0, 25.0, 1 << 15)
     cdf = 0.5 * stdtr(10.0, xs + 5.0) + 0.5 * stdtr(10.0, xs - 5.0)
+    return cdf, xs
+
+
+def _t10_mixture_quantiles(u: np.ndarray, grid=None) -> np.ndarray:
+    """Quantiles of the equal mixture of t(10) shifted by -5 and +5.
+
+    Inverts the mixture CDF by monotone interpolation on a dense grid
+    (built here unless passed in from _t10_mixture_grid); tail mass
+    beyond +-20 of either center (< 2e-9) is clamped.
+    """
+    cdf, xs = _t10_mixture_grid() if grid is None else grid
     u = np.clip(u, cdf[0], cdf[-1])
     return np.interp(u, cdf, xs)
 
 
-def _qmc_design(dist: str, d: int, log2_points: int, seed: int, d2_variant: str) -> np.ndarray:
-    """Raw design draws via a scrambled Sobol stream (inverse transforms)."""
+# The reference design is drawn, transformed, scaled and evaluated in
+# chunks of this many rows, so the working memory beyond the stored
+# design is O(chunk).
+_REFERENCE_CHUNK = 1 << 15
+
+
+def _check_reference_args(dist: str, d: int, phi_pair: tuple, d2_variant: str):
+    """Reject arguments the reference integral cannot use, before any draw."""
+    if dist not in DISTRIBUTIONS:
+        raise InvalidConfigError(f"unknown distribution {dist!r}")
     if dist == "d2" and d2_variant != "mixture":
         raise InvalidConfigError(
             "reference integral supports the mixture reading of the t design"
         )
+    for phi in phi_pair:
+        if len(phi.nu) != d:
+            raise InvalidInputError(
+                f"multi-index {phi.nu} has {len(phi.nu)} coordinates, design has d={d}"
+            )
+
+
+def _qmc_design(dist: str, d: int, log2_points: int, seed: int) -> np.ndarray:
+    """Raw design draws via a scrambled Sobol stream (inverse transforms).
+
+    The stream is drawn and transformed chunk by chunk into one
+    preallocated Fortran-ordered (n, d) array, so each column is
+    contiguous and the working memory beyond the result is one chunk.
+    Each row depends only on its own Sobol point, and the result is
+    bitwise that of transforming a single random_base2(log2_points)
+    draw (checked in the tests).
+    """
     # Imported here so that importing the CLI does not load scipy.stats,
     # which is slow to import.
     from scipy.stats import qmc
 
-    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
-    U = sob.random_base2(log2_points)
-    eps = 2.0**-53
-    U = np.clip(U, eps, 1.0 - eps)
-    if dist == "d1":
-        return U
+    n = 1 << log2_points
+    step = min(n, _REFERENCE_CHUNK)
     if dist == "d2":
-        return _t10_mixture_quantiles(U)
-    Z = ndtri(U)
+        grid = _t10_mixture_grid()
     if dist == "d3":
         cov = 0.9 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-        return Z @ np.linalg.cholesky(cov).T
-    if dist == "d4":
-        X = Z.copy()
-        X[:, 1:] += (Z[:, [0]] ** 2) / 1.2
-        return X
-    raise InvalidConfigError(f"unknown distribution {dist!r}")
+        chol_t = np.linalg.cholesky(cov).T
+    raw = np.empty((d, n)).T
+    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+    eps = 2.0**-53
+    for start in range(0, n, step):
+        U = sob.random(step)
+        np.clip(U, eps, 1.0 - eps, out=U)
+        rows = raw[start : start + step]
+        if dist == "d1":
+            rows[:] = U
+        elif dist == "d2":
+            rows[:] = _t10_mixture_quantiles(U, grid)
+        else:
+            ndtri(U, out=U)
+            if dist == "d3":
+                rows[:] = U @ chol_t
+            else:
+                U[:, 1:] += (U[:, [0]] ** 2) / 1.2
+                rows[:] = U
+    return raw
 
 
 def reference_integral(
@@ -145,14 +186,20 @@ def reference_integral(
     through its min-max scaler.  Returns (value, scaler); the scaler
     defines the population and must be reused to scale every sample
     whose estimates are compared against the value.
+
+    Memory: the raw design plus one product vector (n * (d + 1)
+    doubles); scaling and evaluation run in chunks.
     """
+    _check_reference_args(dist, d, phi_pair, d2_variant)
     nu, mu = phi_pair
-    raw = _qmc_design(dist, d, log2_points, int(seed) & (2**63 - 1), d2_variant)
-    lo = raw.min(axis=0)
-    hi = raw.max(axis=0)
-    scaler = np.vstack([lo, hi])
-    scaled, _ = apply_scaler(raw, scaler)
-    value = float(np.mean(nu(scaled) * mu(scaled)))
+    raw = _qmc_design(dist, d, log2_points, int(seed) & (2**63 - 1))
+    cols = raw.T
+    scaler = np.vstack([cols.min(axis=1), cols.max(axis=1)])
+    prod = np.empty(raw.shape[0])
+    for start in range(0, raw.shape[0], _REFERENCE_CHUNK):
+        scaled, _ = apply_scaler(raw[start : start + _REFERENCE_CHUNK], scaler)
+        prod[start : start + _REFERENCE_CHUNK] = nu(scaled) * mu(scaled)
+    value = float(np.mean(prod))
     return value, scaler
 
 

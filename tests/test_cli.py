@@ -121,6 +121,24 @@ class TestFit:
         model = load_model(out)
         assert model.scaler.shape == (2, 2)
 
+    @pytest.mark.parametrize(
+        "predictors, column",
+        [("u,u", "u"), ("u,y", "y")],
+        ids=["repeated-predictor", "response-as-predictor"],
+    )
+    def test_rejects_repeated_or_response_predictor(
+        self, tmp_path, capsys, predictors, column
+    ):
+        data, _, _ = training_csv(tmp_path / "train.csv", seed=8, n=60)
+        out = tmp_path / "model.json"
+        rc = main([
+            "fit", "--data", data, "--response", "y",
+            "--predictors", predictors, "--q", "10", "--out", str(out),
+        ])
+        assert rc == 2
+        assert f"'{column}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spec_file(self, tmp_path):
         data, _, _ = training_csv(tmp_path / "train.csv", seed=5)
         spec_path = tmp_path / "spec.json"
@@ -235,9 +253,10 @@ class TestPredict:
             ("beta", lambda obj: obj["beta"].__setitem__(0, float("nan"))),
             ("predictors", lambda obj: obj.update(predictors=5)),
             ("predictors", lambda obj: obj.update(predictors="uv")),
+            ("predictors", lambda obj: obj.update(predictors=["u", "u"])),
         ],
         ids=["truncated-beta", "missing-alpha", "nan-beta", "int-predictors",
-             "string-predictors"],
+             "string-predictors", "repeated-predictors"],
     )
     def test_malformed_model_exits_2(self, fitted, tmp_path, capsys, field, damage):
         obj = json.loads(fitted.read_text())

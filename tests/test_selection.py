@@ -314,6 +314,47 @@ class TestCondition5:
         assert value >= 1.0
 
 
+class TestCurveIndexMemo:
+    def test_one_mapping_per_dataset_and_order(self, banana_data, monkeypatch):
+        import hbspline.selection as selection
+
+        mapped = []
+        real = selection.point_to_index
+
+        def counting(x, order):
+            mapped.append(order.k)
+            return real(x, order)
+
+        monkeypatch.setattr(selection, "point_to_index", counting)
+        data = banana_data(n=3000, seed=21)
+        # C = 40, 50 and 64 share the default order k = 5 at d = 2.
+        cfgs = [SelectionConfig(q=C, method="hbs", seed=C) for C in (40, 50, 64)]
+        sels = [hbs_select(data, cfg) for cfg in cfgs]
+        balance = condition5_diagnostic(data, cfgs[1], warn=False)
+        assert mapped == [5]
+        other = SelectionConfig(q=40, method="hbs", C=40, k=7)
+        hbs_select(data, other)
+        condition5_diagnostic(data, other, warn=False)
+        assert mapped == [5, 7]
+
+        fresh = banana_data(n=3000, seed=21)
+        for C, k in ((40, 5), (50, 5), (64, 5), (40, 7)):
+            assert np.array_equal(hilbert_bins(data, C, k), hilbert_bins(fresh, C, k))
+        for cfg, sel in zip(cfgs, sels):
+            assert np.array_equal(sel.indices, hbs_select(fresh, cfg).indices)
+        assert balance == condition5_diagnostic(fresh, cfgs[1], warn=False)
+
+    def test_memo_is_read_only_and_per_dataset(self, uniform_data):
+        import dataclasses
+
+        data = uniform_data(n=200, seed=22)
+        hilbert_bins(data, 16, 4)
+        assert not data._curve_index[4].flags.writeable
+        moved = dataclasses.replace(data, X=data.X[::-1].copy())
+        assert moved._curve_index == {}
+        assert np.array_equal(hilbert_bins(moved, 16, 4), hilbert_bins(data, 16, 4)[::-1])
+
+
 class TestSelectionJson:
     def test_roundtrip(self, banana_data):
         data = banana_data(n=500, seed=13)

@@ -99,6 +99,87 @@ class TestReferenceIntegral:
         with pytest.raises(InvalidConfigError):
             reference_integral("d2", 2, pair, d2_variant="average")
 
+    def test_rejects_bad_arguments_before_any_draw(self, monkeypatch):
+        from scipy.stats import qmc
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("Sobol stream reached before validation")
+
+        monkeypatch.setattr(qmc, "Sobol", no_draw)
+        pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
+        wide = (EigenSurrogate((1, 0, 0)), EigenSurrogate((0, 1, 0)))
+        with pytest.raises(InvalidConfigError, match="d9"):
+            reference_integral("d9", 2, pair)
+        with pytest.raises(InvalidConfigError):
+            reference_integral("d2", 2, pair, d2_variant="average")
+        with pytest.raises(InvalidInputError):
+            reference_integral("d1", 2, wide)
+        with pytest.raises(InvalidConfigError, match="d9"):
+            variance_scaling_study("d9", 2)
+        with pytest.raises(InvalidConfigError):
+            variance_scaling_study("d2", 2, d2_variant="average")
+        with pytest.raises(InvalidInputError):
+            variance_scaling_study("d1", 2, phi_pair=wide)
+
+
+def _one_shot_reference(dist, d, phi_pair, seed, log2_points):
+    """The reference integral from a single Sobol draw of the whole design."""
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
+    from hbspline.selection import apply_scaler
+
+    U = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(log2_points)
+    U = np.clip(U, 2.0**-53, 1.0 - 2.0**-53)
+    if dist == "d1":
+        raw = U
+    elif dist == "d2":
+        raw = _t10_mixture_quantiles(U)
+    elif dist == "d3":
+        cov = 0.9 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+        raw = ndtri(U) @ np.linalg.cholesky(cov).T
+    else:
+        Z = ndtri(U)
+        raw = Z.copy()
+        raw[:, 1:] += (Z[:, [0]] ** 2) / 1.2
+    scaler = np.vstack([raw.min(axis=0), raw.max(axis=0)])
+    scaled, _ = apply_scaler(raw, scaler)
+    nu, mu = phi_pair
+    return float(np.mean(nu(scaled) * mu(scaled))), scaler
+
+
+class TestChunkedReferenceIntegral:
+    # The reference design is streamed in chunks of 2**15 rows: 12 is
+    # below one chunk, 15 exactly one, 17 four of them.
+    @pytest.mark.parametrize("log2_points", [12, 15, 17])
+    @pytest.mark.parametrize("dist, d", [("d1", 2), ("d2", 2), ("d3", 3), ("d4", 3)])
+    def test_bitwise_equal_to_one_shot(self, dist, d, log2_points):
+        nu = tuple(1 if j == 0 else 0 for j in range(d))
+        mu = tuple(1 if j == d - 1 else 0 for j in range(d))
+        pair = (EigenSurrogate(nu), EigenSurrogate(mu))
+        value, scaler = reference_integral(
+            dist, d, pair, seed=2024, log2_points=log2_points
+        )
+        ref_value, ref_scaler = _one_shot_reference(dist, d, pair, 2024, log2_points)
+        assert value == ref_value
+        assert np.array_equal(scaler, ref_scaler)
+
+    def test_traced_peak_is_a_small_multiple_of_the_design(self):
+        import tracemalloc
+
+        pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
+        design_bytes = (1 << 20) * 2 * 8
+        # scipy loads its Sobol direction-number tables once per process;
+        # load them before tracing so that only this call is measured.
+        reference_integral("d4", 2, pair, seed=5, log2_points=4)
+        tracemalloc.start()
+        try:
+            reference_integral("d4", 2, pair, seed=5, log2_points=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * design_bytes
+
 
 class TestStratifiedEstimate:
     def test_constant_integrand_sums_weights_to_one(self, uniform_data):
