@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -219,6 +220,17 @@ class ExperimentConfig:
     d2_variant: str = "mixture"
 
     def __post_init__(self):
+        for names, kind, what in (
+            (("n", "replicates", "seed", "full_cap"), Integral, "an integer"),
+            (("n_test",), (Integral, type(None)), "an integer or null"),
+            (("snr",), Real, "a number"),
+            (("q_grid", "methods"), (list, tuple), "a list"),
+        ):
+            for name in names:
+                if not isinstance(getattr(self, name), kind):
+                    raise InvalidConfigError(
+                        f"{name} must be {what}, not {getattr(self, name)!r}"
+                    )
         if self.distribution not in DISTRIBUTIONS:
             raise InvalidConfigError(f"unknown distribution {self.distribution!r}")
         if self.function not in FUNCTIONS:
@@ -227,9 +239,16 @@ class ExperimentConfig:
             raise InvalidConfigError("n must be >= 2")
         if self.replicates < 1:
             raise InvalidConfigError("replicates must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
         if self.snr <= 0:
             raise InvalidConfigError("snr must be positive")
-        object.__setattr__(self, "q_grid", tuple(int(q) for q in self.q_grid))
+        try:
+            object.__setattr__(self, "q_grid", tuple(int(q) for q in self.q_grid))
+        except (TypeError, ValueError):
+            raise InvalidConfigError(
+                f"q_grid must hold integers, not {self.q_grid!r}"
+            ) from None
         object.__setattr__(
             self, "methods", tuple(str(m).lower() for m in self.methods)
         )

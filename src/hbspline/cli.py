@@ -10,7 +10,7 @@ bit-reproducible given the same flags and seed.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 from datetime import datetime, timezone
@@ -37,7 +37,7 @@ from .solver import (
     predict_with_diagnostics,
     save_model,
 )
-from .theory import variance_scaling_study
+from .theory import DEFAULT_Q_LIST, variance_scaling_study
 
 # Beyond this dimension the all-pairs default would add d*(d-1)/2
 # interaction terms; an explicit spec is required instead.
@@ -118,26 +118,35 @@ def _build_parser() -> _Parser:
 
 def _load_spec(path, d: int) -> AnovaSpec:
     obj = load_json_config(path)
+    if not isinstance(obj, dict):
+        raise InvalidConfigError(f"{path}: expected a JSON object")
     unknown = set(obj) - {"main_effects", "interactions", "term_scales", "d"}
     if unknown:
         raise InvalidConfigError(f"unknown spec keys: {sorted(unknown)}")
-    return AnovaSpec(
-        d=int(obj.get("d", d)),
-        main_effects=tuple(obj.get("main_effects", range(d))),
-        interactions=tuple(tuple(p) for p in obj.get("interactions", ())),
-        term_scales=(
-            tuple(obj["term_scales"]) if obj.get("term_scales") is not None else None
-        ),
-    )
+    lists = ("main_effects", "interactions", "term_scales")
+    not_lists = [k for k in lists if not isinstance(obj.get(k, []), (list, type(None)))]
+    if not_lists:
+        raise InvalidConfigError(f"{path}: spec keys must be lists: {not_lists}")
+    try:
+        return AnovaSpec(
+            d=int(obj.get("d", d)),
+            main_effects=tuple(obj.get("main_effects", range(d))),
+            interactions=tuple(tuple(p) for p in obj.get("interactions", ())),
+            term_scales=(
+                tuple(obj["term_scales"]) if obj.get("term_scales") is not None else None
+            ),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"{path}: malformed spec: {exc}") from None
 
 
 def _cmd_fit(args) -> int:
     started = _now()
     predictors = args.predictors.split(",") if args.predictors else None
     X, y, names = read_numeric_csv(args.data, response=args.response, predictors=predictors)
-    if not X:
+    if not len(X):
         raise IngestionError(f"{args.data}: no data rows to fit on")
-    data = scale_to_unit_cube(np.asarray(X), np.asarray(y))
+    data = scale_to_unit_cube(X, y)
     if args.spec:
         spec = _load_spec(args.spec, data.d)
     else:
@@ -182,12 +191,11 @@ def _cmd_predict(args) -> int:
     names = model_predictor_names(args.model)
     X, _, used = read_numeric_csv(args.data, predictors=names)
     d = model.scaler.shape[1]
-    arr = np.asarray(X, dtype=np.float64) if X else np.empty((0, d))
-    if arr.shape[0] and arr.shape[1] != d:
+    if len(X) and X.shape[1] != d:
         raise IngestionError(
-            f"{args.data}: {arr.shape[1]} predictor columns, model expects {d}"
+            f"{args.data}: {X.shape[1]} predictor columns, model expects {d}"
         )
-    preds, clamped = predict_with_diagnostics(model, arr)
+    preds, clamped = predict_with_diagnostics(model, X)
     append_prediction_csv(args.data, args.out, preds)
     warnings = {"clamped_coordinates": clamped} if clamped else {}
     config = {"model": args.model, "data": args.data, "predictors": used}
@@ -196,19 +204,13 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-_BENCH_KEYS = {
-    "distribution", "function", "n", "n_test", "q_grid", "methods",
-    "replicates", "snr", "seed", "full_cap", "d2_variant",
-}
-
-
 def _cmd_bench(args) -> int:
     started = _now()
     obj = load_json_config(args.config)
     problems = []
     if not isinstance(obj, dict):
         raise InvalidConfigError(f"{args.config}: expected a JSON object")
-    unknown = set(obj) - _BENCH_KEYS
+    unknown = set(obj) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         problems.append(f"unknown keys: {sorted(unknown)}")
     for key in ("distribution", "function"):
@@ -216,11 +218,7 @@ def _cmd_bench(args) -> int:
             problems.append(f"missing key: {key}")
     if problems:
         raise InvalidConfigError(f"{args.config}: " + "; ".join(problems))
-    kwargs = dict(obj)
-    for tuple_key in ("q_grid", "methods"):
-        if tuple_key in kwargs:
-            kwargs[tuple_key] = tuple(kwargs[tuple_key])
-    cfg = ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(**obj)
     jobs = args.jobs
     if jobs is None:
         jobs = int(os.environ.get("HBSPLINE_JOBS", "1"))
@@ -239,19 +237,14 @@ def _cmd_bench(args) -> int:
 
 def _cmd_theory(args) -> int:
     started = _now()
-    q_list = None
-    if args.q_list:
-        q_list = tuple(int(v) for v in args.q_list.split(","))
-    kwargs = {}
-    if q_list is not None:
-        kwargs["q_list"] = q_list
+    q_list = tuple(_parse_ints(args.q_list, "q-list")) if args.q_list else DEFAULT_Q_LIST
     report = variance_scaling_study(
         args.dist,
         args.dim,
+        q_list=q_list,
         replicates=args.replicates,
         seed=args.seed,
         n=args.n,
-        **kwargs,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())

@@ -12,8 +12,12 @@ import csv
 import hashlib
 import json
 import logging
+import os
+from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+
+import numpy as np
 
 from .errors import IngestionError
 
@@ -29,29 +33,36 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def _read_rows(path) -> tuple[list, list]:
+def _rows(path):
+    """Yield the header (names stripped), then each data row, as the file is read."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: empty file; a header row is required")
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                raise IngestionError(f"{path}: duplicate column names in header")
+            yield header
+            for rownum, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise IngestionError(
+                        f"{path}: row {rownum} has {len(row)} cells, "
+                        f"header has {len(header)}"
+                    )
+                yield row
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise IngestionError(f"{path}: empty file; a header row is required")
-    header = [h.strip() for h in rows[0]]
-    if len(set(header)) != len(header):
-        raise IngestionError(f"{path}: duplicate column names in header")
-    body = rows[1:]
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise IngestionError(
-                f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}"
-            )
-    return header, body
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"{path}: unreadable CSV: {exc}") from exc
 
 
 def read_numeric_csv(path, response=None, predictors=None):
     """Read predictors (and optionally a response) from a CSV file.
+
+    The file streams once; each cell of a column that may be used is
+    parsed once.  Row faults are reported before column and cell faults.
 
     Parameters
     ----------
@@ -67,36 +78,39 @@ def read_numeric_csv(path, response=None, predictors=None):
 
     Returns
     -------
-    (X, y, names) : (list of list of float, list of float or None, list of str)
+    (X, y, names) : (ndarray, ndarray or None, list of str)
+        X is (n, len(names)) float64 (n = 0 for a header-only file);
+        y is a length-n float64 vector when a response is named.
 
     Raises
     ------
     IngestionError
         Missing columns, a predictor listed twice or equal to the
-        response, ragged rows, or non-numeric cells (reported with row
-        and column).
+        response, ragged rows, unreadable bytes, or non-numeric cells
+        (reported with row and column).
     """
-    header, body = _read_rows(path)
-    col_of = {name: i for i, name in enumerate(header)}
-    if response is not None and response not in col_of:
-        raise IngestionError(f"{path}: response column {response!r} not found")
-
-    def parse_column(name):
-        ci = col_of[name]
-        values = []
-        for ri, row in enumerate(body):
+    rows = _rows(path)
+    header = next(rows)
+    values = {
+        name: array("d")
+        for name in header
+        if predictors is None or name in predictors or name == response
+    }
+    columns = [(ci, h, values[h]) for ci, h in enumerate(header) if h in values]
+    first_bad = {}
+    n = 0
+    for n, row in enumerate(rows, start=1):
+        for ci, name, column in columns:
             cell = row[ci].strip()
             try:
-                values.append(float(cell))
+                column.append(float(cell))
             except ValueError:
-                raise IngestionError(
-                    f"{path}: non-numeric value {cell!r} at row {ri + 2}, "
-                    f"column {name!r}"
-                ) from None
-        return values
+                first_bad.setdefault(name, (n + 1, cell))
 
+    if response is not None and response not in values:
+        raise IngestionError(f"{path}: response column {response!r} not found")
     if predictors is not None:
-        missing = [p for p in predictors if p not in col_of]
+        missing = [p for p in predictors if p not in values]
         if missing:
             raise IngestionError(f"{path}: predictor columns not found: {missing}")
         repeated = sorted({p for p in predictors if predictors.count(p) > 1})
@@ -108,60 +122,46 @@ def read_numeric_csv(path, response=None, predictors=None):
             )
         names = list(predictors)
     else:
-        names = []
-        for name in header:
-            if name == response:
-                continue
-            cells = [row[col_of[name]].strip() for row in body]
-            numeric = []
-            ok = True
-            for cell in cells:
-                try:
-                    numeric.append(float(cell))
-                except ValueError:
-                    ok = False
-                    break
-            if ok:
-                names.append(name)
-            elif not any(_is_number(c) for c in cells):
-                logger.info("skipping non-numeric column %r", name)
-            else:
-                bad = next(
-                    (ri, c) for ri, c in enumerate(cells) if not _is_number(c)
-                )
-                raise IngestionError(
-                    f"{path}: non-numeric value {bad[1]!r} at row {bad[0] + 2}, "
-                    f"column {name!r}"
-                )
+        others = [h for h in header if h != response]
+        skipped = [h for h in others if h in first_bad and not values[h]]
+        for name in skipped:
+            logger.info("skipping non-numeric column %r", name)
+        names = [h for h in others if h not in skipped]
         if not names:
             raise IngestionError(f"{path}: no usable predictor columns")
 
-    columns = {name: parse_column(name) for name in names}
-    X = [[columns[name][ri] for name in names] for ri in range(len(body))]
-    y = parse_column(response) if response is not None else None
+    for name in names + [response]:
+        if name in first_bad:
+            rownum, cell = first_bad[name]
+            raise IngestionError(
+                f"{path}: non-numeric value {cell!r} at row {rownum}, column {name!r}"
+            )
+    X = np.empty((n, len(names)))
+    for j, name in enumerate(names):
+        X[:, j] = values[name]
+    y = None if response is None else np.asarray(values[response])
     return X, y, names
 
 
-def _is_number(cell: str) -> bool:
+def append_prediction_csv(in_path, out_path, predictions):
+    """Copy a CSV adding a 'prediction' column; out_path is replaced when complete."""
+    rows = _rows(in_path)
+    part = f"{out_path}.part"
     try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
-def append_prediction_csv(in_path, out_path, predictions, colname="prediction"):
-    """Copy a CSV adding one prediction column; row order preserved."""
-    header, body = _read_rows(in_path)
-    if len(body) != len(predictions):
+        with open(part, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(next(rows) + ["prediction"])
+            for row, p in zip(rows, predictions, strict=True):
+                writer.writerow(row + [repr(float(p))])
+        os.replace(part, out_path)
+    except ValueError:  # from zip(strict=True): row and prediction counts differ
+        n_rows = sum(1 for _ in _rows(in_path)) - 1
         raise IngestionError(
-            f"{len(predictions)} predictions for {len(body)} data rows"
-        )
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + [colname])
-        for row, p in zip(body, predictions):
-            writer.writerow(row + [repr(float(p))])
+            f"{len(predictions)} predictions for {n_rows} data rows"
+        ) from None
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def load_json_config(path) -> dict:
@@ -170,7 +170,7 @@ def load_json_config(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IngestionError(f"{path}: invalid JSON: {exc}") from exc
 
 

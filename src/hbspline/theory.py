@@ -313,6 +313,8 @@ def variance_scaling_study(
     """
     if d < 2:
         raise InvalidConfigError("the scaling study needs d >= 2")
+    if replicates < 2:
+        raise InvalidConfigError("replicates must be >= 2 for a standard error")
     if len(q_list) < 2 or any(b <= a for a, b in zip(q_list, q_list[1:])):
         raise InvalidConfigError("q_list must be strictly increasing, length >= 2")
     if max(q_list) > n:

@@ -177,6 +177,10 @@ class TestExperimentConfig:
             {"q_grid": (101,)},
             {"methods": ()},
             {"methods": ("knn",)},
+            {"q_grid": 5},
+            {"q_grid": ["x"]},
+            {"n": "abc"},
+            {"seed": -1},
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -156,6 +156,37 @@ class TestFit:
             "--spec", str(bad), "--out", str(out),
         ]) == 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        [{"main_effects": 5}, {"main_effects": "01"}, {"interactions": [[0]]}, ["d"]],
+        ids=["int-mains", "string-mains", "short-pair", "not-an-object"],
+    )
+    def test_malformed_spec_exits_1(self, tmp_path, capsys, spec):
+        data, _, _ = training_csv(tmp_path / "train.csv", seed=5, n=60)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "model.json"
+        assert main([
+            "fit", "--data", data, "--response", "y", "--q", "10",
+            "--spec", str(spec_path), "--out", str(out),
+        ]) == 1
+        assert "spec" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"u,y\n\xff\xfe,1\n", b"u,y\n" + b"1" * 131_073 + b",2\n"],
+        ids=["not-utf8", "oversized-field"],
+    )
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, content):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(content)
+        assert main([
+            "fit", "--data", str(data), "--response", "y", "--q", "2",
+            "--out", str(tmp_path / "m.json"),
+        ]) == 2
+        assert "unreadable CSV" in capsys.readouterr().err
+
     def test_exit_codes(self, tmp_path, capsys):
         data, _, _ = training_csv(tmp_path / "train.csv", seed=6, n=50)
         out = str(tmp_path / "m.json")
@@ -236,6 +267,14 @@ class TestPredict:
                      "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines == ["u,v,prediction"]
+
+    def test_scored_csv_may_replace_the_input(self, fitted, tmp_path):
+        grid = [[0.5, 1.0], [-1.0, 2.0]]
+        data = write_csv(tmp_path / "d.csv", ["u", "v"], grid)
+        expected = predict(load_model(fitted), np.array(grid))
+        assert main(["predict", "--model", str(fitted), "--data", data,
+                     "--out", data]) == 0
+        assert np.array_equal(read_predictions(data), expected)
 
     def test_clamp_warning_recorded(self, fitted, tmp_path):
         far = write_csv(tmp_path / "far.csv", ["u", "v"], [["1e9", "-1e9"]])
@@ -320,6 +359,22 @@ class TestBench:
         assert main(["bench", "--config", str(missing), "--out",
                      str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "field, value", [("q_grid", 5), ("n", "abc"), ("methods", "hbs")]
+    )
+    def test_malformed_field_exits_1(self, tmp_path, capsys, field, value):
+        cfg = self.bench_config(tmp_path, **{field: value})
+        assert main(["bench", "--config", cfg, "--out",
+                     str(tmp_path / "o.csv")]) == 1
+        assert f"{field} must be" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.json"
+        cfg.write_bytes(b'{"distribution": "d\xff"}')
+        assert main(["bench", "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
 
 class TestTheory:
     def test_small_run(self, tmp_path, capsys):
@@ -335,6 +390,20 @@ class TestTheory:
         text = capsys.readouterr().out
         assert text.startswith(("PASS:", "FAIL:"))
         assert "theory: report ->" in text
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--q-list", "a,b"], ["--q-list", "8,16", "--replicates", "0"],
+         ["--q-list", "8,16", "--replicates", "1"]],
+        ids=["non-integer-q-list", "zero-replicates", "one-replicate"],
+    )
+    def test_bad_flags_exit_1(self, tmp_path, flags):
+        out = tmp_path / "o.csv"
+        assert main([
+            "theory", "--dist", "d1", "--dim", "2", "--n", "600", *flags,
+            "--out", str(out),
+        ]) == 1
+        assert not out.exists()
 
     def test_invalid_dim_exits_1(self, tmp_path):
         assert main([

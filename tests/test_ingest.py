@@ -1,8 +1,11 @@
 """CSV ingestion, config loading, and manifest writing."""
 
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hbspline.errors import IngestionError
 from hbspline.ingest import (
@@ -24,20 +27,21 @@ class TestReadNumericCsv:
     def test_reads_predictors_and_response(self, tmp_path):
         p = write(tmp_path / "d.csv", "a,b,y\n1,2,3\n4,5.5,-6\n")
         X, y, names = read_numeric_csv(p, response="y")
-        assert X == [[1.0, 2.0], [4.0, 5.5]]
-        assert y == [3.0, -6.0]
+        assert np.array_equal(X, [[1.0, 2.0], [4.0, 5.5]])
+        assert np.array_equal(y, [3.0, -6.0])
+        assert X.dtype == y.dtype == np.float64
         assert names == ["a", "b"]
 
     def test_explicit_predictors_order(self, tmp_path):
         p = write(tmp_path / "d.csv", "a,b,y\n1,2,3\n")
         X, y, names = read_numeric_csv(p, response="y", predictors=["b", "a"])
-        assert X == [[2.0, 1.0]] and names == ["b", "a"]
+        assert np.array_equal(X, [[2.0, 1.0]]) and names == ["b", "a"]
 
     def test_auto_mode_skips_text_columns(self, tmp_path, caplog):
         p = write(tmp_path / "d.csv", "a,label,y\n1,red,3\n4,blue,6\n")
         X, y, names = read_numeric_csv(p, response="y")
         assert names == ["a"]
-        assert X == [[1.0], [4.0]]
+        assert np.array_equal(X, [[1.0], [4.0]])
 
     def test_mixed_column_is_an_error_with_location(self, tmp_path):
         p = write(tmp_path / "d.csv", "a,b,y\n1,2,3\n4,oops,6\n")
@@ -68,6 +72,10 @@ class TestReadNumericCsv:
         p = write(tmp_path / "ragged.csv", "a,b\n1,2\n3\n")
         with pytest.raises(IngestionError, match="row 3 has 1 cells"):
             read_numeric_csv(p)
+        # A ragged row anywhere is reported before an earlier bad cell.
+        p = write(tmp_path / "late.csv", "a,y\nx,1\n1\n")
+        with pytest.raises(IngestionError, match="row 3 has 1 cells"):
+            read_numeric_csv(p, response="y", predictors=["a"])
 
     def test_no_usable_columns(self, tmp_path):
         p = write(tmp_path / "d.csv", "label,y\nred,1\n")
@@ -77,7 +85,51 @@ class TestReadNumericCsv:
     def test_header_only_gives_zero_rows(self, tmp_path):
         p = write(tmp_path / "d.csv", "a,b\n")
         X, y, names = read_numeric_csv(p, predictors=["a", "b"])
-        assert X == [] and y is None and names == ["a", "b"]
+        assert X.shape == (0, 2) and y is None and names == ["a", "b"]
+
+    @given(
+        content=st.one_of(
+            st.binary(max_size=200),
+            st.text(alphabet='ay,\n\r" .5e-x\x00\xe9', max_size=200).map(str.encode),
+        ),
+        response=st.sampled_from([None, "y"]),
+    )
+    def test_arbitrary_bytes_parse_or_raise_ingestion_error(
+        self, tmp_path_factory, content, response
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(content)
+        try:
+            X, y, names = read_numeric_csv(path, response=response)
+        except IngestionError:
+            return
+        assert X.dtype == np.float64 and X.shape[1] == len(names)
+        assert y is None if response is None else y.shape == (X.shape[0],)
+
+    def test_traced_peaks_are_small(self, tmp_path):
+        # 5 float64 columns of 20 000 rows: 0.8 MB returned.
+        data = np.random.default_rng(0).standard_normal((20_000, 5))
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "x1,x2,x3,x4,y\n"
+            + "".join(",".join(map(repr, row)) + "\n" for row in data.tolist())
+        )
+        preds = data[:, 0].copy()
+        tracemalloc.start()
+        try:
+            X, y, _ = read_numeric_csv(path, response="y")
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            append_prediction_csv(path, tmp_path / "out.csv", preds)
+            _, copy_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(X, data[:, :4]) and np.array_equal(y, data[:, 4])
+        assert read_peak < 8 * (X.nbytes + y.nbytes)
+        assert copy_peak < 2**20
 
 
 class TestAppendPredictionCsv:
@@ -94,6 +146,15 @@ class TestAppendPredictionCsv:
         src = write(tmp_path / "in.csv", "a\n1\n2\n")
         with pytest.raises(IngestionError, match="predictions for"):
             append_prediction_csv(src, tmp_path / "out.csv", [1.0])
+        with pytest.raises(IngestionError, match="3 predictions for 2 data rows"):
+            append_prediction_csv(src, tmp_path / "out.csv", [1.0, 2.0, 3.0])
+        assert list(tmp_path.iterdir()) == [tmp_path / "in.csv"]
+
+    def test_output_may_replace_the_input(self, tmp_path):
+        src = write(tmp_path / "in.csv", "a\n1\n2\n")
+        append_prediction_csv(src, src, [0.5, 1.5])
+        assert (tmp_path / "in.csv").read_bytes() == b"a,prediction\r\n1,0.5\r\n2,1.5\r\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "in.csv"]
 
 
 class TestConfigAndManifest:
@@ -105,6 +166,9 @@ class TestConfigAndManifest:
         bad = write(tmp_path / "bad.json", "{nope")
         with pytest.raises(IngestionError, match="invalid JSON"):
             load_json_config(bad)
+        (tmp_path / "latin1.json").write_bytes(b'{"n": "\xff"}')
+        with pytest.raises(IngestionError, match="invalid JSON"):
+            load_json_config(tmp_path / "latin1.json")
 
     def test_canonical_hash_ignores_key_order(self):
         assert canonical_hash({"a": 1, "b": 2}) == canonical_hash({"b": 2, "a": 1})

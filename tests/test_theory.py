@@ -120,6 +120,8 @@ class TestReferenceIntegral:
             variance_scaling_study("d2", 2, d2_variant="average")
         with pytest.raises(InvalidInputError):
             variance_scaling_study("d1", 2, phi_pair=wide)
+        with pytest.raises(InvalidConfigError, match="replicates"):
+            variance_scaling_study("d1", 2, replicates=1)
 
 
 def _one_shot_reference(dist, d, phi_pair, seed, log2_points):
