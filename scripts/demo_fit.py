@@ -10,19 +10,19 @@ import sys
 
 import numpy as np
 
-from hbspline.bench import eval_function, gen_design
+from hbspline.bench import DISTRIBUTIONS, FUNCTION_DIMS, FUNCTIONS, eval_function, gen_design
 from hbspline.kernels import default_spec
-from hbspline.selection import SelectionConfig, apply_scaler, dataset_from_unit_cube, scale_to_unit_cube, select
+from hbspline.selection import METHODS, SelectionConfig, apply_scaler, scale_to_unit_cube, select
 from hbspline.solver import gcv_select, mse, predict
 
 
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--dist", default="d4", choices=["d1", "d2", "d3", "d4"])
-    ap.add_argument("--function", default="f1", choices=["f1", "f2", "f3", "f4"])
+    ap.add_argument("--dist", default="d4", choices=DISTRIBUTIONS)
+    ap.add_argument("--function", default="f1", choices=FUNCTIONS)
     ap.add_argument("--n", type=int, default=2000)
     ap.add_argument("--q", type=int, default=60)
-    ap.add_argument("--method", default="hbs", choices=["hbs", "ubs", "abs", "sbs"])
+    ap.add_argument("--method", default="hbs", choices=METHODS)
     ap.add_argument("--sigma", type=float, default=0.5, help="noise standard deviation")
     ap.add_argument("--seed", type=int, default=0)
     return ap.parse_args(argv)
@@ -30,7 +30,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    d = {"f1": 2, "f2": 2, "f3": 3, "f4": 4}[args.function]
+    d = FUNCTION_DIMS[args.function]
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
 
     raw_train = gen_design(args.dist, args.n, d, gen)

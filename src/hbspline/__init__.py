@@ -50,7 +50,7 @@ from .kernels import (
 )
 from .solver import (
     FittedModel,
-    LambdaGrid,
+    LAMBDA_GRID,
     fit_fixed_lambda,
     gcv_select,
     load_model,

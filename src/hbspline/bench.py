@@ -19,6 +19,7 @@ keeping default outputs deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,13 +30,16 @@ import numpy as np
 from .errors import InvalidConfigError, InvalidInputError, SingularSystemError
 from .kernels import default_spec
 from .selection import (
+    METHODS,
     SelectionConfig,
+    _rng,
+    _subseed,
     apply_scaler,
     condition5_diagnostic,
     scale_to_unit_cube,
     select,
 )
-from .solver import LambdaGrid, gcv_select, mse, predict
+from .solver import gcv_select, mse, predict
 
 __all__ = [
     "DISTRIBUTIONS",
@@ -54,17 +58,9 @@ __all__ = [
 DISTRIBUTIONS = ("d1", "d2", "d3", "d4")
 FUNCTIONS = ("f1", "f2", "f3", "f4")
 FUNCTION_DIMS = {"f1": 2, "f2": 2, "f3": 3, "f4": 4}
-BENCH_METHODS = ("hbs", "ubs", "abs", "sbs", "full")
+BENCH_METHODS = METHODS + ("full",)
 
 CSV_HEADER = "distribution,function,method,q,replicate,mse,fit_seconds,lambda,cond5"
-
-
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(seed))
 
 
 def gen_design(dist: str, n: int, d: int, seed, d2_variant: str = "mixture") -> np.ndarray:
@@ -80,7 +76,8 @@ def gen_design(dist: str, n: int, d: int, seed, d2_variant: str = "mixture") -> 
     n, d : int
         Sample size and dimension.
     seed : int, SeedSequence or Generator
-        Randomness source.
+        Randomness source; an int or a SeedSequence (its entropy and
+        spawn key) seeds a Philox stream.
     d2_variant : str
         'mixture' draws each coordinate from one randomly chosen
         component; 'average' instead averages two independent t draws
@@ -97,7 +94,9 @@ def gen_design(dist: str, n: int, d: int, seed, d2_variant: str = "mixture") -> 
         raise InvalidConfigError(f"dimension {d} must be >= 1")
     if dist == "d4" and d < 2:
         raise InvalidConfigError("banana design needs d >= 2")
-    rng = _as_generator(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        seed = _rng(seed.entropy, *seed.spawn_key)
+    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
     if dist == "d1":
         return rng.random((n, d))
     if dist == "d2":
@@ -212,7 +211,7 @@ class ExperimentConfig:
     n: int = 2000
     n_test: int | None = None
     q_grid: tuple = (20, 40, 60, 80, 100)
-    methods: tuple = ("hbs", "ubs", "abs", "sbs")
+    methods: tuple = METHODS
     replicates: int = 100
     snr: float = 2.0
     seed: int = 0
@@ -322,28 +321,18 @@ class ExperimentResult:
 def _replicate_rows(cfg: ExperimentConfig, sigma: float, rep: int, timings: bool):
     """All result rows of one replicate; pure function of (cfg, sigma, rep)."""
     d = cfg.d
-    seed = cfg.seed
     raw_train = gen_design(
-        cfg.distribution, cfg.n, d,
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1, rep)))),
-        d2_variant=cfg.d2_variant,
+        cfg.distribution, cfg.n, d, _rng(cfg.seed, 1, rep), d2_variant=cfg.d2_variant
     )
     raw_test = gen_design(
-        cfg.distribution, cfg.test_size, d,
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(2, rep)))),
-        d2_variant=cfg.d2_variant,
+        cfg.distribution, cfg.test_size, d, _rng(cfg.seed, 2, rep), d2_variant=cfg.d2_variant
     )
-    noise_rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(3, rep)))
-    )
-    eta_train_holder = scale_to_unit_cube(raw_train, np.zeros(cfg.n))
-    eta_train = eval_function(cfg.function, eta_train_holder.X)
-    y = eta_train + sigma * noise_rng.standard_normal(cfg.n)
-    data = scale_to_unit_cube(raw_train, y)
+    noiseless = scale_to_unit_cube(raw_train, np.zeros(cfg.n))
+    noise = sigma * _rng(cfg.seed, 3, rep).standard_normal(cfg.n)
+    data = dataclasses.replace(noiseless, y=eval_function(cfg.function, noiseless.X) + noise)
     test_scaled, _ = apply_scaler(raw_test, data.scaler)
     eta0_test = eval_function(cfg.function, test_scaled)
-    spec = default_spec(d, with_interactions=d < 8)
-    grid = LambdaGrid()
+    spec = default_spec(d)
 
     cond5_cache: dict[int, float] = {}
     rows = []
@@ -352,46 +341,31 @@ def _replicate_rows(cfg: ExperimentConfig, sigma: float, rep: int, timings: bool
         for q in q_values:
             if q not in cond5_cache:
                 cond5_cache[q] = condition5_diagnostic(
-                    data,
-                    SelectionConfig(q=min(q, data.n), method="hbs", seed=0),
-                    warn=False,
+                    data, SelectionConfig(q=q, method="hbs", seed=0), warn=False
                 )
-            cond5 = cond5_cache[q]
-            if method == "full" and cfg.n > cfg.full_cap:
-                rows.append(
-                    ResultRow(
-                        cfg.distribution, cfg.function, method, q, rep,
-                        float("nan"), 0.0, float("nan"), cond5,
-                    )
-                )
-                continue
-            sel_seed = int(
-                np.random.SeedSequence(seed, spawn_key=(4, rep, mi, q)).generate_state(
-                    1, np.uint64
-                )[0]
+            failed = ResultRow(
+                cfg.distribution, cfg.function, method, q, rep,
+                float("nan"), 0.0, float("nan"), cond5_cache[q],
             )
-            sel_method = "ubs" if method == "full" else method
-            sel_q = cfg.n if method == "full" else q
-            sel = select(data, SelectionConfig(q=sel_q, method=sel_method, seed=sel_seed))
+            if method == "full" and cfg.n > cfg.full_cap:
+                rows.append(failed)
+                continue
+            sel_cfg = SelectionConfig(
+                q=q,
+                method="ubs" if method == "full" else method,
+                seed=_subseed(cfg.seed, 4, rep, mi, q),
+            )
+            sel = select(data, sel_cfg)
             t0 = time.perf_counter() if timings else 0.0
             try:
-                model = gcv_select(data, sel, spec, grid)
+                model = gcv_select(data, sel, spec)
             except SingularSystemError:
-                rows.append(
-                    ResultRow(
-                        cfg.distribution, cfg.function, method, q, rep,
-                        float("nan"), 0.0, float("nan"), cond5,
-                    )
-                )
+                rows.append(failed)
                 continue
             fit_seconds = (time.perf_counter() - t0) if timings else 0.0
-            pred = predict(model, raw_test)
-            err = mse(pred, eta0_test)
+            err = mse(predict(model, raw_test), eta0_test)
             rows.append(
-                ResultRow(
-                    cfg.distribution, cfg.function, method, q, rep,
-                    err, fit_seconds, model.lam, cond5,
-                )
+                dataclasses.replace(failed, mse=err, fit_seconds=fit_seconds, lam=model.lam)
             )
     return rows
 

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bench import ExperimentConfig, run_experiment
+from .bench import DISTRIBUTIONS, ExperimentConfig, run_experiment
 from .errors import HbsplineError, IngestionError, InvalidConfigError
 from .hilbert import CurveOrder, decode, encode, point_to_index
 from .ingest import (
@@ -27,9 +27,14 @@ from .ingest import (
     write_manifest,
 )
 from .kernels import AnovaSpec, default_spec
-from .selection import SelectionConfig, condition5_diagnostic, scale_to_unit_cube, select
+from .selection import (
+    METHODS,
+    SelectionConfig,
+    condition5_diagnostic,
+    scale_to_unit_cube,
+    select,
+)
 from .solver import (
-    LambdaGrid,
     fit_fixed_lambda,
     gcv_select,
     load_model,
@@ -38,10 +43,6 @@ from .solver import (
     save_model,
 )
 from .theory import DEFAULT_Q_LIST, variance_scaling_study
-
-# Beyond this dimension the all-pairs default would add d*(d-1)/2
-# interaction terms; an explicit spec is required instead.
-AUTO_INTERACTION_MAX_D = 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,9 +65,7 @@ def _build_parser() -> _Parser:
     p_fit = sub.add_parser("fit", help="fit a model on a CSV file")
     p_fit.add_argument("--data", required=True, help="training CSV with header")
     p_fit.add_argument("--response", required=True, help="response column name")
-    p_fit.add_argument(
-        "--method", default="hbs", choices=["hbs", "ubs", "abs", "sbs"]
-    )
+    p_fit.add_argument("--method", default="hbs", choices=METHODS)
     p_fit.add_argument("--q", type=int, required=True, help="basis size")
     p_fit.add_argument("--C", type=int, default=None, help="histogram bins (hbs)")
     p_fit.add_argument("--k", type=int, default=None, help="curve order (hbs)")
@@ -97,7 +96,7 @@ def _build_parser() -> _Parser:
     )
 
     p_theory = sub.add_parser("theory", help="variance scaling study")
-    p_theory.add_argument("--dist", required=True, choices=["d1", "d2", "d3", "d4"])
+    p_theory.add_argument("--dist", required=True, choices=DISTRIBUTIONS)
     p_theory.add_argument("--dim", type=int, required=True)
     p_theory.add_argument("--out", required=True, help="report CSV")
     p_theory.add_argument("--replicates", type=int, default=200)
@@ -147,10 +146,7 @@ def _cmd_fit(args) -> int:
     if not len(X):
         raise IngestionError(f"{args.data}: no data rows to fit on")
     data = scale_to_unit_cube(X, y)
-    if args.spec:
-        spec = _load_spec(args.spec, data.d)
-    else:
-        spec = default_spec(data.d, with_interactions=data.d <= AUTO_INTERACTION_MAX_D)
+    spec = _load_spec(args.spec, data.d) if args.spec else default_spec(data.d)
     cfg = SelectionConfig(
         q=args.q, method=args.method, seed=args.seed, C=args.C, k=args.k
     )
@@ -158,7 +154,7 @@ def _cmd_fit(args) -> int:
     if args.lam is not None:
         model = fit_fixed_lambda(data, sel, spec, args.lam)
     else:
-        model = gcv_select(data, sel, spec, LambdaGrid())
+        model = gcv_select(data, sel, spec)
     save_model(model, args.out, predictors=names)
     warnings = {}
     if model.diagnostics.get("jitter"):
@@ -232,6 +228,10 @@ def _cmd_bench(args) -> int:
         f"bench: {len(result.rows)} rows ({failures} failed) "
         f"sigma={result.sigma:.6g} -> {args.out}"
     )
+    print(f"{'method':>8} {'q':>5} {'median MSE':>12}")
+    # Rows are sorted by (method, q, replicate): one line per cell.
+    for method, q in dict.fromkeys((r.method, r.q) for r in result.rows):
+        print(f"{method:>8} {q:>5} {result.median_mse(method, q):>12.5f}")
     return 0
 
 
@@ -312,6 +312,9 @@ def main(argv=None) -> int:
     except HbsplineError as exc:
         print(f"hbspline {args.command}: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an output file or directory that cannot be written
+        print(f"hbspline {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

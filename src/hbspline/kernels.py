@@ -42,7 +42,13 @@ from .errors import InvalidConfigError, InvalidInputError
 _CHUNK_ENTRIES = 1 << 14
 _ROW_ALIGN = 8
 
+# Beyond this dimension the all-pairs default would add d*(d-1)/2
+# interaction terms, so default_spec stays additive; an explicit spec
+# can still name any interactions.
+AUTO_INTERACTION_MAX_D = 7
+
 __all__ = [
+    "AUTO_INTERACTION_MAX_D",
     "AnovaSpec",
     "default_spec",
     "null_space_eval",
@@ -152,11 +158,11 @@ class AnovaSpec:
         ]
 
 
-def default_spec(d: int, with_interactions: bool = True) -> AnovaSpec:
-    """All main effects, plus all two-way interactions when requested."""
+def default_spec(d: int) -> AnovaSpec:
+    """All main effects, plus all pairs when 2 <= d <= AUTO_INTERACTION_MAX_D."""
     mains = tuple(range(d))
     inters = ()
-    if with_interactions and d >= 2:
+    if 2 <= d <= AUTO_INTERACTION_MAX_D:
         inters = tuple((a, b) for a in range(d) for b in range(a + 1, d))
     return AnovaSpec(d=d, main_effects=mains, interactions=inters)
 

@@ -184,8 +184,8 @@ class SelectionConfig:
     method : str
         One of 'hbs', 'ubs', 'abs', 'sbs'.
     seed : int
-        64-bit seed; identical (data, config) pairs give identical
-        selections.
+        Non-negative 64-bit seed; identical (data, config) pairs give
+        identical selections.
     C : int or None
         Histogram bin count for 'hbs'; defaults to q.
     k : int or None
@@ -206,6 +206,8 @@ class SelectionConfig:
             )
         if self.q < 1:
             raise InvalidConfigError(f"q={self.q} must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed={self.seed} must be >= 0")
         if self.C is not None and self.C < 1:
             raise InvalidConfigError(f"C={self.C} must be >= 1")
         if self.k is not None and self.k < 1:
@@ -258,8 +260,19 @@ def _check_q(data: Dataset, cfg: SelectionConfig):
         raise InvalidConfigError(f"q={cfg.q} exceeds sample size n={data.n}")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """Philox stream of SeedSequence(seed, spawn_key=key).
+
+    Every Philox stream in the package comes from here, so one root
+    seed splits into independent streams by key.
+    """
+    sequence = np.random.SeedSequence(seed, spawn_key=key)
+    return np.random.Generator(np.random.Philox(sequence))
+
+
+def _subseed(seed: int, *key: int) -> int:
+    """A 64-bit seed derived from SeedSequence(seed, spawn_key=key)."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
 def hilbert_bins(data: Dataset, C: int, k: int) -> np.ndarray:
@@ -328,14 +341,16 @@ def _stratified_draw(
     Returns (indices, weights, nonempty_groups, shortfall_moved); the
     weight of a selected row is pop(group) / (n * drawn(group)).
     """
-    # One stable sort gives every group's member list in row order.
+    # One stable sort gives every group's member list in row order; the
+    # group sizes come from a count, so the labels are not sorted again.
     row_order = np.argsort(groups, kind="stable")
-    labels, starts = np.unique(groups[row_order], return_index=True)
-    pops = np.diff(np.append(starts, groups.size))
+    counts = np.bincount(groups)
+    pops = counts[counts > 0]
+    starts = np.cumsum(pops) - pops
     quota, moved = _allocate_quotas(pops, q)
     picked = []
     weights = []
-    for gi in range(labels.size):
+    for gi in range(pops.size):
         s = int(quota[gi])
         if s == 0:
             continue
@@ -348,7 +363,7 @@ def _stratified_draw(
         weights.append(np.full(chosen.size, pops[gi] / (n * s)))
     indices = np.concatenate(picked)
     w = np.concatenate(weights)
-    return indices, w, int(labels.size), moved
+    return indices, w, int(pops.size), moved
 
 
 def hbs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:

@@ -12,8 +12,9 @@ whose stationary conditions are the symmetric normal equations
 
 solved by Cholesky factorization with an escalating diagonal jitter
 fallback.  The smoothing parameter is chosen by generalized
-cross-validation over a log-spaced grid followed by a short
-golden-section refinement between the winning grid point's neighbors.
+cross-validation over the fixed log-spaced grid LAMBDA_GRID followed by
+a short golden-section refinement between the winning grid point's
+neighbors.
 
 Everything the per-lambda search needs (B'B, B'y, y'y with
 B = [S, R*]) is precomputed once, and one factorization plus one
@@ -46,7 +47,7 @@ from .kernels import (
 from .selection import apply_scaler
 
 __all__ = [
-    "LambdaGrid",
+    "LAMBDA_GRID",
     "FittedModel",
     "design_matrices",
     "gcv_select",
@@ -67,22 +68,9 @@ MODEL_FORMAT_VERSION = 1
 _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 
-@dataclass(frozen=True)
-class LambdaGrid:
-    """Log-spaced smoothing-parameter search grid."""
-
-    log10_lo: float = -9.0
-    log10_hi: float = 1.0
-    count: int = 40
-
-    def __post_init__(self):
-        if not self.log10_lo < self.log10_hi:
-            raise InvalidConfigError("lambda grid needs log10_lo < log10_hi")
-        if self.count < 2:
-            raise InvalidConfigError("lambda grid needs at least 2 points")
-
-    def values(self) -> np.ndarray:
-        return np.logspace(self.log10_lo, self.log10_hi, self.count)
+# The smoothing parameters the GCV search scans (read-only).
+LAMBDA_GRID = np.logspace(-9.0, 1.0, 40)
+LAMBDA_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -285,15 +273,15 @@ def design_matrices(data, sel, spec: AnovaSpec):
 _INVGR = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _gcv_search(sys_: _PenalizedSystem, grid: LambdaGrid) -> tuple[float, int]:
+def _gcv_search(sys_: _PenalizedSystem) -> tuple[float, int]:
     """GCV-optimal lambda and the count of grid points with no finite score.
 
-    Scans the grid, then refines with three golden-section steps in
+    Scans LAMBDA_GRID, then refines with three golden-section steps in
     log-lambda between the winning point's grid neighbors.  Ties in
     the score go to the smaller lambda.
     """
     scan = _GcvScan(sys_)
-    lams = grid.values()
+    lams = LAMBDA_GRID
     scores = scan.scores(lams)
     n_fail = int(np.count_nonzero(~np.isfinite(scores)))
     best_i = int(np.argmin(scores))  # argmin takes the first, smallest lambda
@@ -324,8 +312,8 @@ def _gcv_search(sys_: _PenalizedSystem, grid: LambdaGrid) -> tuple[float, int]:
     return best_lam, n_fail
 
 
-def _fit(data, sel, spec: AnovaSpec, rescale: bool, lam=None, grid=None) -> FittedModel:
-    """Fit at lam, or at the GCV choice over grid when lam is None."""
+def _fit(data, sel, spec: AnovaSpec, rescale: bool, lam=None) -> FittedModel:
+    """Fit at lam, or at the GCV choice over LAMBDA_GRID when lam is None."""
     basis_points = np.array(data.X[sel.indices], dtype=np.float64)
     if rescale:
         spec = rescale_term_weights(data, spec, basis_points)
@@ -333,7 +321,7 @@ def _fit(data, sel, spec: AnovaSpec, rescale: bool, lam=None, grid=None) -> Fitt
     sys_ = _PenalizedSystem(B, Rstarstar, data.y, spec.m)
     diagnostics = {}
     if lam is None:
-        lam, diagnostics["grid_failures"] = _gcv_search(sys_, grid or LambdaGrid())
+        lam, diagnostics["grid_failures"] = _gcv_search(sys_)
 
     # Final solve at lambda, scoring from actual residuals.
     c, Mj, jitter = sys_._factor(lam)
@@ -362,16 +350,10 @@ def _fit(data, sel, spec: AnovaSpec, rescale: bool, lam=None, grid=None) -> Fitt
     )
 
 
-def gcv_select(
-    data,
-    sel,
-    spec: AnovaSpec,
-    grid: LambdaGrid | None = None,
-    rescale: bool = True,
-) -> FittedModel:
+def gcv_select(data, sel, spec: AnovaSpec, rescale: bool = True) -> FittedModel:
     """Fit on a basis selection, choosing lambda by GCV.
 
-    Scans the grid, then refines with three golden-section steps in
+    Scans LAMBDA_GRID, then refines with three golden-section steps in
     log-lambda between the winning point's grid neighbors.  Ties in
     the score go to the smaller lambda.  The scan scores every lambda
     from one factorization and one symmetric eigendecomposition; the
@@ -384,7 +366,6 @@ def gcv_select(
     spec : AnovaSpec
         Term structure; term scales are re-normalized on the selected
         basis points unless rescale is False.
-    grid : LambdaGrid, optional
 
     Returns
     -------
@@ -392,7 +373,7 @@ def gcv_select(
         Model at the best lambda; diagnostics carry the influence
         trace, a condition estimate, and any jitter applied.
     """
-    return _fit(data, sel, spec, rescale, grid=grid)
+    return _fit(data, sel, spec, rescale)
 
 
 def fit_fixed_lambda(data, sel, spec: AnovaSpec, lam: float, rescale: bool = True) -> FittedModel:

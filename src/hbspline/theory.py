@@ -34,6 +34,8 @@ from .selection import (
     BasisSelection,
     Dataset,
     SelectionConfig,
+    _rng,
+    _subseed,
     apply_scaler,
     dataset_from_unit_cube,
     hbs_select,
@@ -319,47 +321,32 @@ def variance_scaling_study(
         raise InvalidConfigError("q_list must be strictly increasing, length >= 2")
     if max(q_list) > n:
         raise InvalidConfigError(f"max q {max(q_list)} exceeds n={n}")
+    if seed < 0:
+        raise InvalidConfigError(f"seed={seed} must be >= 0")
     if phi_pair is None:
         nu = tuple(1 if j == 0 else 0 for j in range(d))
         mu = tuple(1 if j == 1 else 0 for j in range(d))
         phi_pair = (EigenSurrogate(nu), EigenSurrogate(mu))
     kk = min(12, 62 // d) if k is None else k
 
-    ref_seed = int(
-        np.random.SeedSequence(seed, spawn_key=(0,)).generate_state(1, np.uint64)[0]
-    )
     I_ref, scaler = reference_integral(
-        dist, d, phi_pair, seed=ref_seed, d2_variant=d2_variant
+        dist, d, phi_pair, seed=_subseed(seed, 0), d2_variant=d2_variant
     )
 
     sq_strat = np.empty((replicates, len(q_list)))
     est_strat = np.empty((replicates, len(q_list)))
     sq_rand = np.empty((replicates, len(q_list)))
     for r in range(replicates):
-        raw = gen_design(
-            dist, n, d,
-            np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(seed, spawn_key=(1, r)))
-            ),
-            d2_variant=d2_variant,
-        )
+        raw = gen_design(dist, n, d, _rng(seed, 1, r), d2_variant=d2_variant)
         scaled, _ = apply_scaler(raw, scaler)
         data = dataset_from_unit_cube(scaled)
         for qi, q in enumerate(q_list):
-            hs = int(
-                np.random.SeedSequence(seed, spawn_key=(2, r, qi)).generate_state(
-                    1, np.uint64
-                )[0]
-            )
+            hs = _subseed(seed, 2, r, qi)
             sel = hbs_select(data, SelectionConfig(q=q, method="hbs", seed=hs, C=q, k=kk))
             est = stratified_integral_estimate(data, sel, phi_pair)
             est_strat[r, qi] = est
             sq_strat[r, qi] = (est - I_ref) ** 2
-            us = int(
-                np.random.SeedSequence(seed, spawn_key=(3, r, qi)).generate_state(
-                    1, np.uint64
-                )[0]
-            )
+            us = _subseed(seed, 3, r, qi)
             usel = ubs_select(data, SelectionConfig(q=q, method="ubs", seed=us))
             uest = stratified_integral_estimate(data, usel, phi_pair)
             sq_rand[r, qi] = (uest - I_ref) ** 2

@@ -30,7 +30,7 @@ from hbspline.selection import (
     scale_to_unit_cube,
     ubs_select,
 )
-from hbspline.solver import LambdaGrid, design_matrices, fit_fixed_lambda, gcv_select
+from hbspline.solver import LAMBDA_GRID, design_matrices, fit_fixed_lambda, gcv_select
 from hbspline.theory import variance_scaling_study
 
 REPO = Path(__file__).resolve().parent.parent
@@ -106,7 +106,7 @@ def test_05_subset_solver_matches_classical_fit_at_full_basis():
     # Below lam ~ 1e-6 the penalized system's condition number passes 1/eps
     # for double precision, so no two algebraically equal solve routes agree
     # to 1e-6; the comparison runs over the grid's well-conditioned range.
-    lams = [lam for lam in LambdaGrid().values() if lam >= 1e-5]
+    lams = [lam for lam in LAMBDA_GRID if lam >= 1e-5]
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(20):
@@ -242,7 +242,7 @@ def test_09_parallel_benchmark_is_byte_identical(bench_run, tmp_path):
 
 
 def test_10_smoothing_level_tracks_noise_content():
-    grid = LambdaGrid().values()
+    grid = LAMBDA_GRID
     log_grid = np.log(grid)
 
     def nearest(lam):

@@ -61,6 +61,16 @@ class TestGenDesign:
         c = gen_design("d4", 50, 3, seed=10)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize(
+        "sequence",
+        [np.random.SeedSequence(5, spawn_key=(0,)), np.random.SeedSequence(7).spawn(3)[2]],
+    )
+    def test_seed_sequence_draws_its_philox_stream(self, sequence):
+        ref = gen_design("d2", 40, 3, np.random.Generator(np.random.Philox(sequence)))
+        assert np.array_equal(gen_design("d2", 40, 3, sequence), ref)
+        plain = np.random.Generator(np.random.Philox(np.random.SeedSequence(9)))
+        assert np.array_equal(gen_design("d2", 40, 3, 9), gen_design("d2", 40, 3, plain))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidConfigError):
             gen_design("d9", 10, 2, seed=0)

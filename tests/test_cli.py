@@ -204,6 +204,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert "error" in err
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        data, _, _ = training_csv(tmp_path / "train.csv", n=40)
+        out = tmp_path / "m.json"
+        assert main([
+            "fit", "--data", data, "--response", "y", "--q", "5", "--seed", "-1",
+            "--out", str(out),
+        ]) == 1
+        assert "seed=-1 must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPredict:
     @pytest.fixture()
@@ -349,6 +359,24 @@ class TestBench:
         assert main(["bench", "--config", cfg, "--out", str(o3)]) == 0
         assert o1.read_bytes() == o2.read_bytes() == o3.read_bytes()
 
+    def test_prints_one_median_row_per_cell(self, tmp_path, capsys):
+        cfg = self.bench_config(tmp_path, q_grid=[10, 15], methods=["ubs", "hbs", "full"])
+        out = tmp_path / "res.csv"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("bench: 10 rows (0 failed)")
+        assert lines[1].split() == ["method", "q", "median", "MSE"]
+        cells = [tuple(line.split()) for line in lines[2:]]
+        assert [c[:2] for c in cells] == [
+            ("full", "100"), ("hbs", "10"), ("hbs", "15"), ("ubs", "10"), ("ubs", "15"),
+        ]
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for method, q, median in cells:
+            mses = [float(r["mse"]) for r in rows if (r["method"], r["q"]) == (method, q)]
+            assert len(mses) == 2
+            assert float(median) == pytest.approx(np.median(mses), abs=5e-6)
+
     def test_rejects_malformed_config(self, tmp_path, capsys):
         cfg = self.bench_config(tmp_path, typo_key=1)
         assert main(["bench", "--config", cfg, "--out",
@@ -394,8 +422,8 @@ class TestTheory:
     @pytest.mark.parametrize(
         "flags",
         [["--q-list", "a,b"], ["--q-list", "8,16", "--replicates", "0"],
-         ["--q-list", "8,16", "--replicates", "1"]],
-        ids=["non-integer-q-list", "zero-replicates", "one-replicate"],
+         ["--q-list", "8,16", "--replicates", "1"], ["--q-list", "8,16", "--seed", "-1"]],
+        ids=["non-integer-q-list", "zero-replicates", "one-replicate", "negative-seed"],
     )
     def test_bad_flags_exit_1(self, tmp_path, flags):
         out = tmp_path / "o.csv"
@@ -410,6 +438,45 @@ class TestTheory:
             "theory", "--dist", "d1", "--dim", "1",
             "--out", str(tmp_path / "o.csv"),
         ]) == 1
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 1 with one line naming it."""
+
+    def command_args(self, command, tmp_path, out):
+        data, _, _ = training_csv(tmp_path / "train.csv", n=60)
+        if command == "fit":
+            return ["fit", "--data", data, "--response", "y", "--q", "8", "--out", out]
+        if command == "predict":
+            model = str(tmp_path / "model.json")
+            assert main(["fit", "--data", data, "--response", "y", "--q", "8",
+                         "--out", model]) == 0
+            return ["predict", "--model", model, "--data", data, "--out", out]
+        if command == "bench":
+            return ["bench", "--config", TestBench().bench_config(tmp_path), "--out", out]
+        return ["theory", "--dist", "d1", "--dim", "2", "--q-list", "8,16",
+                "--replicates", "2", "--n", "200", "--out", out]
+
+    def assert_one_line_error(self, capsys, command, path):
+        err = capsys.readouterr().err
+        assert err.startswith(f"hbspline {command}: error: ")
+        assert path in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "bench", "theory"])
+    def test_missing_directory_exits_1(self, tmp_path, capsys, command):
+        out = str(tmp_path / "missing" / "out.txt")
+        args = self.command_args(command, tmp_path, out)
+        capsys.readouterr()
+        assert main(args) == 1
+        self.assert_one_line_error(capsys, command, out)
+
+    def test_unwritable_manifest_exits_1(self, tmp_path, capsys):
+        out = str(tmp_path / "model.json")
+        manifest = tmp_path / "model.json.manifest.json"
+        manifest.mkdir()
+        assert main(self.command_args("fit", tmp_path, out)) == 1
+        self.assert_one_line_error(capsys, "fit", str(manifest))
 
 
 class TestHilbert:

@@ -90,11 +90,17 @@ class TestAnovaSpec:
         spec = default_spec(3)
         assert spec.main_effects == (0, 1, 2)
         assert spec.interactions == ((0, 1), (0, 2), (1, 2))
-        assert default_spec(3, with_interactions=False).interactions == ()
+        assert default_spec(8).interactions == ()
         assert default_spec(1).interactions == ()
 
     def test_additive_model_null_space_dimension(self):
-        assert default_spec(7, with_interactions=False).m == 8
+        assert default_spec(8).m == 9
+
+    @pytest.mark.parametrize("d, pairs", [(1, 0), (2, 1), (7, 21), (8, 0)])
+    def test_default_spec_adds_pairs_up_to_the_limit(self, d, pairs):
+        spec = default_spec(d)
+        assert spec.main_effects == tuple(range(d))
+        assert len(spec.interactions) == pairs
 
     @pytest.mark.parametrize(
         "kwargs",

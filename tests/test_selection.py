@@ -20,7 +20,7 @@ from hbspline import (
     ubs_select,
 )
 from hbspline.errors import InvalidConfigError, InvalidInputError
-from hbspline.selection import _allocate_quotas
+from hbspline.selection import _allocate_quotas, _rng, _stratified_draw, _subseed
 
 
 class TestScaleToUnitCube:
@@ -58,6 +58,81 @@ class TestScaleToUnitCube:
         data = uniform_data()
         with pytest.raises(ValueError):
             data.X[0, 0] = 2.0
+
+
+class TestSelectionConfig:
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            SelectionConfig(q=5, seed=-1)
+        assert SelectionConfig(q=5, seed=2**64 - 1).seed == 2**64 - 1
+
+
+class TestSeedStreams:
+    @pytest.mark.parametrize("seed, key", [(0, ()), (7, ()), (7, (1, 3)), (2**63, (4, 0, 2, 60))])
+    def test_rng_is_the_philox_stream_of_the_spawn_key(self, seed, key):
+        ref = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
+        )
+        assert np.array_equal(_rng(seed, *key).random(64), ref.random(64))
+        if not key:
+            plain = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            assert np.array_equal(_rng(seed).integers(0, 2**62, 64), plain.integers(0, 2**62, 64))
+
+    @pytest.mark.parametrize("seed, key", [(0, (0,)), (20240817, (2, 5, 1)), (3, (4, 1, 0, 100))])
+    def test_subseed_is_the_first_state_word(self, seed, key):
+        ref = np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0]
+        assert _subseed(seed, *key) == int(ref)
+        assert isinstance(_subseed(seed, *key), int)
+
+
+def _stratified_draw_unique(groups, q, n, rng):
+    """The grouping by np.unique that _stratified_draw replaced; the reference."""
+    row_order = np.argsort(groups, kind="stable")
+    labels, starts = np.unique(groups[row_order], return_index=True)
+    pops = np.diff(np.append(starts, groups.size))
+    quota, moved = _allocate_quotas(pops, q)
+    picked, weights = [], []
+    for gi in range(labels.size):
+        s = int(quota[gi])
+        if s == 0:
+            continue
+        members = row_order[starts[gi] : starts[gi] + pops[gi]]
+        if s >= members.size:
+            chosen = members
+        else:
+            chosen = np.sort(rng.choice(members, size=s, replace=False))
+        picked.append(chosen)
+        weights.append(np.full(chosen.size, pops[gi] / (n * s)))
+    return np.concatenate(picked), np.concatenate(weights), int(labels.size), moved
+
+
+class TestStratifiedDraw:
+    def assert_matches_unique_grouping(self, labels, q, seed):
+        got = _stratified_draw(labels, q, labels.size, _rng(seed))
+        ref = _stratified_draw_unique(labels, q, labels.size, _rng(seed))
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+        assert got[2:] == ref[2:]
+
+    @pytest.mark.parametrize(
+        "labels, q",
+        [
+            (np.zeros(50, dtype=np.int64), 7),  # a single group
+            (np.array([5, 5, 9, 0, 9, 9, 5, 0, 0, 9] * 3), 6),  # empty groups 1-4, 6-8
+            (np.array([3] * 40 + [0, 7]), 5),  # small groups force a shortfall
+            (np.arange(12), 12),  # one row per group, q = n
+        ],
+    )
+    def test_matches_the_unique_grouping(self, labels, q):
+        self.assert_matches_unique_grouping(labels, q, seed=11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_the_unique_grouping_on_random_labels(self, data):
+        n = data.draw(st.integers(1, 300))
+        C = data.draw(st.integers(1, 64))
+        labels = np.random.default_rng(data.draw(st.integers(0, 10**6))).integers(0, C, n)
+        self.assert_matches_unique_grouping(labels, data.draw(st.integers(1, n)), seed=5)
 
 
 class TestQuotaAllocation:

@@ -8,8 +8,8 @@ import pytest
 from hbspline import (
     BasisSelection,
     Dataset,
+    LAMBDA_GRID,
     FittedModel,
-    LambdaGrid,
     SelectionConfig,
     apply_scaler,
     dataset_from_unit_cube,
@@ -82,16 +82,10 @@ def penalized_objective(S, Rstar, Rstarstar, y, alpha, beta, lam):
 
 class TestLambdaGrid:
     def test_default_grid(self):
-        grid = LambdaGrid()
-        vals = grid.values()
+        vals = LAMBDA_GRID
         assert vals.shape == (40,)
         assert np.isclose(vals[0], 1e-9) and np.isclose(vals[-1], 10.0)
-
-    def test_rejects_degenerate(self):
-        with pytest.raises(InvalidConfigError):
-            LambdaGrid(log10_lo=1.0, log10_hi=1.0)
-        with pytest.raises(InvalidConfigError):
-            LambdaGrid(count=1)
+        assert not vals.flags.writeable
 
 
 class TestSolveCoefficients:
@@ -382,7 +376,7 @@ class TestGcvScan:
             cols = np.concatenate([np.arange(spec.m), spec.m + keep])
             B, Rss = B[:, cols], Rss[np.ix_(keep, keep)]
         ref_sys = _PenalizedSystem(B, Rss, data.y, spec.m)
-        lams = LambdaGrid().values()
+        lams = LAMBDA_GRID
         # Check 5's reasoning: below lambda ~1e-5 no two solve routes agree.
         lams = lams[lams >= 1e-5]
         got, ref = scan.scores(lams), self.reference_scores(ref_sys, lams)
@@ -394,7 +388,7 @@ class TestGcvScan:
         data, sel, spec = _random_system(seed, 80, 20)
         B, Rss = design_matrices(data, sel, spec)
         sys_ = _PenalizedSystem(B, Rss, data.y, spec.m)
-        lams = LambdaGrid().values()
+        lams = LAMBDA_GRID
         got, ref = _GcvScan(sys_).scores(lams), self.reference_scores(sys_, lams)
         assert np.argmin(got) == np.argmin(ref)
         assert np.max(np.abs(got - ref) / ref) <= 1e-4

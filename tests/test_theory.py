@@ -122,6 +122,8 @@ class TestReferenceIntegral:
             variance_scaling_study("d1", 2, phi_pair=wide)
         with pytest.raises(InvalidConfigError, match="replicates"):
             variance_scaling_study("d1", 2, replicates=1)
+        with pytest.raises(InvalidConfigError, match="seed"):
+            variance_scaling_study("d1", 2, seed=-1)
 
 
 def _one_shot_reference(dist, d, phi_pair, seed, log2_points):
