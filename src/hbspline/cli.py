@@ -10,6 +10,7 @@ bit-reproducible given the same flags and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -23,6 +24,7 @@ from .hilbert import CurveOrder, decode, encode, point_to_index
 from .ingest import (
     append_prediction_csv,
     load_json_config,
+    manifest_path,
     read_numeric_csv,
     write_manifest,
 )
@@ -115,6 +117,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _staged(out):
+    """Yield the path to write out to; it becomes out when the block ends.
+
+    The output goes to '<out>.part', renamed onto out after the block
+    has also written the manifest, and removed if the block fails, so a
+    failed command leaves no output.  Both files are opened first, so an
+    unwritable --out or manifest fails before any work.
+    """
+    part = f"{out}.part"
+    manifest = manifest_path(out)
+    manifest_existed = os.path.exists(manifest)
+    try:
+        open(part, "w").close()
+        open(manifest, "a").close()  # "a" leaves an existing manifest as it is
+        if not manifest_existed:
+            os.remove(manifest)
+        yield part
+        os.replace(part, out)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
+
+
 def _load_spec(path, d: int) -> AnovaSpec:
     obj = load_json_config(path)
     if not isinstance(obj, dict):
@@ -141,39 +167,40 @@ def _load_spec(path, d: int) -> AnovaSpec:
 
 def _cmd_fit(args) -> int:
     started = _now()
-    predictors = args.predictors.split(",") if args.predictors else None
-    X, y, names = read_numeric_csv(args.data, response=args.response, predictors=predictors)
-    if not len(X):
-        raise IngestionError(f"{args.data}: no data rows to fit on")
-    data = scale_to_unit_cube(X, y)
-    spec = _load_spec(args.spec, data.d) if args.spec else default_spec(data.d)
-    cfg = SelectionConfig(
-        q=args.q, method=args.method, seed=args.seed, C=args.C, k=args.k
-    )
-    sel = select(data, cfg)
-    if args.lam is not None:
-        model = fit_fixed_lambda(data, sel, spec, args.lam)
-    else:
-        model = gcv_select(data, sel, spec)
-    save_model(model, args.out, predictors=names)
-    warnings = {}
-    if model.diagnostics.get("jitter"):
-        warnings["jitter"] = model.diagnostics["jitter"]
-    if args.method == "hbs":
-        warnings["bin_balance"] = condition5_diagnostic(data, cfg)
-    config = {
-        "data": args.data,
-        "response": args.response,
-        "predictors": names,
-        "method": args.method,
-        "q": args.q,
-        "C": args.C,
-        "k": args.k,
-        "spec": args.spec,
-        "lambda": args.lam,
-        "seed": args.seed,
-    }
-    write_manifest(args.out, "fit", config, args.seed, warnings, started)
+    with _staged(args.out) as part:
+        predictors = args.predictors.split(",") if args.predictors else None
+        X, y, names = read_numeric_csv(args.data, response=args.response, predictors=predictors)
+        if not len(X):
+            raise IngestionError(f"{args.data}: no data rows to fit on")
+        data = scale_to_unit_cube(X, y)
+        spec = _load_spec(args.spec, data.d) if args.spec else default_spec(data.d)
+        cfg = SelectionConfig(
+            q=args.q, method=args.method, seed=args.seed, C=args.C, k=args.k
+        )
+        sel = select(data, cfg)
+        if args.lam is not None:
+            model = fit_fixed_lambda(data, sel, spec, args.lam)
+        else:
+            model = gcv_select(data, sel, spec)
+        save_model(model, part, predictors=names)
+        warnings = {}
+        if model.diagnostics.get("jitter"):
+            warnings["jitter"] = model.diagnostics["jitter"]
+        if args.method == "hbs":
+            warnings["bin_balance"] = condition5_diagnostic(data, cfg)
+        config = {
+            "data": args.data,
+            "response": args.response,
+            "predictors": names,
+            "method": args.method,
+            "q": args.q,
+            "C": args.C,
+            "k": args.k,
+            "spec": args.spec,
+            "lambda": args.lam,
+            "seed": args.seed,
+        }
+        write_manifest(args.out, "fit", config, args.seed, warnings, started)
     print(
         f"fit: n={data.n} d={data.d} q={sel.q} method={args.method} "
         f"lambda={model.lam:.6g} gcv={model.gcv_score:.6g} -> {args.out}"
@@ -183,47 +210,49 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     started = _now()
-    model = load_model(args.model)
-    names = model_predictor_names(args.model)
-    X, _, used = read_numeric_csv(args.data, predictors=names)
-    d = model.scaler.shape[1]
-    if len(X) and X.shape[1] != d:
-        raise IngestionError(
-            f"{args.data}: {X.shape[1]} predictor columns, model expects {d}"
-        )
-    preds, clamped = predict_with_diagnostics(model, X)
-    append_prediction_csv(args.data, args.out, preds)
-    warnings = {"clamped_coordinates": clamped} if clamped else {}
-    config = {"model": args.model, "data": args.data, "predictors": used}
-    write_manifest(args.out, "predict", config, None, warnings, started)
+    with _staged(args.out) as part:
+        model = load_model(args.model)
+        names = model_predictor_names(args.model)
+        X, _, used = read_numeric_csv(args.data, predictors=names)
+        d = model.scaler.shape[1]
+        if len(X) and X.shape[1] != d:
+            raise IngestionError(
+                f"{args.data}: {X.shape[1]} predictor columns, model expects {d}"
+            )
+        preds, clamped = predict_with_diagnostics(model, X)
+        append_prediction_csv(args.data, part, preds)
+        warnings = {"clamped_coordinates": clamped} if clamped else {}
+        config = {"model": args.model, "data": args.data, "predictors": used}
+        write_manifest(args.out, "predict", config, None, warnings, started)
     print(f"predict: {len(preds)} rows -> {args.out}")
     return 0
 
 
 def _cmd_bench(args) -> int:
     started = _now()
-    obj = load_json_config(args.config)
-    problems = []
-    if not isinstance(obj, dict):
-        raise InvalidConfigError(f"{args.config}: expected a JSON object")
-    unknown = set(obj) - {f.name for f in dataclasses.fields(ExperimentConfig)}
-    if unknown:
-        problems.append(f"unknown keys: {sorted(unknown)}")
-    for key in ("distribution", "function"):
-        if key not in obj:
-            problems.append(f"missing key: {key}")
-    if problems:
-        raise InvalidConfigError(f"{args.config}: " + "; ".join(problems))
-    cfg = ExperimentConfig(**obj)
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("HBSPLINE_JOBS", "1"))
-    result = run_experiment(cfg, jobs=max(jobs, 1), timings=args.timings)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(result.to_csv())
-    failures = sum(1 for r in result.rows if not np.isfinite(r.mse))
-    warnings = {"failed_cells": failures} if failures else {}
-    write_manifest(args.out, "bench", obj, cfg.seed, warnings, started)
+    with _staged(args.out) as part:
+        obj = load_json_config(args.config)
+        problems = []
+        if not isinstance(obj, dict):
+            raise InvalidConfigError(f"{args.config}: expected a JSON object")
+        unknown = set(obj) - {f.name for f in dataclasses.fields(ExperimentConfig)}
+        if unknown:
+            problems.append(f"unknown keys: {sorted(unknown)}")
+        for key in ("distribution", "function"):
+            if key not in obj:
+                problems.append(f"missing key: {key}")
+        if problems:
+            raise InvalidConfigError(f"{args.config}: " + "; ".join(problems))
+        cfg = ExperimentConfig(**obj)
+        jobs = args.jobs
+        if jobs is None:
+            jobs = int(os.environ.get("HBSPLINE_JOBS", "1"))
+        result = run_experiment(cfg, jobs=max(jobs, 1), timings=args.timings)
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write(result.to_csv())
+        failures = sum(1 for r in result.rows if not np.isfinite(r.mse))
+        warnings = {"failed_cells": failures} if failures else {}
+        write_manifest(args.out, "bench", obj, cfg.seed, warnings, started)
     print(
         f"bench: {len(result.rows)} rows ({failures} failed) "
         f"sigma={result.sigma:.6g} -> {args.out}"
@@ -237,26 +266,27 @@ def _cmd_bench(args) -> int:
 
 def _cmd_theory(args) -> int:
     started = _now()
-    q_list = tuple(_parse_ints(args.q_list, "q-list")) if args.q_list else DEFAULT_Q_LIST
-    report = variance_scaling_study(
-        args.dist,
-        args.dim,
-        q_list=q_list,
-        replicates=args.replicates,
-        seed=args.seed,
-        n=args.n,
-    )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_csv())
-    config = {
-        "dist": args.dist,
-        "dim": args.dim,
-        "replicates": args.replicates,
-        "n": args.n,
-        "q_list": list(report.q_list),
-        "seed": args.seed,
-    }
-    write_manifest(args.out, "theory", config, args.seed, {}, started)
+    with _staged(args.out) as part:
+        q_list = tuple(_parse_ints(args.q_list, "q-list")) if args.q_list else DEFAULT_Q_LIST
+        report = variance_scaling_study(
+            args.dist,
+            args.dim,
+            q_list=q_list,
+            replicates=args.replicates,
+            seed=args.seed,
+            n=args.n,
+        )
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write(report.to_csv())
+        config = {
+            "dist": args.dist,
+            "dim": args.dim,
+            "replicates": args.replicates,
+            "n": args.n,
+            "q_list": list(report.q_list),
+            "seed": args.seed,
+        }
+        write_manifest(args.out, "theory", config, args.seed, {}, started)
     print(report.summary())
     print(f"theory: report -> {args.out}")
     return 0

@@ -207,6 +207,11 @@ def _version() -> str:
         return "unknown"
 
 
+def manifest_path(out_path) -> str:
+    """Where the manifest of an output file goes."""
+    return f"{out_path}.manifest.json"
+
+
 def write_manifest(out_path, command, config, seed, warnings, started_at) -> str:
     """Write a manifest JSON next to an output file; returns its path."""
     manifest = RunManifest(
@@ -219,7 +224,7 @@ def write_manifest(out_path, command, config, seed, warnings, started_at) -> str
         finished_at=datetime.now(timezone.utc).isoformat(),
         warnings=warnings,
     )
-    path = f"{out_path}.manifest.json"
+    path = manifest_path(out_path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(asdict(manifest), fh, indent=1, sort_keys=True)
         fh.write("\n")

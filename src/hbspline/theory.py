@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri, stdtr
 
 from .errors import InvalidConfigError, InvalidInputError
 from .selection import (
@@ -94,6 +93,8 @@ class EigenSurrogate:
 
 def _t10_mixture_grid() -> tuple[np.ndarray, np.ndarray]:
     """Dense (cdf, x) grid of the equal t(10) mixture centered at -5 and +5."""
+    from scipy.special import stdtr  # see _qmc_design
+
     xs = np.linspace(-25.0, 25.0, 1 << 15)
     cdf = 0.5 * stdtr(10.0, xs + 5.0) + 0.5 * stdtr(10.0, xs - 5.0)
     return cdf, xs
@@ -142,8 +143,9 @@ def _qmc_design(dist: str, d: int, log2_points: int, seed: int) -> np.ndarray:
     bitwise that of transforming a single random_base2(log2_points)
     draw (checked in the tests).
     """
-    # Imported here so that importing the CLI does not load scipy.stats,
-    # which is slow to import.
+    # Imported here so that importing the CLI does not load scipy, which
+    # is slow to import and which predict never needs.
+    from scipy.special import ndtri
     from scipy.stats import qmc
 
     n = 1 << log2_points

@@ -478,6 +478,38 @@ class TestUnwritableOutput:
         assert main(self.command_args("fit", tmp_path, out)) == 1
         self.assert_one_line_error(capsys, "fit", str(manifest))
 
+    @pytest.mark.parametrize("command", ["fit", "predict", "bench", "theory"])
+    def test_unwritable_manifest_leaves_no_output(self, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        manifest = tmp_path / "out.txt.manifest.json"
+        args = self.command_args(command, tmp_path, str(out))
+        manifest.mkdir()
+        capsys.readouterr()
+        assert main(args) == 1
+        self.assert_one_line_error(capsys, command, str(manifest))
+        assert not out.exists()
+        assert not (tmp_path / "out.txt.part").exists()
+
+    @pytest.mark.parametrize("command", ["bench", "theory"])
+    @pytest.mark.parametrize("damage", ["missing-directory", "manifest-is-a-directory"])
+    def test_unwritable_output_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command, damage
+    ):
+        import hbspline.cli as cli
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", not_reached)
+        monkeypatch.setattr(cli, "variance_scaling_study", not_reached)
+        out = tmp_path / "missing" / "out.csv"
+        if damage == "manifest-is-a-directory":
+            out = tmp_path / "out.csv"
+            (tmp_path / "out.csv.manifest.json").mkdir()
+        assert main(self.command_args(command, tmp_path, str(out))) == 1
+        self.assert_one_line_error(capsys, command, str(out))
+        assert not out.exists()
+
 
 class TestHilbert:
     def test_encode_decode_index(self, capsys):
@@ -529,3 +561,41 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         env=dict(os.environ, PYTHONPATH=src), check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_predict_loads_no_scipy(tmp_path):
+    # predict needs only numpy; scipy takes a third of a second to import.
+    import os
+    import subprocess
+    import sys
+
+    import hbspline
+
+    data, _, _ = training_csv(tmp_path / "train.csv", n=60)
+    model = str(tmp_path / "model.json")
+    assert main(["fit", "--data", data, "--response", "y", "--q", "8", "--out", model]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hbspline.__file__)))
+    code = (
+        "import sys, hbspline.cli\n"
+        f"rc = hbspline.cli.main(['predict', '--model', {model!r}, '--data', {data!r},"
+        f" '--out', {str(tmp_path / 'scored.csv')!r}])\n"
+        "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "scored.csv").exists()
+
+
+def test_package_exports_resolve():
+    import hbspline
+
+    # The package imports its modules on first use of a name.
+    namespace = {}
+    exec("from hbspline import *", namespace)
+    assert set(hbspline.__all__) <= set(namespace)
+    assert hbspline.solver.gcv_select is hbspline.gcv_select
+    with pytest.raises(AttributeError):
+        hbspline.no_such_name

@@ -15,7 +15,7 @@ from hbspline import (
 )
 from hbspline.errors import InvalidConfigError, InvalidInputError
 from hbspline.kernels import _k1, _k2, _k4, _term_block, chunk_rows
-from hbspline.solver import design_matrices
+from hbspline.solver import design_matrices, gcv_select
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
 
@@ -291,6 +291,9 @@ class TestAssembleMatrices:
         sel = self._selection(data, [0, 25])
         with pytest.raises(InvalidInputError):
             design_matrices(data, sel, default_spec(2))
+        # The fit, which streams the design instead, checks the same way.
+        with pytest.raises(InvalidInputError):
+            gcv_select(data, sel, default_spec(2))
 
 
 class TestNullSpaceExactness:

@@ -32,8 +32,10 @@ from hbspline.errors import (
 )
 from hbspline.kernels import chunk_rows, gram_matrix, null_space_eval
 from hbspline.solver import (
+    _BLOCK_ROWS,
     MODEL_FORMAT_VERSION,
     _GcvScan,
+    _normal_equations,
     _PenalizedSystem,
     design_matrices,
 )
@@ -59,6 +61,11 @@ def blocks(data, sel, spec):
     """S, R* and R** as views of the design that the fit solves on."""
     B, Rss = design_matrices(data, sel, spec)
     return B[:, : spec.m], B[:, spec.m :], Rss
+
+
+def whole_design_system(B, Rss, y, m):
+    """The penalized system formed from the whole design at once."""
+    return _PenalizedSystem(B.T @ B, B.T @ y, float(y @ y), Rss, B.shape[0], m)
 
 
 def coefficients(data, sel, spec, lam):
@@ -368,14 +375,14 @@ class TestGcvScan:
         q, dup = {"q<n": (n // 3, 0), "q=n": (n, 0), "duplicates": (n // 3, 4)}[shape]
         data, sel, spec = _random_system(seed, n, q, dup)
         B, Rss = design_matrices(data, sel, spec)
-        scan = _GcvScan(_PenalizedSystem(B, Rss, data.y, spec.m))
+        scan = _GcvScan(whole_design_system(B, Rss, data.y, spec.m))
         if dup:
             # Repeated basis points leave the Cholesky reference singular;
             # one copy of each spans the same fits, so the same V(lambda).
             keep = np.unique(data.X[sel.indices], axis=0, return_index=True)[1]
             cols = np.concatenate([np.arange(spec.m), spec.m + keep])
             B, Rss = B[:, cols], Rss[np.ix_(keep, keep)]
-        ref_sys = _PenalizedSystem(B, Rss, data.y, spec.m)
+        ref_sys = whole_design_system(B, Rss, data.y, spec.m)
         lams = LAMBDA_GRID
         # Check 5's reasoning: below lambda ~1e-5 no two solve routes agree.
         lams = lams[lams >= 1e-5]
@@ -387,7 +394,7 @@ class TestGcvScan:
     def test_same_grid_argmin_below_basis_size(self, seed):
         data, sel, spec = _random_system(seed, 80, 20)
         B, Rss = design_matrices(data, sel, spec)
-        sys_ = _PenalizedSystem(B, Rss, data.y, spec.m)
+        sys_ = whole_design_system(B, Rss, data.y, spec.m)
         lams = LAMBDA_GRID
         got, ref = _GcvScan(sys_).scores(lams), self.reference_scores(sys_, lams)
         assert np.argmin(got) == np.argmin(ref)
@@ -408,6 +415,79 @@ class TestGcvScan:
         sel = hbs_select(data, SelectionConfig(q=25, method="hbs", seed=14))
         gcv_select(data, sel, default_spec(2))
         assert len(calls) == 2
+
+
+class TestStreamedNormalEquations:
+    """The fit's block-by-block G, b and R** against the whole design."""
+
+    @pytest.mark.parametrize("n", [300, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
+    def test_matches_whole_design(self, n):
+        data, sel, spec = make_problem(n=n, q=15, seed=n)
+        B, Rss = design_matrices(data, sel, spec)
+        sys_ = _normal_equations(data, data.X[sel.indices], spec)
+        G, b = B.T @ B, B.T @ data.y
+        assert np.max(np.abs(sys_.G - G)) <= 1e-12 * np.max(np.abs(G))
+        assert np.max(np.abs(sys_.b - b)) <= 1e-12 * np.max(np.abs(b))
+        assert sys_.yty == float(data.y @ data.y)
+        assert (sys_.n, sys_.m, sys_.q) == (n, spec.m, 15)
+        # R** is built from the basis points alone, yet equals R*'s rows bit for bit.
+        assert sys_.Rss.tobytes() == np.ascontiguousarray(Rss).tobytes()
+
+    @pytest.mark.parametrize("n", [400, 2 * _BLOCK_ROWS + 1])
+    def test_closed_form_rss_matches_residuals(self, n, monkeypatch):
+        import hbspline.solver as solver
+
+        calls = []
+        monkeypatch.setattr(solver, "_explicit_rss", lambda *a: calls.append(1))
+        data, sel, spec = make_problem(n=n, q=20, seed=3, noise=0.3)
+        sys_ = _normal_equations(data, data.X[sel.indices], spec)
+        model = fit_fixed_lambda(data, sel, spec, 1e-4, rescale=False)
+        theta = np.concatenate([model.alpha, model.beta])
+        B, _ = design_matrices(data, sel, spec)
+        resid = data.y - B @ theta
+        rss = float(resid @ resid)
+        assert abs(sys_._rss_quadform(theta) - rss) <= 1e-10 * rss
+        assert calls == []  # a noisy fit keeps the closed form
+
+    def test_near_interpolation_takes_explicit_residuals(self, monkeypatch):
+        import hbspline.solver as solver
+
+        # q = n without noise: the fit all but interpolates, and the
+        # closed form y'y - 2 theta'b + theta'G theta is cancellation noise.
+        data, sel, spec = make_problem(n=50, q=50, seed=4, noise=0.0)
+        calls = []
+        real = solver._explicit_rss
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_explicit_rss", counting)
+        model = fit_fixed_lambda(data, sel, spec, 1e-9, rescale=False)
+        assert calls == [1]
+        B, _ = design_matrices(data, sel, spec)
+        resid = data.y - B @ np.concatenate([model.alpha, model.beta])
+        rss = float(resid @ resid)
+        n, tr = data.n, model.diagnostics["trace_A"]
+        assert model.gcv_score == pytest.approx((rss / n) / (1.0 - tr / n) ** 2, rel=1e-10)
+
+    def test_fit_memory_is_not_a_multiple_of_n_q(self):
+        import tracemalloc
+
+        n, d, q = 50_000, 2, 100
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(8)))
+        X = gen.random((n, d))
+        data = dataset_from_unit_cube(X, smooth_surface(X) + 0.1 * gen.standard_normal(n))
+        sel = ubs_select(data, SelectionConfig(q=q, method="ubs", seed=8))
+        spec = default_spec(d)
+        design_bytes = n * (spec.m + q) * 8  # the n x (m+q) float64 design
+        tracemalloc.start()
+        try:
+            gcv_select(data, sel, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < design_bytes / 4
 
 
 class TestMse:
