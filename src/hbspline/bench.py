@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -398,6 +397,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, timings: bool = False) 
     )
     reps = range(cfg.replicates)
     if jobs > 1 and cfg.replicates > 1:
+        # Imported here: multiprocessing costs every CLI process ~25 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(
                 pool.map(_replicate_worker, [(cfg, sigma, r, timings) for r in reps])

@@ -33,12 +33,12 @@ import numpy as np
 from .errors import InvalidConfigError, InvalidInputError
 
 # Kernel matrices are built in row chunks of about this many entries
-# (128 KiB of float64 per temporary), so the per-dimension factors of a
-# chunk stay in cache and no temporary grows with n.  Chunk heights are
-# multiples of _ROW_ALIGN rows: BLAS matrix-vector kernels work through
-# rows in small fixed groups (four in OpenBLAS on x86-64), so a product
-# taken chunk by chunk groups rows as an unchunked one does and matches
-# it bit for bit.
+# (128 KiB of float64 per buffer), so the per-dimension factors of a
+# chunk stay in cache and no buffer grows with n.  Chunk heights, and
+# the row blocks the solver streams, are multiples of _ROW_ALIGN rows:
+# BLAS matrix-vector kernels work through rows in small fixed groups
+# (four in OpenBLAS on x86-64), so a product taken block by block
+# groups rows as an unchunked one does and matches it bit for bit.
 _CHUNK_ENTRIES = 1 << 14
 _ROW_ALIGN = 8
 
@@ -224,7 +224,8 @@ def gram_matrix(Xa, Xb, spec: AnovaSpec, out=None) -> np.ndarray:
     of every interaction dimension are computed once and shared by all
     terms; each term is then formed exactly as _term_block forms it, so
     the result is bitwise identical to the scale-weighted sum of
-    _term_block over the terms.
+    _term_block over the terms.  All chunks reuse one set of buffers,
+    so a call allocates O(chunk * q) memory once, beyond out.
 
     Parameters
     ----------
@@ -250,24 +251,50 @@ def gram_matrix(Xa, Xb, spec: AnovaSpec, out=None) -> np.ndarray:
     terms = list(zip(spec.term_scales, spec.terms()))
     linear_dims = sorted({j for _, (kind, ref) in terms if kind == "inter" for j in ref})
     k1b = {j: _k1(Xb[:, j]) for j in linear_dims}
+    k2b = {j: _k2(Xb[:, j]) for j in spec.main_effects}
+    # Every chunk is written through out= into these buffers, allocated
+    # once per call: R1 per main-effect dimension, the linear product
+    # per interaction dimension, and two scratch blocks.
     rows = chunk_rows(q)
+    shape = (min(n, rows), q)
+    r1_buf = {j: np.empty(shape) for j in spec.main_effects}
+    lin_buf = {j: np.empty(shape) for j in linear_dims}
+    s1_buf, s2_buf = np.empty(shape), np.empty(shape)
     for lo in range(0, n, rows):
         chunk = Xa[lo : lo + rows]
-        r1 = {j: _r1_cross(chunk[:, j], Xb[:, j]) for j in spec.main_effects}
-        lin = {j: np.outer(_k1(chunk[:, j]), k1b[j]) for j in linear_dims}
+        h = chunk.shape[0]
+        s1, s2 = s1_buf[:h], s2_buf[:h]
+        r1 = {}
+        for j in spec.main_effects:
+            # _r1_cross's operations, in its order:
+            # k2(u) k2(v)' - k4(|u - v|), k4(t) = (a^4 - a^2/2 + 7/240)/24, a = t - 1/2.
+            r = r1[j] = r1_buf[j][:h]
+            np.subtract.outer(chunk[:, j], Xb[:, j], out=r)
+            np.abs(r, out=r)
+            r -= 0.5
+            np.multiply(r, r, out=r)
+            np.multiply(r, r, out=s1)
+            r /= 2.0
+            s1 -= r
+            s1 += 7.0 / 240.0
+            s1 /= 24.0
+            np.multiply.outer(_k2(chunk[:, j]), k2b[j], out=r)
+            r -= s1
+        lin = {j: np.multiply.outer(_k1(chunk[:, j]), k1b[j], out=lin_buf[j][:h])
+               for j in linear_dims}
         block = out[lo : lo + rows]
         block.fill(0.0)
         for theta, (kind, ref) in terms:
             if kind == "main":
-                block += theta * r1[ref]
+                block += np.multiply(r1[ref], theta, out=s1)
                 continue
             a, b = ref
             # Same operation order as _term_block: r1a*r1b + r1a*linb + lina*r1b.
-            term = r1[a] * r1[b]
-            term += r1[a] * lin[b]
-            term += lin[a] * r1[b]
-            term *= theta
-            block += term
+            np.multiply(r1[a], r1[b], out=s1)
+            s1 += np.multiply(r1[a], lin[b], out=s2)
+            s1 += np.multiply(lin[a], r1[b], out=s2)
+            s1 *= theta
+            block += s1
     return out
 
 

@@ -11,10 +11,13 @@ whose stationary conditions are the symmetric normal equations
     [ R*'S     R*'R* + n lam R** ] [b] = [R*'y]
 
 solved by Cholesky factorization with an escalating diagonal jitter
-fallback.  The smoothing parameter is chosen by generalized
-cross-validation over the fixed log-spaced grid LAMBDA_GRID followed by
-a short golden-section refinement between the winning grid point's
-neighbors.
+fallback.  All dense linear algebra is numpy.linalg: with M = L L',
+the inverse factor L^-1 is formed once, every solve is L^-T (L^-1 B),
+and the model's "condition_estimate" diagnostic is the exact 1-norm
+condition number ||M||_1 ||M^-1||_1 with M^-1 = L^-T L^-1.  The
+smoothing parameter is chosen by generalized cross-validation over the
+fixed log-spaced grid LAMBDA_GRID followed by a short golden-section
+refinement between the winning grid point's neighbors.
 
 Everything the per-lambda search needs (B'B, B'y, y'y with
 B = [S, R*]) is accumulated once over row blocks of B, so no more than
@@ -40,7 +43,6 @@ from .errors import (
 )
 from .kernels import (
     AnovaSpec,
-    chunk_rows,
     gram_matrix,
     null_space_eval,
     rescale_term_weights,
@@ -105,21 +107,19 @@ class FittedModel:
         self.scaler.setflags(write=False)
 
 
-def cho_factor(a, lower=False, check_finite=True):
-    """scipy.linalg.cho_factor, imported on first use.
+def cho_factor(a):
+    """Inverse Cholesky factor L^-1 of a symmetric positive definite matrix.
 
-    scipy.linalg takes about 0.3 s to import and predict never needs it.
+    Raises np.linalg.LinAlgError when a is not numerically positive
+    definite.  The solver works with L^-1 rather than L: numpy has no
+    triangular solve, and every use below is a product with L^-1.
     """
-    import scipy.linalg
-
-    return scipy.linalg.cho_factor(a, lower=lower, check_finite=check_finite)
+    return np.linalg.inv(np.linalg.cholesky(a))
 
 
-def cho_solve(c_and_lower, b, check_finite=True):
-    """scipy.linalg.cho_solve, imported on first use (see cho_factor)."""
-    import scipy.linalg
-
-    return scipy.linalg.cho_solve(c_and_lower, b, check_finite=check_finite)
+def cho_solve(c, b):
+    """a^-1 b from cho_factor's c = L^-1, as L^-T (L^-1 b)."""
+    return c.T @ (c @ b)
 
 
 class _PenalizedSystem:
@@ -148,10 +148,10 @@ class _PenalizedSystem:
         return _cholesky(M, f"lambda={lam:g}")
 
     def _theta(self, c) -> np.ndarray:
-        return cho_solve(c, self.b, check_finite=False)
+        return cho_solve(c, self.b)
 
     def _trace_A(self, c) -> float:
-        return float(np.trace(cho_solve(c, self.G, check_finite=False)))
+        return float(np.trace(cho_solve(c, self.G)))
 
     def _rss_quadform(self, theta: np.ndarray) -> float:
         rss = self.yty - 2.0 * float(theta @ self.b) + float(theta @ (self.G @ theta))
@@ -179,8 +179,7 @@ def _cholesky(M: np.ndarray, where: str):
         jitter = rel * scale
         try:
             Mj = M if jitter == 0.0 else M + jitter * np.eye(M.shape[0])
-            c = cho_factor(Mj, lower=True, check_finite=False)
-            return c, Mj, jitter
+            return cho_factor(Mj), Mj, jitter
         except np.linalg.LinAlgError:
             continue
     cond = float(np.linalg.cond(M))
@@ -211,8 +210,6 @@ class _GcvScan:
     """
 
     def __init__(self, sys_: _PenalizedSystem):
-        from scipy.linalg import get_lapack_funcs, solve_triangular
-
         m = sys_.m
         # Repeated basis points give identical R** rows and R* columns:
         # the fit depends only on the sum of their coefficients, and M0
@@ -230,15 +227,10 @@ class _GcvScan:
         self.s = float(np.trace(G)) / float(np.trace(Rss))
         M0 = G.copy()
         M0[m:, m:] += self.s * Rss
-        (L, _), _, jitter = _cholesky(M0, "the GCV scan's reference matrix")
+        Linv, M0j, jitter = _cholesky(M0, "the GCV scan's reference matrix")
         if jitter:
             logger.debug("jitter %.3e applied to the GCV scan's reference matrix", jitter)
-        (sygst,) = get_lapack_funcs(("sygst",), (G,))
-        C, info = sygst(G, L, itype=1, lower=1)  # lower triangle of L^-1 G L^-T
-        if info != 0:
-            raise SingularSystemError(f"reducing the GCV scan's eigenproblem failed (info {info})")
-        gamma, U = np.linalg.eigh(C, UPLO="L")
-        z = U.T @ solve_triangular(L, sys_.b[cols], lower=True, check_finite=False)
+        gamma, z = self._spectrum(G, sys_.b[cols], M0j, Linv)
         # Null directions of G add 1 to n - trace A and nothing to the RSS.
         # They are those with gamma <= 0, and at least the p - n smallest
         # (eigh sorts ascending), since G = B'B has rank at most n.
@@ -250,6 +242,16 @@ class _GcvScan:
         # With rank n, B spans R^n and y has no residual off its columns.
         rss0 = self.yty - float((self.z2 / self.gamma).sum()) if self.free else 0.0
         self.rss0 = max(rss0, 0.0)
+
+    @staticmethod
+    def _spectrum(G, b, M0, Linv):
+        """gamma, U = eigh(C), C = L^-1 G L^-T with M0 = L L'; and z = U' L^-1 b.
+
+        M0 itself is unused here; a reduction that works from L rather
+        than L^-1 (LAPACK's sygst) takes it instead of Linv.
+        """
+        gamma, U = np.linalg.eigh(Linv @ G @ Linv.T, UPLO="L")
+        return gamma, U.T @ (Linv @ b)
 
     def scores(self, lams) -> np.ndarray:
         """V at each lambda; inf where trace(A) reaches n."""
@@ -273,15 +275,9 @@ class _GcvScan:
 
 
 def _condition_estimate(Mj: np.ndarray, c) -> float:
-    """1-norm condition estimate from the Cholesky factor."""
-    from scipy.linalg import get_lapack_funcs
-
-    (pocon,) = get_lapack_funcs(("pocon",), (Mj,))
-    anorm = float(np.linalg.norm(Mj, 1))
-    rcond, info = pocon(c[0], anorm, uplo="L")
-    if info != 0 or rcond <= 0.0:
-        return float("inf")
-    return 1.0 / float(rcond)
+    """Exact 1-norm condition number ||M||_1 ||M^-1||_1, M^-1 = L^-T L^-1."""
+    kappa = float(np.linalg.norm(Mj, 1)) * float(np.linalg.norm(c.T @ c, 1))
+    return kappa if np.isfinite(kappa) else float("inf")
 
 
 def _check_indices(data, sel):
@@ -450,7 +446,8 @@ def gcv_select(data, sel, spec: AnovaSpec, rescale: bool = True) -> FittedModel:
     -------
     FittedModel
         Model at the best lambda; diagnostics carry the influence
-        trace, a condition estimate, and any jitter applied.
+        trace, the final normal matrix's 1-norm condition number, and
+        any jitter applied.
     """
     return _fit(data, sel, spec, rescale)
 
@@ -493,14 +490,17 @@ def predict_with_diagnostics(model: FittedModel, Xnew) -> tuple[np.ndarray, int]
         logger.debug("%d coordinates clamped into the unit cube", clamped)
     pred = null_space_eval(scaled, model.spec) @ model.alpha
     if model.beta.size:
-        # Stream the rows: only one chunk of the kernel matrix exists at a
-        # time.  A lone last row joins the chunk before it, because BLAS
-        # takes a one-row product down its dot path, which rounds
-        # differently from the matrix-vector path of an unchunked product.
-        n, rows, lo = pred.shape[0], chunk_rows(model.beta.size), 0
+        # Stream the rows: only one block of the kernel matrix exists at a
+        # time, in one reused buffer.  _BLOCK_ROWS is a multiple of the
+        # kernel builder's row alignment, so each block's product groups
+        # rows as an unchunked product does.  A lone last row joins the
+        # block before it, because BLAS takes a one-row product down its
+        # dot path, which rounds differently from the matrix-vector path.
+        n, lo = pred.shape[0], 0
+        K_buf = np.empty((min(n, _BLOCK_ROWS + 1), model.beta.size))
         while lo < n:
-            hi = n if n - lo <= rows + 1 else lo + rows
-            K = gram_matrix(scaled[lo:hi], model.basis_points, model.spec)
+            hi = n if n - lo <= _BLOCK_ROWS + 1 else lo + _BLOCK_ROWS
+            K = gram_matrix(scaled[lo:hi], model.basis_points, model.spec, out=K_buf[: hi - lo])
             pred[lo:hi] += K @ model.beta
             lo = hi
     return pred, clamped

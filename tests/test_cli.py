@@ -546,8 +546,8 @@ class TestUsage:
         capsys.readouterr()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import, and neither fit nor predict needs it.
+def run_fresh(code):
+    """stdout of code run in a fresh interpreter that imports src/hbspline."""
     import os
     import subprocess
     import sys
@@ -555,38 +555,67 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     import hbspline
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(hbspline.__file__)))
-    code = "import sys, hbspline.cli; print('scipy.stats' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=src), check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import, and neither fit nor predict needs it.
+    code = "import sys, hbspline.cli; print('scipy.stats' in sys.modules)"
+    assert run_fresh(code).strip() == "False"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Only bench --jobs > 1 starts worker processes; the import costs ~25 ms.
+    code = "import sys, hbspline.cli; print('multiprocessing' in sys.modules)"
+    assert run_fresh(code).strip() == "False"
 
 
 def test_predict_loads_no_scipy(tmp_path):
     # predict needs only numpy; scipy takes a third of a second to import.
-    import os
-    import subprocess
-    import sys
-
-    import hbspline
-
     data, _, _ = training_csv(tmp_path / "train.csv", n=60)
     model = str(tmp_path / "model.json")
     assert main(["fit", "--data", data, "--response", "y", "--q", "8", "--out", model]) == 0
-    src = os.path.dirname(os.path.dirname(os.path.abspath(hbspline.__file__)))
     code = (
         "import sys, hbspline.cli\n"
         f"rc = hbspline.cli.main(['predict', '--model', {model!r}, '--data', {data!r},"
         f" '--out', {str(tmp_path / 'scored.csv')!r}])\n"
-        "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(rc, {SCIPY_MODULES})"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=src), check=True,
-    )
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert run_fresh(code).splitlines()[-1] == "0 []"
     assert (tmp_path / "scored.csv").exists()
+
+
+def test_fit_loads_no_scipy(tmp_path):
+    # The solver runs on numpy.linalg; scipy.linalg alone costs ~0.3 s and 21 MiB.
+    data, _, _ = training_csv(tmp_path / "train.csv", n=60)
+    model = str(tmp_path / "model.json")
+    code = (
+        "import sys, hbspline.cli\n"
+        f"rc = hbspline.cli.main(['fit', '--data', {data!r}, '--response', 'y',"
+        f" '--q', '8', '--out', {model!r}])\n"
+        f"print(rc, {SCIPY_MODULES})"
+    )
+    assert run_fresh(code).splitlines()[-1] == "0 []"
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from hbspline import SelectionConfig, dataset_from_unit_cube, default_spec,"
+        " fit_fixed_lambda, gcv_select, hbs_select\n"
+        "X = np.random.default_rng(0).random((80, 2))\n"
+        "data = dataset_from_unit_cube(X, X.sum(axis=1))\n"
+        "sel = hbs_select(data, SelectionConfig(q=10, method='hbs', seed=1))\n"
+        "gcv_select(data, sel, default_spec(2))\n"
+        "fit_fixed_lambda(data, sel, default_spec(2), 1e-3)\n"
+        f"print({SCIPY_MODULES})"
+    )
+    assert run_fresh(code).strip() == "[]"
 
 
 def test_package_exports_resolve():

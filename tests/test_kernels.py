@@ -350,6 +350,31 @@ class TestGramMatrixBuilder:
         assert np.array_equal(gram_matrix(X, Z, self.SPEC), term_block_sum(X, Z, self.SPEC))
 
     @pytest.mark.parametrize(
+        "n, q",
+        [
+            (3 * chunk_rows(30) + 5, 30),
+            (chunk_rows(30) // 3, 30),
+            (1, 25),
+            (2 * chunk_rows(1) + 3, 1),
+        ],
+    )
+    def test_matches_term_block_sum_in_design_view(self, rng, n, q):
+        # The reused chunk buffers write through out= into a strided view.
+        m = self.SPEC.m
+        X, Z = rng.random((n, 3)), rng.random((q, 3))
+        B = np.full((n, m + q), np.nan)
+        gram_matrix(X, Z, self.SPEC, out=B[:, m:])
+        assert np.array_equal(B[:, m:], term_block_sum(X, Z, self.SPEC))
+
+    def test_consecutive_calls_with_different_q(self, rng):
+        # Each call sizes its own buffers: nothing of one call's chunks,
+        # neither their height nor their width, leaks into the next.
+        X = rng.random((2 * chunk_rows(7) + 3, 3))
+        for q in (40, 7, 40, 1):
+            Z = rng.random((q, 3))
+            assert np.array_equal(gram_matrix(X, Z, self.SPEC), term_block_sum(X, Z, self.SPEC))
+
+    @pytest.mark.parametrize(
         "spec",
         [
             AnovaSpec(d=3, main_effects=(0, 1, 2), term_scales=(0.5, 2.0, 3.0)),

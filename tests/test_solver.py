@@ -16,6 +16,7 @@ from hbspline import (
     default_spec,
     fit_fixed_lambda,
     gcv_select,
+    gen_design,
     hbs_select,
     load_model,
     mse,
@@ -23,6 +24,7 @@ from hbspline import (
     predict_with_diagnostics,
     rescale_term_weights,
     save_model,
+    scale_to_unit_cube,
     ubs_select,
 )
 from hbspline.errors import (
@@ -30,13 +32,17 @@ from hbspline.errors import (
     InvalidInputError,
     SingularSystemError,
 )
-from hbspline.kernels import chunk_rows, gram_matrix, null_space_eval
+from hbspline.kernels import _ROW_ALIGN, chunk_rows, gram_matrix, null_space_eval
 from hbspline.solver import (
     _BLOCK_ROWS,
     MODEL_FORMAT_VERSION,
+    _cholesky,
+    _condition_estimate,
     _GcvScan,
     _normal_equations,
     _PenalizedSystem,
+    cho_factor,
+    cho_solve,
     design_matrices,
 )
 
@@ -325,6 +331,15 @@ class TestPredict:
             predict(model, np.array([[np.nan, 0.5]]))
 
 
+def unchunked_prediction(model, X):
+    """S(x) alpha + K(x, basis) beta from one whole kernel matrix."""
+    scaled, _ = apply_scaler(X, model.scaler)
+    return (
+        null_space_eval(scaled, model.spec) @ model.alpha
+        + gram_matrix(scaled, model.basis_points, model.spec) @ model.beta
+    )
+
+
 class TestChunkedPredict:
     @pytest.mark.parametrize("n_chunks", [2, 3])
     @pytest.mark.parametrize("tail", [0, 1, 5])
@@ -333,12 +348,24 @@ class TestChunkedPredict:
         sel = hbs_select(data, SelectionConfig(q=30, method="hbs", seed=13))
         model = gcv_select(data, sel, default_spec(2))
         X = rng.random((n_chunks * chunk_rows(30) + tail, 2))
-        scaled, _ = apply_scaler(X, model.scaler)
-        expect = (
-            null_space_eval(scaled, model.spec) @ model.alpha
-            + gram_matrix(scaled, model.basis_points, model.spec) @ model.beta
-        )
-        assert np.array_equal(predict(model, X), expect)
+        assert np.array_equal(predict(model, X), unchunked_prediction(model, X))
+
+
+class TestBlockedPredict:
+    """predict streams _BLOCK_ROWS rows at a time through one kernel buffer."""
+
+    def test_block_height_is_row_aligned(self):
+        assert _BLOCK_ROWS % _ROW_ALIGN == 0
+
+    @pytest.mark.parametrize(
+        "n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    )
+    def test_matches_unchunked_expansion(self, banana_data, rng, n):
+        data = banana_data(n=300, seed=33, noise=0.1)
+        sel = hbs_select(data, SelectionConfig(q=40, method="hbs", seed=15))
+        model = gcv_select(data, sel, default_spec(2))
+        X = rng.random((n, 2))
+        assert np.array_equal(predict(model, X), unchunked_prediction(model, X))
 
 
 def _random_system(seed, n, q, duplicates=0):
@@ -415,6 +442,131 @@ class TestGcvScan:
         sel = hbs_select(data, SelectionConfig(q=25, method="hbs", seed=14))
         gcv_select(data, sel, default_spec(2))
         assert len(calls) == 2
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def _reference_system(kind):
+    """A seeded penalized system of the given kind."""
+    if kind == "well-conditioned":
+        data, sel, spec = make_problem(n=300, q=8, seed=1)
+        return _normal_equations(data, data.X[sel.indices], spec)
+    if kind == "duplicated-basis":
+        data, sel, spec = _random_system(3, 60, 20, duplicates=4)
+        return _normal_equations(data, data.X[sel.indices], spec)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(41)))
+    if kind == "cond-1e13":
+        raw = gen_design("d4", 2000, 2, gen)
+        data = scale_to_unit_cube(raw, raw[:, 0] + np.sin(raw[:, 1]))
+        sel = hbs_select(data, SelectionConfig(q=100, method="hbs", seed=2))
+    else:  # "jittered-M0": a constant column makes M0 singular on the null space
+        X = gen.random((200, 2))
+        X[:, 1] = 0.5
+        data = dataset_from_unit_cube(X, X[:, 0] ** 2 + 0.1 * gen.standard_normal(200))
+        sel = ubs_select(data, SelectionConfig(q=20, method="ubs", seed=2))
+    spec = rescale_term_weights(data, default_spec(2), data.X[sel.indices])
+    return _normal_equations(data, data.X[sel.indices], spec)
+
+
+def _merged(sys_):
+    """The system on one copy of each repeated basis point, as _GcvScan solves it."""
+    keep = np.unique(sys_.Rss, axis=0, return_index=True)[1]
+    cols = np.concatenate([np.arange(sys_.m), sys_.m + keep])
+    return _PenalizedSystem(
+        sys_.G[np.ix_(cols, cols)], sys_.b[cols], sys_.yty,
+        sys_.Rss[np.ix_(keep, keep)], sys_.n, sys_.m,
+    )
+
+
+def _kappa(sys_, lam):
+    """Exact 1-norm condition number of the normal matrix at lambda."""
+    c, Mj, _ = sys_._factor(lam)
+    return _condition_estimate(Mj, c)
+
+
+class ScipyGcvScan(_GcvScan):
+    """_GcvScan reduced by LAPACK's sygst and triangular solves, the reference."""
+
+    @staticmethod
+    def _spectrum(G, b, M0, Linv):
+        import scipy.linalg
+
+        L = scipy.linalg.cholesky(M0, lower=True)
+        (sygst,) = scipy.linalg.get_lapack_funcs(("sygst",), (G,))
+        C, info = sygst(G, L, itype=1, lower=1)
+        assert info == 0
+        gamma, U = np.linalg.eigh(C, UPLO="L")
+        return gamma, U.T @ scipy.linalg.solve_triangular(L, b, lower=True)
+
+
+REFERENCE_SYSTEMS = ["well-conditioned", "cond-1e13", "jittered-M0", "duplicated-basis"]
+
+
+class TestNumpyLinalgAgainstScipy:
+    """The numpy.linalg solver against scipy.linalg, within cond * eps."""
+
+    @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
+    def test_cho_solve_and_condition_number(self, kind):
+        import scipy.linalg
+
+        sys_ = _reference_system(kind)
+        c, Mj, _ = sys_._factor(1e-6)
+        kappa = _condition_estimate(Mj, c)
+        if kind == "cond-1e13":
+            assert 1e12 <= kappa <= 1e14
+        ref_c = scipy.linalg.cho_factor(Mj, lower=True)
+        rhs = np.column_stack([sys_.b, sys_.G])
+        got, ref = cho_solve(c, rhs), scipy.linalg.cho_solve(ref_c, rhs)
+        assert np.max(np.abs(got - ref)) <= kappa * EPS * np.max(np.abs(ref))
+        # pocon estimates ||M^-1||_1 from below; the exact value is at most a
+        # small factor above it.
+        (pocon,) = scipy.linalg.get_lapack_funcs(("pocon",), (Mj,))
+        rcond, info = pocon(ref_c[0], np.linalg.norm(Mj, 1), uplo="L")
+        assert info == 0
+        assert 1.0 / rcond <= kappa * (1.0 + kappa * EPS) and kappa <= 10.0 / rcond
+
+    @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
+    def test_gcv_scan_matches_sygst_reduction(self, kind):
+        sys_ = _reference_system(kind)
+        got, ref = _GcvScan(sys_), ScipyGcvScan(sys_)
+        merged = _merged(sys_)
+        # M0 = G + s P is the normal matrix at n lam = s.
+        c0, M0, jitter0 = merged._factor(got.s / sys_.n)
+        assert (jitter0 > 0.0) == (kind == "jittered-M0")
+        tol0 = _condition_estimate(M0, c0) * EPS
+        # Directions with gamma below cond(M0) * eps are null in G to
+        # working precision: either reduction may keep or drop them.
+        sure_got, sure_ref = got.gamma > tol0, ref.gamma > tol0
+        assert sure_got.sum() == sure_ref.sum()
+        assert np.max(np.abs(got.gamma[sure_got] - ref.gamma[sure_ref])) <= tol0
+        # z is unique only up to rotations within a repeated gamma (the m
+        # null-space directions share gamma = 1), so compare z^2 summed
+        # over each cluster of equal gammas.
+        gamma = ref.gamma[sure_ref]
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(gamma) > 1e-8) + 1])
+        z2_got = np.add.reduceat(got.z2[sure_got], starts)
+        z2_ref = np.add.reduceat(ref.z2[sure_ref], starts)
+        assert np.max(np.abs(z2_got - z2_ref)) <= tol0 * ref.z2.sum()
+        V_got, V_ref = got.scores(LAMBDA_GRID), ref.scores(LAMBDA_GRID)
+        tol = np.array([_kappa(merged, lam) for lam in LAMBDA_GRID]) * EPS
+        assert np.all(np.abs(V_got - V_ref) <= tol * V_ref)
+
+    def test_jitter_ladder_fires_on_indefinite_matrix(self):
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
+        Q, _ = np.linalg.qr(gen.standard_normal((12, 12)))
+        eig = np.concatenate([np.linspace(1.0, 2.0, 11), [-1e-10]])
+        M = (Q * eig) @ Q.T
+        M = (M + M.T) / 2.0
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(M)
+        c, Mj, jitter = _cholesky(M, "an indefinite matrix")
+        scale = np.trace(M) / 12
+        assert 1e-10 * scale <= jitter <= 1e-9 * scale
+        assert np.array_equal(Mj, M + jitter * np.eye(12))
+        assert np.allclose(c @ Mj @ c.T, np.eye(12), atol=1e-9)
+        with pytest.raises(SingularSystemError):
+            _cholesky(-M, "a negative definite matrix")
 
 
 class TestStreamedNormalEquations:
