@@ -87,7 +87,7 @@ def _as_cells(cell, order: CurveOrder) -> tuple[np.ndarray, bool]:
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == np.floor(arr)):
             raise InvalidInputError("cell coordinates must be integers")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64, copy=False)
     top = order.cells_per_dim
     if arr.min(initial=0) < 0 or arr.max(initial=0) >= top:
         bad = np.argwhere((arr < 0) | (arr >= top))[0]
@@ -105,7 +105,7 @@ def _as_indices(index, order: CurveOrder) -> tuple[np.ndarray, bool]:
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == np.floor(arr)):
             raise InvalidInputError("curve index must be an integer")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64, copy=False)
     if arr.min(initial=0) < 0 or int(arr.max(initial=0)) >= order.total_cells:
         bad = arr[(arr < 0) | (arr >= order.total_cells)][0]
         raise InvalidInputError(
@@ -138,25 +138,39 @@ def encode(cell, order: CurveOrder):
     """
     cells, scalar = _as_cells(cell, order)
     k, d = order.k, order.d
-    X = [cells[:, i].copy() for i in range(d)]
+    # The narrowest signed type that holds a coordinate: every update
+    # below is exact, stays in [0, 2**k) and runs in place on d + 2
+    # buffers of that type.
+    X = [cells[:, i].astype(np.min_scalar_type(-(1 << k))) for i in range(d)]
+    m = np.empty_like(X[0])
+    t = np.empty_like(X[0])
 
-    # Undo the Gray-code/reflection bookkeeping, most significant bit first.
-    Q = np.int64(1) << (k - 1)
-    while Q > 1:
-        P = Q - 1
+    # Undo the Gray-code/reflection bookkeeping, most significant bit
+    # first.  Where bit b of X[i] is set, the low bits of X[0] are
+    # inverted; elsewhere they are swapped with those of X[i].
+    for b in range(k - 1, 0, -1):
+        P = (1 << b) - 1
         for i in range(d):
-            hi = (X[i] & Q) != 0
-            t = np.where(hi, 0, (X[0] ^ X[i]) & P)
-            X[0] = np.where(hi, X[0] ^ P, X[0] ^ t)
-            X[i] ^= t
-        Q >>= 1
+            np.right_shift(X[i], b, out=m)
+            m &= 1
+            m *= P  # P where bit b is set, else 0
+            X[0] ^= m
+            if i:
+                m ^= P  # P where bit b is clear
+                np.bitwise_xor(X[0], X[i], out=t)
+                t &= m
+                X[0] ^= t
+                X[i] ^= t
     for i in range(1, d):
         X[i] ^= X[i - 1]
-    t = np.zeros_like(X[0])
-    Q = np.int64(1) << (k - 1)
-    while Q > 1:
-        t = np.where((X[d - 1] & Q) != 0, t ^ (Q - 1), t)
-        Q >>= 1
+    # Bit j of the correction is the parity of the bits of X[d-1] above
+    # j: the inverse Gray code of X[d-1] >> 1, by doubling shifts.
+    np.right_shift(X[d - 1], 1, out=t)
+    s = 1
+    while s < k:
+        np.right_shift(t, s, out=m)
+        t ^= m
+        s <<= 1
     for i in range(d):
         X[i] ^= t
 
@@ -165,7 +179,10 @@ def encode(cell, order: CurveOrder):
     idx = np.zeros(cells.shape[0], dtype=np.int64)
     for b in range(k - 1, -1, -1):
         for i in range(d):
-            idx = (idx << 1) | ((X[i] >> b) & 1)
+            np.right_shift(X[i], b, out=m)
+            m &= 1
+            idx <<= 1
+            idx |= m
     return int(idx[0]) if scalar else idx
 
 
@@ -254,7 +271,8 @@ def point_to_index(x, order: CurveOrder):
             "[0, 1]; scale data to the unit cube first"
         )
     top = order.cells_per_dim
-    cells = np.minimum((arr * top).astype(np.int64), top - 1)
+    cells = (arr * top).astype(np.int64)
+    np.minimum(cells, top - 1, out=cells)
     idx = encode(cells, order)
     return idx if not scalar else int(np.atleast_1d(idx)[0])
 

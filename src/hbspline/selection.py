@@ -275,6 +275,16 @@ def _subseed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
+def _curve_order(C: int, k: int, d: int) -> CurveOrder:
+    """The order-k curve in d dimensions, checked to have at least C cells."""
+    order = CurveOrder(k=k, d=d)
+    if C > order.total_cells:
+        raise InvalidConfigError(
+            f"C={C} exceeds the {order.total_cells} curve cells at k={k}"
+        )
+    return order
+
+
 def hilbert_bins(data: Dataset, C: int, k: int) -> np.ndarray:
     """Assign every row its histogram bin along the Hilbert curve.
 
@@ -284,11 +294,7 @@ def hilbert_bins(data: Dataset, C: int, k: int) -> np.ndarray:
     are computed once per (dataset, k) and kept on the dataset, so
     selections and diagnostics at several C share one mapping.
     """
-    order = CurveOrder(k=k, d=data.d)
-    if C > order.total_cells:
-        raise InvalidConfigError(
-            f"C={C} exceeds the {order.total_cells} curve cells at k={k}"
-        )
+    order = _curve_order(C, k, data.d)
     idx = data._curve_index.get(k)
     if idx is None:
         idx = point_to_index(data.X, order)
@@ -343,27 +349,26 @@ def _stratified_draw(
     """
     # One stable sort gives every group's member list in row order; the
     # group sizes come from a count, so the labels are not sorted again.
-    row_order = np.argsort(groups, kind="stable")
+    # Sorted as the narrowest unsigned type that holds them, labels below
+    # 2**16 take numpy's radix sort; the order is the same at any width.
+    keys = groups.astype(np.min_scalar_type(int(groups.max())))
+    row_order = np.argsort(keys, kind="stable")
     counts = np.bincount(groups)
     pops = counts[counts > 0]
+    nonempty = int(pops.size)
     starts = np.cumsum(pops) - pops
     quota, moved = _allocate_quotas(pops, q)
+    drawn = quota > 0
+    pops, starts, quota = pops[drawn], starts[drawn], quota[drawn]
     picked = []
-    weights = []
-    for gi in range(pops.size):
-        s = int(quota[gi])
-        if s == 0:
-            continue
-        members = row_order[starts[gi] : starts[gi] + pops[gi]]
-        if s >= members.size:
-            chosen = members
-        else:
-            chosen = np.sort(rng.choice(members, size=s, replace=False))
-        picked.append(chosen)
-        weights.append(np.full(chosen.size, pops[gi] / (n * s)))
+    for start, pop, s in zip(starts.tolist(), pops.tolist(), quota.tolist()):
+        members = row_order[start : start + pop]
+        if s < pop:
+            members = np.sort(rng.choice(members, size=s, replace=False))
+        picked.append(members)
     indices = np.concatenate(picked)
-    w = np.concatenate(weights)
-    return indices, w, int(pops.size), moved
+    w = np.repeat(pops / (n * quota), quota)
+    return indices, w, nonempty, moved
 
 
 def hbs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:

@@ -33,6 +33,7 @@ from .selection import (
     BasisSelection,
     Dataset,
     SelectionConfig,
+    _curve_order,
     _rng,
     _subseed,
     apply_scaler,
@@ -84,11 +85,17 @@ class EigenSurrogate:
             raise InvalidInputError(
                 f"points have {X.shape[1]} coordinates, multi-index has {len(self.nu)}"
             )
-        out = np.ones(X.shape[0])
+        out = None
         for j, nj in enumerate(self.nu):
             if nj:
-                out = out * (np.sqrt(2.0) * np.cos(np.pi * nj * X[:, j]))
-        return out
+                f = np.pi * nj * X[:, j]
+                np.cos(f, out=f)
+                f *= np.sqrt(2.0)
+                if out is None:
+                    out = f
+                else:
+                    out *= f
+        return np.ones(X.shape[0]) if out is None else out
 
 
 def _t10_mixture_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +178,7 @@ def _qmc_design(dist: str, d: int, log2_points: int, seed: int) -> np.ndarray:
             if dist == "d3":
                 rows[:] = U @ chol_t
             else:
-                U[:, 1:] += (U[:, [0]] ** 2) / 1.2
+                U[:, 1:] += (U[:, :1] ** 2) / 1.2
                 rows[:] = U
     return raw
 
@@ -191,18 +198,22 @@ def reference_integral(
     defines the population and must be reused to scale every sample
     whose estimates are compared against the value.
 
-    Memory: the raw design plus one product vector (n * (d + 1)
-    doubles); scaling and evaluation run in chunks.
+    Memory: the raw design (n * d doubles) plus one chunk; scaling and
+    evaluation run in chunks.
     """
     _check_reference_args(dist, d, phi_pair, d2_variant)
     nu, mu = phi_pair
     raw = _qmc_design(dist, d, log2_points, int(seed) & (2**63 - 1))
     cols = raw.T
     scaler = np.vstack([cols.min(axis=1), cols.max(axis=1)])
-    prod = np.empty(raw.shape[0])
+    # Each chunk's product overwrites the first column of the rows it has
+    # just consumed.  That column is contiguous, so its mean is bitwise
+    # the mean of a separate product vector.
+    prod = cols[0]
     for start in range(0, raw.shape[0], _REFERENCE_CHUNK):
-        scaled, _ = apply_scaler(raw[start : start + _REFERENCE_CHUNK], scaler)
-        prod[start : start + _REFERENCE_CHUNK] = nu(scaled) * mu(scaled)
+        stop = start + _REFERENCE_CHUNK
+        scaled, _ = apply_scaler(raw[start:stop], scaler)
+        np.multiply(nu(scaled), mu(scaled), out=prod[start:stop])
     value = float(np.mean(prod))
     return value, scaler
 
@@ -330,6 +341,11 @@ def variance_scaling_study(
         mu = tuple(1 if j == 1 else 0 for j in range(d))
         phi_pair = (EigenSurrogate(nu), EigenSurrogate(mu))
     kk = min(12, 62 // d) if k is None else k
+    # The checks each hbs selection would make, with their messages, made
+    # here so that a bad q or curve order fails before the reference draw.
+    SelectionConfig(q=q_list[0], method="hbs", k=kk)
+    for q in q_list:
+        _curve_order(q, kk, d)
 
     I_ref, scaler = reference_integral(
         dist, d, phi_pair, seed=_subseed(seed, 0), d2_variant=d2_variant

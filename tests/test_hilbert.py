@@ -41,6 +41,37 @@ def quadrant_walk(k, t):
     return x, y
 
 
+def encode_reference(cells, k, d):
+    """The np.where formulation of encode, kept as its bitwise reference.
+
+    cells is an (m, d) int64 array of in-range coordinates.
+    """
+    X = [cells[:, i].copy() for i in range(d)]
+    Q = np.int64(1) << (k - 1)
+    while Q > 1:
+        P = Q - 1
+        for i in range(d):
+            hi = (X[i] & Q) != 0
+            t = np.where(hi, 0, (X[0] ^ X[i]) & P)
+            X[0] = np.where(hi, X[0] ^ P, X[0] ^ t)
+            X[i] ^= t
+        Q >>= 1
+    for i in range(1, d):
+        X[i] ^= X[i - 1]
+    t = np.zeros_like(X[0])
+    Q = np.int64(1) << (k - 1)
+    while Q > 1:
+        t = np.where((X[d - 1] & Q) != 0, t ^ (Q - 1), t)
+        Q >>= 1
+    for i in range(d):
+        X[i] ^= t
+    idx = np.zeros(cells.shape[0], dtype=np.int64)
+    for b in range(k - 1, -1, -1):
+        for i in range(d):
+            idx = (idx << 1) | ((X[i] >> b) & 1)
+    return idx
+
+
 class TestCurveOrder:
     def test_fields(self):
         order = CurveOrder(k=3, d=2)
@@ -137,6 +168,36 @@ class TestEncodeDecode:
         cell = decode(index, order)
         assert np.all(cell >= 0) and np.all(cell < order.cells_per_dim)
         assert encode(cell, order) == index
+
+
+class TestEncodeMatchesReference:
+    @pytest.mark.parametrize(
+        "d, k",
+        [
+            (d, k)
+            for d in range(1, 17)
+            for k in sorted({1, 2, 3, 62 // d})
+            if d * k <= 62
+        ],
+    )
+    def test_bitwise_equal_to_reference(self, d, k):
+        order = CurveOrder(k=k, d=d)
+        top = (1 << k) - 1
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([d, k])))
+        cells = np.vstack(
+            [
+                np.zeros((1, d), dtype=np.int64),
+                np.full((1, d), top, dtype=np.int64),
+                gen.integers(0, top, size=(500, d), endpoint=True),
+            ]
+        )
+        got = encode(cells, order)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, encode_reference(cells, k, d))
+        assert encode(cells[0], order) == 0
+        assert encode(cells[1], order) == int(encode_reference(cells[1:2], k, d)[0])
+        empty = encode(np.empty((0, d), dtype=np.int64), order)
+        assert empty.shape == (0,) and empty.dtype == np.int64
 
 
 class TestPointToIndex:

@@ -126,6 +126,21 @@ class TestStratifiedDraw:
     def test_matches_the_unique_grouping(self, labels, q):
         self.assert_matches_unique_grouping(labels, q, seed=11)
 
+    # _stratified_draw sorts the labels as uint8 up to a largest label of
+    # 255, as uint16 (both radix sorts) up to 65535 and as uint32 above;
+    # the reference sorts them as int64.
+    @pytest.mark.parametrize("C", [1, 60, 255, 256, 1024, 65535, 65536, 70000])
+    def test_matches_the_unique_grouping_at_every_label_width(self, C):
+        gen = _rng(7, C)
+        n = max(4 * C, 1000)
+        labels = gen.integers(0, C, n)
+        # Small groups next to big ones give shortfall moves.
+        labels[: n // 3] %= max(1, C // 3)
+        labels[-1] = C - 1
+        # q = n takes every group whole, so the whole row order is compared.
+        for q in (1, 200, n):
+            self.assert_matches_unique_grouping(labels, q, seed=q)
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_matches_the_unique_grouping_on_random_labels(self, data):

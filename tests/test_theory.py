@@ -51,6 +51,17 @@ class TestEigenSurrogate:
         assert abs(np.mean(p1(X) * p2(X))) < 3 * se
         assert abs(np.mean(p1(X) * p1(X)) - 1.0) < 3 * math.sqrt(1.5) * se
 
+    @pytest.mark.parametrize("nu", [(0, 0), (0, 3), (1, 0), (2, 5), (0, 1, 0, 4)])
+    def test_bitwise_equal_to_ones_product(self, nu):
+        X = np.random.Generator(np.random.Philox(2)).random((1000, len(nu)))
+        ref = np.ones(X.shape[0])
+        for j, nj in enumerate(nu):
+            if nj:
+                ref = ref * (np.sqrt(2.0) * np.cos(np.pi * nj * X[:, j]))
+        got = EigenSurrogate(nu)(X)
+        assert np.array_equal(got, ref)
+        assert not np.shares_memory(got, X)
+
     def test_rejects_bad_index_and_width(self):
         with pytest.raises(InvalidConfigError):
             EigenSurrogate((1, -1))
@@ -124,6 +135,15 @@ class TestReferenceIntegral:
             variance_scaling_study("d1", 2, replicates=1)
         with pytest.raises(InvalidConfigError, match="seed"):
             variance_scaling_study("d1", 2, seed=-1)
+        small = dict(q_list=(8, 16), n=2000)
+        with pytest.raises(InvalidConfigError, match="C=8 exceeds the 4 curve cells at k=1"):
+            variance_scaling_study("d1", 2, k=1, **small)
+        with pytest.raises(InvalidConfigError, match="d\\*k = 80 exceeds 62"):
+            variance_scaling_study("d1", 2, k=40, **small)
+        with pytest.raises(InvalidConfigError, match="k=0 must be >= 1"):
+            variance_scaling_study("d1", 2, k=0, **small)
+        with pytest.raises(InvalidConfigError, match="q=0 must be >= 1"):
+            variance_scaling_study("d1", 2, q_list=(0, 8), n=2000)
 
 
 def _one_shot_reference(dist, d, phi_pair, seed, log2_points):
@@ -183,6 +203,22 @@ class TestChunkedReferenceIntegral:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * design_bytes
+
+    def test_traced_peak_holds_no_product_vector(self):
+        # The design plus one chunk's working set: no n-length vector
+        # beside the design (that alone would be 1.5x at d = 2).
+        import tracemalloc
+
+        pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
+        design_bytes = (1 << 20) * 2 * 8
+        reference_integral("d4", 2, pair, seed=5, log2_points=4)
+        tracemalloc.start()
+        try:
+            reference_integral("d4", 2, pair, seed=5, log2_points=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * design_bytes
 
 
 class TestStratifiedEstimate:
