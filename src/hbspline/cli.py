@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bench import DISTRIBUTIONS, ExperimentConfig, run_experiment
-from .errors import HbsplineError, IngestionError, InvalidConfigError
+from .errors import HbsplineError, IngestionError, InvalidConfigError, InvalidInputError
 from .hilbert import CurveOrder, decode, encode, point_to_index
 from .ingest import (
     append_prediction_csv,
@@ -172,6 +172,14 @@ def _cmd_fit(args) -> int:
         X, y, names = read_numeric_csv(args.data, response=args.response, predictors=predictors)
         if not len(X):
             raise IngestionError(f"{args.data}: no data rows to fit on")
+        # A constant column has no scale to map onto [0, 1] and its main
+        # effect no data to fit; reject it rather than fit it on jitter.
+        constant = [name for name, col in zip(names, X.T) if col.min() == col.max()]
+        if constant:
+            raise InvalidInputError(
+                f"{args.data}: constant predictor column {', '.join(map(repr, constant))};"
+                " leave it out with --predictors"
+            )
         data = scale_to_unit_cube(X, y)
         spec = _load_spec(args.spec, data.d) if args.spec else default_spec(data.d)
         cfg = SelectionConfig(

@@ -18,6 +18,19 @@ kept inside the penalized term rather than enlarging the null space,
 which leaves the parametric design matrix small and well conditioned
 at the price of a (tiny) penalty on that one cross term.
 
+gram_matrix groups the terms by their first dimension.  With
+L_j = k1(s_j) k1(t_j), scales theta, and b > a in main_effects order,
+
+    K = sum_a R1_a o (M_a + V_a),   M_a = theta_a + sum_{b != a} theta_ab L_b,
+                                    V_a = sum_{b > a} theta_ab R1_b:
+
+the terms' own products, with no cancelling difference such as
+(R1_a + L_a)(R1_b + L_b) - L_a L_b has.  M_a is one product of rank
+<= d.  As 24 k4(x) = (x(1 - x))^2 - 1/30 with x = |s - t|, and s - t is
+[s, 1] . [1, -t] exactly, 24 R1 takes two rank-2 products and five passes:
+
+    24 R1(s, t) = [c k2(s), e] . [c k2(t), e] - (x(1 - x))^2,  c = sqrt(24), e = sqrt(1/30).
+
 Every term carries a positive scale factor; rescale_term_weights sets
 the scales so each term's Gram matrix on the basis points has average
 diagonal 1, making the single smoothing parameter comparable across
@@ -34,11 +47,11 @@ from .errors import InvalidConfigError, InvalidInputError
 
 # Kernel matrices are built in row chunks of about this many entries
 # (128 KiB of float64 per buffer), so the per-dimension factors of a
-# chunk stay in cache and no buffer grows with n.  Chunk heights, and
-# the row blocks the solver streams, are multiples of _ROW_ALIGN rows:
-# BLAS matrix-vector kernels work through rows in small fixed groups
-# (four in OpenBLAS on x86-64), so a product taken block by block
-# groups rows as an unchunked one does and matches it bit for bit.
+# chunk stay in cache and no buffer grows with n; no kernel entry
+# depends on the chunk height (_gemm).  The row blocks the solver
+# streams through matrix-vector products are multiples of _ROW_ALIGN
+# rows: BLAS gemv works through rows in small fixed groups, so a product
+# taken block by block matches an unchunked one bit for bit.
 _CHUNK_ENTRIES = 1 << 14
 _ROW_ALIGN = 8
 
@@ -71,11 +84,6 @@ def _k4(t):
     a = _k1(t)
     a2 = a * a
     return (a2 * a2 - a2 / 2.0 + 7.0 / 240.0) / 24.0
-
-
-def _r1_cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """R1 on the product grid of two coordinate vectors: (len u, len v)."""
-    return np.outer(_k2(u), _k2(v)) - _k4(np.abs(u[:, None] - v[None, :]))
 
 
 @dataclass(frozen=True)
@@ -147,9 +155,7 @@ class AnovaSpec:
 
     def terms(self) -> list:
         """Terms in canonical order: ('main', j) then ('inter', (j, j'))."""
-        out = [("main", j) for j in self.main_effects]
-        out += [("inter", pair) for pair in self.interactions]
-        return out
+        return [("main", j) for j in self.main_effects] + [("inter", p) for p in self.interactions]
 
     def term_names(self) -> list:
         return [
@@ -160,23 +166,8 @@ class AnovaSpec:
 
 def default_spec(d: int) -> AnovaSpec:
     """All main effects, plus all pairs when 2 <= d <= AUTO_INTERACTION_MAX_D."""
-    mains = tuple(range(d))
-    inters = ()
-    if 2 <= d <= AUTO_INTERACTION_MAX_D:
-        inters = tuple((a, b) for a in range(d) for b in range(a + 1, d))
-    return AnovaSpec(d=d, main_effects=mains, interactions=inters)
-
-
-def _term_block(Xa: np.ndarray, Xb: np.ndarray, kind: str, ref) -> np.ndarray:
-    """Unscaled Gram block of one term between two point sets."""
-    if kind == "main":
-        return _r1_cross(Xa[:, ref], Xb[:, ref])
-    a, b = ref
-    r1a = _r1_cross(Xa[:, a], Xb[:, a])
-    r1b = _r1_cross(Xa[:, b], Xb[:, b])
-    lina = np.outer(_k1(Xa[:, a]), _k1(Xb[:, a]))
-    linb = np.outer(_k1(Xa[:, b]), _k1(Xb[:, b]))
-    return r1a * r1b + r1a * linb + lina * r1b
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d) if d <= AUTO_INTERACTION_MAX_D]
+    return AnovaSpec(d=d, main_effects=tuple(range(d)), interactions=tuple(pairs))
 
 
 def null_space_eval(x, spec: AnovaSpec):
@@ -216,21 +207,30 @@ def chunk_rows(q: int) -> int:
     return max(_ROW_ALIGN, _CHUNK_ENTRIES // max(q, 1) // _ROW_ALIGN * _ROW_ALIGN)
 
 
+def _gemm(P, Q, out):
+    """out = P Q' by BLAS gemm, each entry from its own rows of P and Q: a
+    one-row factor is doubled, as numpy hands it to gemv, which rounds differently."""
+    if len(P) > 1 and len(Q) > 1:
+        return np.matmul(P, Q.T, out=out)
+    P2, Q2 = (np.repeat(F, 2 if len(F) == 1 else 1, axis=0) for F in (P, Q))
+    out[...] = (P2 @ Q2.T)[: len(P), : len(Q)]
+
+
 def gram_matrix(Xa, Xb, spec: AnovaSpec, out=None) -> np.ndarray:
     """Kernel matrix of the full penalized kernel between two point sets.
 
-    Rows are built in chunks of chunk_rows(len(Xb)).  Per chunk, R1 of
-    every main-effect dimension and the linear product k1(x_j) k1(z_j)'
-    of every interaction dimension are computed once and shared by all
-    terms; each term is then formed exactly as _term_block forms it, so
-    the result is bitwise identical to the scale-weighted sum of
-    _term_block over the terms.  All chunks reuse one set of buffers,
-    so a call allocates O(chunk * q) memory once, beyond out.
+    Built as K = sum_a R1_a o (M_a + V_a) (module docstring) in row
+    chunks of chunk_rows(len(Xb)) through d + 2 buffers allocated once
+    per call, O(chunk * q) memory beyond out.  Every scalar of a product
+    is split as sqrt(c) over both factors, and every factor row comes
+    from its own point, so K(Xa, Xb) = K(Xb, Xa)' bitwise and an entry
+    depends only on its two points at any chunk height (_gemm): R** is
+    bitwise the selected rows of R*.
 
     Parameters
     ----------
     Xa, Xb : array_like
-        Point sets, (n, d) and (q, d).
+        Point sets, (n, d) and (q, d), d = spec.d.
     spec : AnovaSpec
     out : ndarray, optional
         (n, q) float64 array, possibly a strided view (such as the R*
@@ -243,74 +243,74 @@ def gram_matrix(Xa, Xb, spec: AnovaSpec, out=None) -> np.ndarray:
     """
     Xa = np.atleast_2d(np.asarray(Xa, dtype=np.float64))
     Xb = np.atleast_2d(np.asarray(Xb, dtype=np.float64))
+    for name, X in (("Xa", Xa), ("Xb", Xb)):
+        if X.shape[1] != spec.d:
+            raise InvalidInputError(f"{name} has {X.shape[1]} columns, expected {spec.d}")
     n, q = Xa.shape[0], Xb.shape[0]
     if out is None:
         out = np.empty((n, q))
     elif out.shape != (n, q) or out.dtype != np.float64:
         raise InvalidInputError(f"out must be a float64 ({n}, {q}) array")
-    terms = list(zip(spec.term_scales, spec.terms()))
-    linear_dims = sorted({j for _, (kind, ref) in terms if kind == "inter" for j in ref})
-    k1b = {j: _k1(Xb[:, j]) for j in linear_dims}
-    k2b = {j: _k2(Xb[:, j]) for j in spec.main_effects}
-    # Every chunk is written through out= into these buffers, allocated
-    # once per call: R1 per main-effect dimension, the linear product
-    # per interaction dimension, and two scratch blocks.
-    rows = chunk_rows(q)
-    shape = (min(n, rows), q)
-    r1_buf = {j: np.empty(shape) for j in spec.main_effects}
-    lin_buf = {j: np.empty(shape) for j in linear_dims}
-    s1_buf, s2_buf = np.empty(shape), np.empty(shape)
+    dims, nd = spec.main_effects, len(spec.main_effects)
+    if not dims:
+        out.fill(0.0)
+        return out
+    # Per main effect a, (column of [1 | x | k1 | k2] over dims, multiplier):
+    # the pair [x_a, 1] . [1, -x_a], then with sqrt(c) on both sides the
+    # pair [c k2, e] of 24 R1 and M_a's [1, k1(x_b) per partner] / 24.
+    theta = dict(zip(dims + spec.interactions, spec.term_scales))
+    left, right, parts = [], [], []
+    for i, a in enumerate(dims):
+        pairs = [(j, theta[p]) for j, b in enumerate(dims)
+                 if (p := (min(a, b), max(a, b))) in theta]
+        both = [(1 + 2 * nd + i, 24.0), (0, 1.0 / 30.0), (0, theta[a] / 24.0)]
+        both = [(c, np.sqrt(v)) for c, v in both + [(1 + nd + j, t / 24.0) for j, t in pairs]]
+        c0 = len(left)
+        left += [(1 + i, 1.0), (0, 1.0)] + both
+        right += [(0, 1.0), (1 + i, -1.0)] + both
+        upper = [(j, t / 576.0) for j, t in pairs if j > i]
+        parts.append((slice(c0, c0 + 2), slice(c0 + 2, c0 + 4), slice(c0 + 4, len(left)), upper))
+
+    def factors(X, columns):
+        k1 = X[:, dims] - 0.5
+        feat = np.hstack([np.ones((len(X), 1)), X[:, dims], k1, (k1 * k1 - 1.0 / 12.0) / 2.0])
+        cols, roots = zip(*columns)
+        return feat[:, cols] * roots
+
+    Fb, rows = factors(Xb, right), chunk_rows(q)
+    # d + 2 chunk buffers, allocated once: 24 R1 per main effect, two scratch.
+    bufs = [np.empty((min(n, rows), q)) for _ in range(nd + 2)]
     for lo in range(0, n, rows):
-        chunk = Xa[lo : lo + rows]
-        h = chunk.shape[0]
-        s1, s2 = s1_buf[:h], s2_buf[:h]
-        r1 = {}
-        for j in spec.main_effects:
-            # _r1_cross's operations, in its order:
-            # k2(u) k2(v)' - k4(|u - v|), k4(t) = (a^4 - a^2/2 + 7/240)/24, a = t - 1/2.
-            r = r1[j] = r1_buf[j][:h]
-            np.subtract.outer(chunk[:, j], Xb[:, j], out=r)
-            np.abs(r, out=r)
-            r -= 0.5
-            np.multiply(r, r, out=r)
-            np.multiply(r, r, out=s1)
-            r /= 2.0
-            s1 -= r
-            s1 += 7.0 / 240.0
-            s1 /= 24.0
-            np.multiply.outer(_k2(chunk[:, j]), k2b[j], out=r)
-            r -= s1
-        lin = {j: np.multiply.outer(_k1(chunk[:, j]), k1b[j], out=lin_buf[j][:h])
-               for j in linear_dims}
-        block = out[lo : lo + rows]
-        block.fill(0.0)
-        for theta, (kind, ref) in terms:
-            if kind == "main":
-                block += np.multiply(r1[ref], theta, out=s1)
-                continue
-            a, b = ref
-            # Same operation order as _term_block: r1a*r1b + r1a*linb + lina*r1b.
-            np.multiply(r1[a], r1[b], out=s1)
-            s1 += np.multiply(r1[a], lin[b], out=s2)
-            s1 += np.multiply(lin[a], r1[b], out=s2)
-            s1 *= theta
-            block += s1
+        block, Fa = out[lo : lo + rows], factors(Xa[lo : lo + rows], left)
+        *r, s, t = (buf[: len(block)] for buf in bufs)
+        for i, (pd, pr, _, _) in enumerate(parts):
+            # 24 R1_a = P P' - w^2 with w = x - x^2, x = |u - v|.
+            _gemm(Fa[:, pd], Fb[:, pd], s)
+            np.abs(s, out=s)
+            np.multiply(s, s, out=t)
+            s -= t
+            s *= s
+            _gemm(Fa[:, pr], Fb[:, pr], r[i])
+            r[i] -= s
+        for i, (_, _, pm, upper) in enumerate(parts):
+            _gemm(Fa[:, pm], Fb[:, pm], t)
+            for j, c in upper:
+                t += np.multiply(r[j], c, out=s)
+            if i == 0:
+                np.multiply(r[i], t, out=block)
+            else:
+                t *= r[i]
+                block += t
     return out
 
 
 def _term_diag(X: np.ndarray, kind: str, ref) -> np.ndarray:
     """Diagonal of one term's unscaled Gram on a point set."""
     if kind == "main":
-        t = X[:, ref]
-        k2t = _k2(t)
-        return k2t * k2t - _k4(np.zeros_like(t))
-    a, b = ref
-    ta, tb = X[:, a], X[:, b]
-    r1a = _k2(ta) ** 2 - _k4(np.zeros_like(ta))
-    r1b = _k2(tb) ** 2 - _k4(np.zeros_like(tb))
-    la = _k1(ta) ** 2
-    lb = _k1(tb) ** 2
-    return r1a * r1b + r1a * lb + la * r1b
+        return _k2(X[:, ref]) ** 2 - _k4(0.0)
+    ta, tb = X[:, ref[0]], X[:, ref[1]]
+    r1a, r1b = _k2(ta) ** 2 - _k4(0.0), _k2(tb) ** 2 - _k4(0.0)
+    return r1a * r1b + r1a * _k1(tb) ** 2 + _k1(ta) ** 2 * r1b
 
 
 def rescale_term_weights(data, spec: AnovaSpec, basis_points=None) -> AnovaSpec:

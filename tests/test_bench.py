@@ -283,3 +283,59 @@ class TestRunExperiment:
             "f1", "d1", 2.0, np.random.SeedSequence(5, spawn_key=(0,))
         )
         assert result.sigma == direct
+
+
+def load_compare_bench():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_bench.py"
+    spec = importlib.util.spec_from_file_location("compare_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCompareBench:
+    """scripts/compare_bench.py reports lambda moves and cell medians."""
+
+    def write(self, path, rows):
+        lines = [CSV_HEADER] + [
+            f"d4,f1,{method},{q},{rep},{mse!r},0.0,{lam!r},1.0"
+            for method, q, rep, mse, lam in rows
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_reports_moved_rows_and_cell_changes(self, tmp_path, capsys):
+        parent = [
+            ("hbs", 40, 0, 0.25, 1e-5),
+            ("hbs", 40, 1, 0.5, 2e-5),
+            ("hbs", 40, 2, 1.0, 3e-5),
+            ("ubs", 40, 0, 0.125, 4e-5),
+        ]
+        change = list(parent)
+        change[1] = ("hbs", 40, 1, 0.75, 2.5e-5)  # the median row moves
+        p = self.write(tmp_path / "parent.csv", parent)
+        c = self.write(tmp_path / "change.csv", change)
+        assert load_compare_bench().main([p, c]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "lambda moved in 1 of 4 rows"
+        assert out[1] == "  d4 f1 hbs q=40 replicate=1: 2e-05 -> 2.5e-05"
+        assert out[3] == "  d4 f1 hbs q=40: 0.5 -> 0.75 (+5.00e-01)"
+        assert out[4] == "  d4 f1 ubs q=40: 0.125 -> 0.125 (+0.00e+00)"
+        assert out[5] == "largest relative change in a cell median: 5.00e-01"
+
+    def test_identical_files_report_nothing_moved(self, tmp_path, capsys):
+        rows = [("hbs", 40, 0, 0.25, 1e-5), ("hbs", 60, 0, float("nan"), 2e-5)]
+        p = self.write(tmp_path / "a.csv", rows)
+        assert load_compare_bench().main([p, p]) == 0
+        out = capsys.readouterr().out
+        assert "lambda moved in 0 of 2 rows" in out
+        assert "largest relative change in a cell median: 0.00e+00" in out
+
+    def test_different_rows_exit_1(self, tmp_path, capsys):
+        p = self.write(tmp_path / "a.csv", [("hbs", 40, 0, 0.25, 1e-5)])
+        c = self.write(tmp_path / "b.csv", [("hbs", 40, 1, 0.25, 1e-5)])
+        assert load_compare_bench().main([p, c]) == 1
+        assert "different rows" in capsys.readouterr().err

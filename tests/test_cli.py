@@ -187,6 +187,22 @@ class TestFit:
         ]) == 2
         assert "unreadable CSV" in capsys.readouterr().err
 
+    def test_constant_predictor_column_exits_2(self, tmp_path, capsys):
+        # Without the check such a column fits only on the jitter ladder.
+        gen = np.random.default_rng(11)
+        rows = [[repr(float(u)), "3.5", repr(float(v))] for u, v in gen.random((60, 2))]
+        data = write_csv(tmp_path / "train.csv", ["u", "flat", "y"], rows)
+        out = tmp_path / "model.json"
+        rc = main(["fit", "--data", data, "--response", "y", "--q", "10", "--out", str(out)])
+        assert rc == 2
+        assert "constant predictor column 'flat'" in capsys.readouterr().err
+        assert not out.exists()
+        # Left out by name, the rest of the file fits.
+        assert main([
+            "fit", "--data", data, "--response", "y", "--predictors", "u",
+            "--q", "10", "--out", str(out),
+        ]) == 0
+
     def test_exit_codes(self, tmp_path, capsys):
         data, _, _ = training_csv(tmp_path / "train.csv", seed=6, n=50)
         out = str(tmp_path / "m.json")

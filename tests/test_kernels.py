@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import hbspline.kernels as kernels
 from hbspline import (
     AnovaSpec,
     dataset_from_unit_cube,
@@ -14,13 +16,49 @@ from hbspline import (
     rescale_term_weights,
 )
 from hbspline.errors import InvalidConfigError, InvalidInputError
-from hbspline.kernels import _k1, _k2, _k4, _term_block, chunk_rows
+from hbspline.kernels import _k1, _k2, _k4, chunk_rows
 from hbspline.solver import design_matrices, gcv_select
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0)
+EPS = np.finfo(np.float64).eps
 
 # The scaled Bernoulli polynomials k1, k2 and k4 by level.
 BERNOULLI = {1: _k1, 2: _k2, 4: _k4}
+
+
+def _bernoulli(t):
+    """k1, k2 and k4 of t as _k1, _k2 and _k4 form them, with every
+    constant in the dtype of t: long-double points give a long-double
+    reference, float64 points the float64 formulas bit for bit."""
+    one = t.dtype.type(1)
+    a = t - one / 2
+    a2 = a * a
+    return a, (a2 - one / 12) / 2, (a2 * a2 - a2 / 2 + one * 7 / 240) / 24
+
+
+def _r1_cross(u, v):
+    """Reference R1 on the product grid of two coordinate vectors: (len u, len v)."""
+    return np.outer(_bernoulli(u)[1], _bernoulli(v)[1]) - _bernoulli(np.abs(u[:, None] - v))[2]
+
+
+def _term_block(Xa, Xb, kind, ref):
+    """Reference: one term's unscaled Gram block, straight from its formula."""
+    if kind == "main":
+        return _r1_cross(Xa[:, ref], Xb[:, ref])
+    a, b = ref
+    r1a = _r1_cross(Xa[:, a], Xb[:, a])
+    r1b = _r1_cross(Xa[:, b], Xb[:, b])
+    lina = np.outer(_bernoulli(Xa[:, a])[0], _bernoulli(Xb[:, a])[0])
+    linb = np.outer(_bernoulli(Xa[:, b])[0], _bernoulli(Xb[:, b])[0])
+    return r1a * r1b + r1a * linb + lina * r1b
+
+
+def term_block_sum(Xa, Xb, spec):
+    """Reference: the scale-weighted sum of every term's _term_block."""
+    out = np.zeros((Xa.shape[0], Xb.shape[0]), dtype=Xa.dtype)
+    for theta, (kind, ref) in zip(spec.term_scales, spec.terms()):
+        out += Xa.dtype.type(theta) * _term_block(Xa, Xb, kind, ref)
+    return out
 
 
 def r1(s, t):
@@ -317,16 +355,28 @@ class TestNullSpaceExactness:
             assert np.max(np.abs(y - S @ alpha - Rstar @ beta)) < 1e-8
 
 
-def term_block_sum(Xa, Xb, spec):
-    """Reference: the scale-weighted sum of every term's _term_block."""
-    out = np.zeros((Xa.shape[0], Xb.shape[0]))
-    for theta, (kind, ref) in zip(spec.term_scales, spec.terms()):
-        out += theta * _term_block(Xa, Xb, kind, ref)
-    return out
+def single_chunk(X, Z, spec):
+    """The builder's output with every row in one chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_CHUNK_ENTRIES", 1 << 62)
+        return gram_matrix(X, Z, spec)
+
+
+def assert_builder(K, X, Z, spec):
+    """K is bitwise the builder's own output row by row and in one chunk,
+    and within 8 eps of max|reference| of the term-by-term sum."""
+    n, h = X.shape[0], chunk_rows(Z.shape[0])
+    rows = set(range(n)) if n <= 256 else set(range(0, n, 101))
+    rows |= {r for lo in range(h, n, h) for r in (lo - 1, lo)} | {n - 1}
+    for i in sorted(rows):
+        assert np.array_equal(gram_matrix(X[i : i + 1], Z, spec)[0], K[i]), i
+    assert np.array_equal(single_chunk(X, Z, spec), K)
+    ref = term_block_sum(X, Z, spec)
+    assert np.max(np.abs(K - ref)) <= 8 * EPS * np.max(np.abs(ref))
 
 
 class TestGramMatrixBuilder:
-    """The chunked builder is bitwise the _term_block sum."""
+    """The chunked builder against itself (bitwise) and the term sum (close)."""
 
     SPEC = AnovaSpec(
         d=3,
@@ -347,7 +397,7 @@ class TestGramMatrixBuilder:
     )
     def test_matches_term_block_sum(self, rng, n, q):
         X, Z = rng.random((n, 3)), rng.random((q, 3))
-        assert np.array_equal(gram_matrix(X, Z, self.SPEC), term_block_sum(X, Z, self.SPEC))
+        assert_builder(gram_matrix(X, Z, self.SPEC), X, Z, self.SPEC)
 
     @pytest.mark.parametrize(
         "n, q",
@@ -359,12 +409,14 @@ class TestGramMatrixBuilder:
         ],
     )
     def test_matches_term_block_sum_in_design_view(self, rng, n, q):
-        # The reused chunk buffers write through out= into a strided view.
+        # The reused chunk buffers write through out= into a strided view,
+        # which gets the floats of a fresh array.
         m = self.SPEC.m
         X, Z = rng.random((n, 3)), rng.random((q, 3))
         B = np.full((n, m + q), np.nan)
         gram_matrix(X, Z, self.SPEC, out=B[:, m:])
-        assert np.array_equal(B[:, m:], term_block_sum(X, Z, self.SPEC))
+        assert np.array_equal(B[:, m:], gram_matrix(X, Z, self.SPEC))
+        assert_builder(B[:, m:], X, Z, self.SPEC)
 
     def test_consecutive_calls_with_different_q(self, rng):
         # Each call sizes its own buffers: nothing of one call's chunks,
@@ -372,7 +424,7 @@ class TestGramMatrixBuilder:
         X = rng.random((2 * chunk_rows(7) + 3, 3))
         for q in (40, 7, 40, 1):
             Z = rng.random((q, 3))
-            assert np.array_equal(gram_matrix(X, Z, self.SPEC), term_block_sum(X, Z, self.SPEC))
+            assert_builder(gram_matrix(X, Z, self.SPEC), X, Z, self.SPEC)
 
     @pytest.mark.parametrize(
         "spec",
@@ -389,7 +441,7 @@ class TestGramMatrixBuilder:
     )
     def test_partial_specs(self, rng, spec):
         X, Z = rng.random((2 * chunk_rows(40) + 9, spec.d)), rng.random((40, spec.d))
-        assert np.array_equal(gram_matrix(X, Z, spec), term_block_sum(X, Z, spec))
+        assert_builder(gram_matrix(X, Z, spec), X, Z, spec)
 
     def test_writes_into_column_view_of_design(self, rng):
         n, q, m = chunk_rows(20) + 11, 20, self.SPEC.m
@@ -398,10 +450,84 @@ class TestGramMatrixBuilder:
         out = gram_matrix(X, Z, self.SPEC, out=B[:, m:])
         assert not B[:, m:].flags.c_contiguous
         assert np.shares_memory(out, B)
-        assert np.array_equal(B[:, m:], term_block_sum(X, Z, self.SPEC))
+        assert np.array_equal(B[:, m:], gram_matrix(X, Z, self.SPEC))
+        assert_builder(B[:, m:], X, Z, self.SPEC)
         assert np.all(np.isnan(B[:, :m]))
 
     def test_rejects_misshapen_out(self, rng):
         X, Z = rng.random((10, 3)), rng.random((4, 3))
         with pytest.raises(InvalidInputError):
             gram_matrix(X, Z, self.SPEC, out=np.empty((10, 5)))
+
+    @pytest.mark.parametrize("arg", ["Xa", "Xb"])
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_rejects_wrong_width(self, rng, arg, width):
+        # Narrower points used to fail with a raw IndexError; wider ones
+        # were silently cut to their first d columns.
+        pts = {"Xa": rng.random((10, 3)), "Xb": rng.random((4, 3))}
+        pts[arg] = rng.random((len(pts[arg]), width))
+        with pytest.raises(InvalidInputError, match=f"{arg} has {width} columns, expected 3"):
+            gram_matrix(pts["Xa"], pts["Xb"], self.SPEC)
+
+    @pytest.mark.parametrize("n, q", [(3 * chunk_rows(25) + 1, 25), (1, 25), (37, 1), (1, 1)])
+    def test_bitwise_symmetric(self, rng, n, q):
+        spec = default_spec(4)
+        spec = AnovaSpec(
+            d=4,
+            main_effects=spec.main_effects,
+            interactions=spec.interactions,
+            term_scales=tuple(np.exp(rng.uniform(-3.0, 4.0, spec.n_terms))),
+        )
+        X, Z = rng.random((n, 4)), rng.random((q, 4))
+        assert np.array_equal(gram_matrix(X, Z, spec), gram_matrix(Z, X, spec).T)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= EPS, reason="long double is no wider than float64"
+)
+@pytest.mark.parametrize("d", [1, 2, 4, 7])
+def test_error_within_twice_the_term_by_term_sum(d):
+    # Worst error over four draws of each float64 computation against a
+    # long-double evaluation of the term-by-term formula, relative to
+    # max|K|: the grouped builder may lose at most a factor 2.  The
+    # worst over draws is the stable statistic; in a single draw the
+    # term-by-term sum's maximum error is sometimes unusually small.
+    rng = np.random.default_rng(d)
+    built = summed = 0.0
+    for _ in range(4):
+        spec = default_spec(d)
+        spec = AnovaSpec(
+            d=d,
+            main_effects=spec.main_effects,
+            interactions=spec.interactions,
+            term_scales=tuple(np.exp(rng.uniform(-3.0, 4.0, spec.n_terms))),
+        )
+        X, Z = rng.random((500, d)), rng.random((100, d))
+        exact = term_block_sum(X.astype(np.longdouble), Z.astype(np.longdouble), spec)
+        scale = np.max(np.abs(exact))
+        built = max(built, np.max(np.abs(gram_matrix(X, Z, spec) - exact)) / scale)
+        summed = max(summed, np.max(np.abs(term_block_sum(X, Z, spec) - exact)) / scale)
+    assert built <= 2 * summed
+
+
+class TestGramMatrixProperties:
+    SPEC = TestGramMatrixBuilder.SPEC
+
+    @settings(max_examples=30)
+    @given(data=st.data(), n=st.integers(1, 300), q=st.integers(1, 200))
+    def test_row_permutation(self, data, n, q):
+        X = data.draw(arrays(np.float64, (n, 3), elements=unit_floats))
+        Z = data.draw(arrays(np.float64, (q, 3), elements=unit_floats))
+        perm = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+        assert np.array_equal(gram_matrix(X[perm], Z, self.SPEC), gram_matrix(X, Z, self.SPEC)[perm])
+
+    @settings(max_examples=20)
+    @given(k=st.integers(1, 3), q=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_chunk_invariance(self, k, q, seed):
+        # One row past k full chunks: the last chunk holds a single row.
+        n = k * chunk_rows(q) + 1
+        rng = np.random.default_rng(seed)
+        X, Z = rng.random((n, 3)), rng.random((q, 3))
+        K = gram_matrix(X, Z, self.SPEC)
+        assert np.array_equal(K, single_chunk(X, Z, self.SPEC))
+        assert np.array_equal(K[-1:], gram_matrix(X[-1:], Z, self.SPEC))

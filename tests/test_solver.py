@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbspline import (
     BasisSelection,
@@ -569,8 +570,48 @@ class TestNumpyLinalgAgainstScipy:
             _cholesky(-M, "a negative definite matrix")
 
 
+def random_problem(n, d, q, seed):
+    """n uniform rows in d dimensions, q ubs basis points, rescaled default spec."""
+    gen = np.random.default_rng(seed)
+    data = dataset_from_unit_cube(gen.random((n, d)), gen.standard_normal(n))
+    sel = ubs_select(data, SelectionConfig(q=q, method="ubs", seed=seed))
+    return data, sel, rescale_term_weights(data, default_spec(d), data.X[sel.indices])
+
+
 class TestStreamedNormalEquations:
     """The fit's block-by-block G, b and R** against the whole design."""
+
+    @settings(max_examples=15)
+    @given(
+        n=st.integers(6, _BLOCK_ROWS),
+        d=st.integers(1, 4),
+        q=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_block_is_bitwise_the_whole_design(self, n, d, q, seed):
+        data, sel, spec = random_problem(n, d, min(q, n), seed)
+        B, _ = design_matrices(data, sel, spec)
+        sys_ = _normal_equations(data, data.X[sel.indices], spec)
+        assert np.array_equal(sys_.G, B.T @ B)
+        assert np.array_equal(sys_.b, B.T @ data.y)
+
+    @settings(max_examples=10)
+    @given(
+        n=st.integers(_BLOCK_ROWS + 1, 3 * _BLOCK_ROWS),
+        d=st.integers(1, 4),
+        q=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_sum_to_the_whole_design(self, n, d, q, seed):
+        # Blocks group the n products of each entry differently from one
+        # whole product; both stay within a few eps of |B|'|B| (measured
+        # worst: 3.3 eps for G, 0.5 eps for b), so allow 16 eps.
+        data, sel, spec = random_problem(n, d, q, seed)
+        B, _ = design_matrices(data, sel, spec)
+        sys_ = _normal_equations(data, data.X[sel.indices], spec)
+        tol = 16 * np.finfo(np.float64).eps
+        assert np.all(np.abs(sys_.G - B.T @ B) <= tol * (np.abs(B).T @ np.abs(B)))
+        assert np.all(np.abs(sys_.b - B.T @ data.y) <= tol * (np.abs(B).T @ np.abs(data.y)))
 
     @pytest.mark.parametrize("n", [300, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
     def test_matches_whole_design(self, n):
