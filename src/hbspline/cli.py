@@ -152,9 +152,13 @@ def _load_spec(path, d: int) -> AnovaSpec:
     not_lists = [k for k in lists if not isinstance(obj.get(k, []), (list, type(None)))]
     if not_lists:
         raise InvalidConfigError(f"{path}: spec keys must be lists: {not_lists}")
+    if obj.get("d", d) != d:
+        raise InvalidConfigError(
+            f"{path}: spec key 'd' is {obj['d']!r}, but the data has {d} predictors"
+        )
     try:
         return AnovaSpec(
-            d=int(obj.get("d", d)),
+            d=d,
             main_effects=tuple(obj.get("main_effects", range(d))),
             interactions=tuple(tuple(p) for p in obj.get("interactions", ())),
             term_scales=(

@@ -199,12 +199,9 @@ class RunManifest:
 
 
 def _version() -> str:
-    try:
-        from importlib.metadata import version
+    from . import __version__
 
-        return version("hbspline")
-    except Exception:
-        return "unknown"
+    return __version__
 
 
 def manifest_path(out_path) -> str:

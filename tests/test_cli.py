@@ -173,6 +173,35 @@ class TestFit:
         assert "spec" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("d", [3, 1, 2.5, "2"])
+    def test_spec_d_must_match_the_data(self, tmp_path, capsys, d):
+        data, _, _ = training_csv(tmp_path / "train.csv", seed=5, n=60)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"d": d}))
+        out = tmp_path / "model.json"
+        assert main([
+            "fit", "--data", data, "--response", "y", "--q", "10",
+            "--spec", str(spec_path), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert str(spec_path) in err and "'d'" in err and "2 predictors" in err
+        assert not out.exists()
+
+    def test_manifest_version_is_the_package_version(self, tmp_path):
+        import tomllib
+        from pathlib import Path
+
+        import hbspline
+
+        data, _, _ = training_csv(tmp_path / "train.csv", n=60)
+        out = tmp_path / "model.json"
+        assert main(["fit", "--data", data, "--response", "y", "--q", "10", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        assert manifest["version"] == hbspline.__version__
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == hbspline.__version__
+
     @pytest.mark.parametrize(
         "content",
         [b"u,y\n\xff\xfe,1\n", b"u,y\n" + b"1" * 131_073 + b",2\n"],

@@ -443,6 +443,44 @@ class TestGramMatrixBuilder:
         X, Z = rng.random((2 * chunk_rows(40) + 9, spec.d)), rng.random((40, spec.d))
         assert_builder(gram_matrix(X, Z, spec), X, Z, spec)
 
+    ADDITIVE = AnovaSpec(d=3, main_effects=(0, 1, 2), term_scales=(0.5, 2.0, 219.43))
+
+    @pytest.mark.parametrize("additive", [False, True], ids=["full", "additive"])
+    def test_factor_spans(self, rng, additive):
+        # The left factor rows are built once per span of _FACTOR_ROWS
+        # rows, a whole number of chunks; K does not see the spans.
+        spec = self.ADDITIVE if additive else self.SPEC
+        X, Z = rng.random((2 * kernels._FACTOR_ROWS + 9, 3)), rng.random((30, 3))
+        K = gram_matrix(X, Z, spec)
+        assert_builder(K, X, Z, spec)
+        assert np.array_equal(K, gram_matrix(Z, X, spec).T)
+
+    def test_additive_spec_is_the_sum_of_its_mains(self, rng):
+        # One main with scale 24 has M_a = 1, so its K is 24 R1_a itself;
+        # the additive K is then sum_a 24 R1_a * fl(sqrt(theta_a / 24))^2,
+        # accumulated in main-effect order, bit for bit.
+        spec = self.ADDITIVE
+        roots = [np.sqrt(theta / 24.0) for theta in spec.term_scales]
+        assert any(float(r * r) != theta / 24.0 for r, theta in zip(roots, spec.term_scales))
+        X, Z = rng.random((chunk_rows(30) + 5, 3)), rng.random((30, 3))
+        expect = None
+        for a, root in zip(spec.main_effects, roots):
+            r24 = gram_matrix(X, Z, AnovaSpec(d=3, main_effects=(a,), term_scales=(24.0,)))
+            term = r24 * float(root * root)
+            expect = term if expect is None else expect + term
+        assert np.array_equal(gram_matrix(X, Z, spec), expect)
+
+    @pytest.mark.parametrize("rows, q", [(chunk_rows(200), 200), (chunk_rows(7), 7), (1, 7), (5, 1)])
+    def test_additive_constant_is_the_one_column_product(self, rows, q):
+        # A main effect with no partner fills M_a with fl(root)^2, root =
+        # sqrt(theta_a / 24): bitwise the one-column product of its factor
+        # columns that the builder would otherwise take.
+        for theta in self.ADDITIVE.term_scales + (1e-3, 7.0):
+            root = np.sqrt(theta / 24.0)
+            out = np.empty((rows, q))
+            kernels._gemm(np.full((rows, 1), root), np.full((q, 1), root), out)
+            assert np.array_equal(out, np.full((rows, q), float(root * root)))
+
     def test_writes_into_column_view_of_design(self, rng):
         n, q, m = chunk_rows(20) + 11, 20, self.SPEC.m
         X, Z = rng.random((n, 3)), rng.random((q, 3))
