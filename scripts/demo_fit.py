@@ -42,8 +42,10 @@ def main(argv=None) -> int:
     sel = select(data, SelectionConfig(q=args.q, method=args.method, seed=args.seed))
     model = gcv_select(data, sel, default_spec(d))
 
+    # predict applies the model's scaler itself; the surface is evaluated
+    # on the scaled points.
     X_test, clamped = apply_scaler(raw_test, data.scaler)
-    test_mse = mse(predict(model, X_test), eval_function(args.function, X_test))
+    test_mse = mse(predict(model, raw_test), eval_function(args.function, X_test))
 
     print(f"fit: {args.dist}/{args.function} n={args.n} q={args.q} method={args.method}")
     print(f"selected lambda = {model.lam:.4e}  (GCV score {model.gcv_score:.5f})")

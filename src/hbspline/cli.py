@@ -145,10 +145,10 @@ def _load_spec(path, d: int) -> AnovaSpec:
     obj = load_json_config(path)
     if not isinstance(obj, dict):
         raise InvalidConfigError(f"{path}: expected a JSON object")
-    unknown = set(obj) - {"main_effects", "interactions", "term_scales", "d"}
+    unknown = set(obj) - {"main_effects", "interactions", "d"}
     if unknown:
         raise InvalidConfigError(f"unknown spec keys: {sorted(unknown)}")
-    lists = ("main_effects", "interactions", "term_scales")
+    lists = ("main_effects", "interactions")
     not_lists = [k for k in lists if not isinstance(obj.get(k, []), (list, type(None)))]
     if not_lists:
         raise InvalidConfigError(f"{path}: spec keys must be lists: {not_lists}")
@@ -161,9 +161,6 @@ def _load_spec(path, d: int) -> AnovaSpec:
             d=d,
             main_effects=tuple(obj.get("main_effects", range(d))),
             interactions=tuple(tuple(p) for p in obj.get("interactions", ())),
-            term_scales=(
-                tuple(obj["term_scales"]) if obj.get("term_scales") is not None else None
-            ),
         )
     except (TypeError, ValueError) as exc:
         raise InvalidConfigError(f"{path}: malformed spec: {exc}") from None

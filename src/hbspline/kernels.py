@@ -13,10 +13,11 @@ on [0,1] built from scaled Bernoulli polynomials:
 The unpenalized (null) space contains the constant and the linear
 score k1 of every main effect, so its dimension is 1 + #mains.  An
 interaction term combines the smooth x smooth, smooth x linear, and
-linear x smooth products of its pair; the linear x linear product is
-kept inside the penalized term rather than enlarging the null space,
-which leaves the parametric design matrix small and well conditioned
-at the price of a (tiny) penalty on that one cross term.
+linear x smooth products of its pair.  The linear x linear product
+k1(x_a) k1(x_b) is in neither the kernel nor the null space, so the
+model has no linear cross term.  As R1(0, t) = R1(1, t), a d = 2 basis
+that holds the four corners of the unit square then makes R** exactly
+singular.
 
 gram_matrix groups the terms by their first dimension.  With
 L_j = k1(s_j) k1(t_j), scales theta, and b > a in main_effects order,
@@ -54,12 +55,6 @@ from .errors import InvalidConfigError, InvalidInputError
 # taken block by block matches an unchunked one bit for bit.
 _CHUNK_ENTRIES = 1 << 14
 _ROW_ALIGN = 8
-
-# The left factor rows of a kernel matrix are built for a span of at most
-# this many rows at a time (a whole number of chunks, at least one), not
-# once per chunk, which costs a dozen small numpy calls: a d = 2,
-# 2000 x 100 call went from 2.0 to 1.7 ms (best of 40, one BLAS thread).
-_FACTOR_ROWS = 2048
 
 # Beyond this dimension the all-pairs default would add d*(d-1)/2
 # interaction terms, so default_spec stays additive; an explicit spec
@@ -227,9 +222,10 @@ def gram_matrix(Xa, Xb, spec: AnovaSpec, out=None) -> np.ndarray:
 
     Built as K = sum_a R1_a o (M_a + V_a) (module docstring) in row
     chunks of chunk_rows(len(Xb)) through d + 2 buffers allocated once
-    per call, from factor rows built once per span of _FACTOR_ROWS
-    rows: O(chunk * q + _FACTOR_ROWS * d) memory beyond out.  Every
-    scalar of a product is split as sqrt(c) over both factors, and every
+    per call, from factor rows built once per call: O(chunk * q +
+    n * (d + #interactions)) memory beyond out, which stays small as
+    the fit and predict pass blocks of at most 2049 rows.  Every scalar
+    of a product is split as sqrt(c) over both factors, and every
     factor row comes from its own point, so K(Xa, Xb) = K(Xb, Xa)'
     bitwise and an entry depends only on its two points at any chunk
     height (_gemm): R** is bitwise the selected rows of R*.
@@ -289,14 +285,11 @@ def gram_matrix(Xa, Xb, spec: AnovaSpec, out=None) -> np.ndarray:
         F *= roots
         return F
 
-    Fb, rows = factors(Xb, right), chunk_rows(q)
-    span = max(rows, _FACTOR_ROWS // rows * rows)
+    Fs, Fb, rows = factors(Xa, left), factors(Xb, right), chunk_rows(q)
     # d + 2 chunk buffers, allocated once: 24 R1 per main effect, two scratch.
     bufs = [np.empty((min(n, rows), q)) for _ in range(nd + 2)]
     for lo in range(0, n, rows):
-        if lo % span == 0:
-            Fs = factors(Xa[lo : lo + span], left)
-        block, Fa = out[lo : lo + rows], Fs[lo % span : lo % span + rows]
+        block, Fa = out[lo : lo + rows], Fs[lo : lo + rows]
         *r, s, t = (buf[: len(block)] for buf in bufs)
         for i, (pd, pr, _, _) in enumerate(parts):
             # 24 R1_a = P P' - w^2 with w = x - x^2, x = |u - v|.

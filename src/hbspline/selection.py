@@ -97,6 +97,19 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _check_rows(X, yv):
+    """Reject a y of the wrong length, then non-finite entries, naming the first."""
+    if yv.shape[0] != X.shape[0]:
+        raise InvalidInputError(f"{X.shape[0]} predictor rows but {yv.shape[0]} responses")
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, c = bad[0]
+        raise InvalidInputError(f"non-finite predictor at row {r}, column {c}")
+    if not np.all(np.isfinite(yv)):
+        r = int(np.flatnonzero(~np.isfinite(yv))[0])
+        raise InvalidInputError(f"non-finite response at row {r}")
+
+
 def scale_to_unit_cube(raw, y) -> Dataset:
     """Min-max scale raw predictors columnwise onto [0,1]^d.
 
@@ -124,17 +137,7 @@ def scale_to_unit_cube(raw, y) -> Dataset:
     yv = np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] < 1:
         raise InvalidInputError("empty dataset")
-    if yv.shape[0] != X.shape[0]:
-        raise InvalidInputError(
-            f"{X.shape[0]} predictor rows but {yv.shape[0]} responses"
-        )
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        r, c = bad[0]
-        raise InvalidInputError(f"non-finite predictor at row {r}, column {c}")
-    if not np.all(np.isfinite(yv)):
-        r = int(np.flatnonzero(~np.isfinite(yv))[0])
-        raise InvalidInputError(f"non-finite response at row {r}")
+    _check_rows(X, yv)
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     scaler = np.vstack([lo, hi])
@@ -162,13 +165,13 @@ def apply_scaler(raw, scaler) -> tuple[np.ndarray, int]:
 
 
 def dataset_from_unit_cube(X, y=None) -> Dataset:
-    """Wrap already-scaled predictors as a Dataset (identity scaler)."""
+    """Wrap already-scaled predictors as a Dataset (identity scaler);
+    rejects input as scale_to_unit_cube does, and points outside [0,1]^d."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    yv = np.zeros(X.shape[0]) if y is None else np.asarray(y, dtype=np.float64).ravel()
+    _check_rows(X, yv)
     if X.min(initial=0.0) < 0.0 or X.max(initial=0.0) > 1.0:
         raise InvalidInputError("predictors not inside the unit cube")
-    if y is None:
-        y = np.zeros(X.shape[0])
-    yv = np.asarray(y, dtype=np.float64).ravel()
     scaler = np.vstack([np.zeros(X.shape[1]), np.ones(X.shape[1])])
     return Dataset(X=X.copy(), y=yv.copy(), scaler=scaler)
 
@@ -550,14 +553,33 @@ def selection_to_json(sel: BasisSelection) -> str:
 
 
 def selection_from_json(text: str) -> BasisSelection:
-    obj = json.loads(text)
+    """Read selection_to_json's text; InvalidInputError names a bad field."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise InvalidInputError(f"selection is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise InvalidInputError("selection JSON is not an object")
+
+    def field(key, convert, *default):
+        if key not in obj and not default:
+            raise InvalidInputError(f"selection lacks the {key!r} field")
+        value = obj.get(key)
+        try:
+            return default[0] if value is None and default else convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError(f"selection field {key!r} is malformed") from None
+
+    def vector(dtype):
+        return lambda v: np.asarray(v, dtype=dtype).reshape(len(v))
+
     return BasisSelection(
-        indices=np.asarray(obj["indices"], dtype=np.int64),
-        bin_weight=np.asarray(obj["bin_weight"], dtype=np.float64),
-        nonempty_bins=int(obj["nonempty_bins"]),
-        method=obj["method"],
-        seed=int(obj["seed"]),
-        C=obj.get("C"),
-        k=obj.get("k"),
-        shortfall_moved=int(obj.get("shortfall_moved", 0)),
+        indices=field("indices", vector(np.int64)),
+        bin_weight=field("bin_weight", vector(np.float64)),
+        nonempty_bins=field("nonempty_bins", int),
+        method=field("method", lambda v: METHODS[METHODS.index(v)]),  # index rejects others
+        seed=field("seed", int),
+        C=field("C", int, None),
+        k=field("k", int, None),
+        shortfall_moved=field("shortfall_moved", int, 0),
     )

@@ -536,20 +536,19 @@ def predict_with_diagnostics(model: FittedModel, Xnew) -> tuple[np.ndarray, int]
     if clamped:
         logger.debug("%d coordinates clamped into the unit cube", clamped)
     pred = null_space_eval(scaled, model.spec) @ model.alpha
-    if model.beta.size:
-        # Stream the rows: only one block of the kernel matrix exists at a
-        # time, in one reused buffer.  _BLOCK_ROWS is a multiple of the
-        # kernel builder's row alignment, so each block's product groups
-        # rows as an unchunked product does.  A lone last row joins the
-        # block before it, because BLAS takes a one-row product down its
-        # dot path, which rounds differently from the matrix-vector path.
-        n, lo = pred.shape[0], 0
-        K_buf = np.empty((min(n, _BLOCK_ROWS + 1), model.beta.size))
-        while lo < n:
-            hi = n if n - lo <= _BLOCK_ROWS + 1 else lo + _BLOCK_ROWS
-            K = gram_matrix(scaled[lo:hi], model.basis_points, model.spec, out=K_buf[: hi - lo])
-            pred[lo:hi] += K @ model.beta
-            lo = hi
+    # Stream the rows: only one block of the kernel matrix exists at a
+    # time, in one reused buffer.  _BLOCK_ROWS is a multiple of the
+    # kernel builder's row alignment, so each block's product groups
+    # rows as an unchunked product does.  A lone last row joins the
+    # block before it, because BLAS takes a one-row product down its
+    # dot path, which rounds differently from the matrix-vector path.
+    n, lo = pred.shape[0], 0
+    K_buf = np.empty((min(n, _BLOCK_ROWS + 1), model.beta.size))
+    while lo < n:
+        hi = n if n - lo <= _BLOCK_ROWS + 1 else lo + _BLOCK_ROWS
+        K = gram_matrix(scaled[lo:hi], model.basis_points, model.spec, out=K_buf[: hi - lo])
+        pred[lo:hi] += K @ model.beta
+        lo = hi
     return pred, clamped
 
 

@@ -125,21 +125,6 @@ def _t10_mixture_quantiles(u: np.ndarray, grid=None) -> np.ndarray:
 _REFERENCE_CHUNK = 1 << 15
 
 
-def _check_reference_args(dist: str, d: int, phi_pair: tuple, d2_variant: str):
-    """Reject arguments the reference integral cannot use, before any draw."""
-    if dist not in DISTRIBUTIONS:
-        raise InvalidConfigError(f"unknown distribution {dist!r}")
-    if dist == "d2" and d2_variant != "mixture":
-        raise InvalidConfigError(
-            "reference integral supports the mixture reading of the t design"
-        )
-    for phi in phi_pair:
-        if len(phi.nu) != d:
-            raise InvalidInputError(
-                f"multi-index {phi.nu} has {len(phi.nu)} coordinates, design has d={d}"
-            )
-
-
 def _qmc_design(dist: str, d: int, log2_points: int, seed: int) -> np.ndarray:
     """Raw design draws via a scrambled Sobol stream (inverse transforms).
 
@@ -189,7 +174,6 @@ def reference_integral(
     phi_pair: tuple,
     seed: int = 0,
     log2_points: int = 23,
-    d2_variant: str = "mixture",
 ) -> tuple[float, np.ndarray]:
     """High-precision value of the integral of phi_nu phi_mu f_X.
 
@@ -201,7 +185,13 @@ def reference_integral(
     Memory: the raw design (n * d doubles) plus one chunk; scaling and
     evaluation run in chunks.
     """
-    _check_reference_args(dist, d, phi_pair, d2_variant)
+    if dist not in DISTRIBUTIONS:
+        raise InvalidConfigError(f"unknown distribution {dist!r}")
+    for phi in phi_pair:
+        if len(phi.nu) != d:
+            raise InvalidInputError(
+                f"multi-index {phi.nu} has {len(phi.nu)} coordinates, design has d={d}"
+            )
     nu, mu = phi_pair
     raw = _qmc_design(dist, d, log2_points, int(seed) & (2**63 - 1))
     cols = raw.T
@@ -302,7 +292,6 @@ def variance_scaling_study(
     seed: int = 0,
     n: int = 100_000,
     k: int | None = None,
-    d2_variant: str = "mixture",
 ) -> ScalingReport:
     """Measure both estimators' squared-error decay in q.
 
@@ -347,15 +336,13 @@ def variance_scaling_study(
     for q in q_list:
         _curve_order(q, kk, d)
 
-    I_ref, scaler = reference_integral(
-        dist, d, phi_pair, seed=_subseed(seed, 0), d2_variant=d2_variant
-    )
+    I_ref, scaler = reference_integral(dist, d, phi_pair, seed=_subseed(seed, 0))
 
     sq_strat = np.empty((replicates, len(q_list)))
     est_strat = np.empty((replicates, len(q_list)))
     sq_rand = np.empty((replicates, len(q_list)))
     for r in range(replicates):
-        raw = gen_design(dist, n, d, _rng(seed, 1, r), d2_variant=d2_variant)
+        raw = gen_design(dist, n, d, _rng(seed, 1, r))
         scaled, _ = apply_scaler(raw, scaler)
         data = dataset_from_unit_cube(scaled)
         for qi, q in enumerate(q_list):

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hbspline.bench import (
     run_experiment,
 )
 from hbspline.errors import InvalidConfigError, InvalidInputError
+from hbspline.selection import apply_scaler
+from hbspline.solver import mse, predict
 
 
 class TestGenDesign:
@@ -285,15 +288,39 @@ class TestRunExperiment:
         assert result.sigma == direct
 
 
-def load_compare_bench():
+def load_script(name):
     import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_bench.py"
-    spec = importlib.util.spec_from_file_location("compare_bench", path)
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TestDemoFit:
+    """scripts/demo_fit.py prints the test MSE of the model it fitted."""
+
+    def test_printed_mse_is_the_models_on_raw_test_points(self, monkeypatch, capsys):
+        demo = load_script("demo_fit")
+        designs, models = [], []
+
+        def keep(calls, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn(*args, **kwargs))
+                return calls[-1]
+
+            return wrapped
+
+        monkeypatch.setattr(demo, "gen_design", keep(designs, demo.gen_design))
+        monkeypatch.setattr(demo, "gcv_select", keep(models, demo.gcv_select))
+        assert demo.main(["--n", "300", "--q", "20", "--seed", "3"]) == 0
+        printed = re.search(r"test MSE vs noiseless surface = (\S+)", capsys.readouterr().out)
+        # predict takes raw points and applies the model's scaler itself.
+        (model,), raw_test = models, designs[1]
+        truth = eval_function("f1", apply_scaler(raw_test, model.scaler)[0])
+        assert printed.group(1) == f"{mse(predict(model, raw_test), truth):.5f}"
 
 
 class TestCompareBench:
@@ -318,7 +345,7 @@ class TestCompareBench:
         change[1] = ("hbs", 40, 1, 0.75, 2.5e-5)  # the median row moves
         p = self.write(tmp_path / "parent.csv", parent)
         c = self.write(tmp_path / "change.csv", change)
-        assert load_compare_bench().main([p, c]) == 0
+        assert load_script("compare_bench").main([p, c]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "lambda moved in 1 of 4 rows"
         assert out[1] == "  d4 f1 hbs q=40 replicate=1: 2e-05 -> 2.5e-05"
@@ -329,7 +356,7 @@ class TestCompareBench:
     def test_identical_files_report_nothing_moved(self, tmp_path, capsys):
         rows = [("hbs", 40, 0, 0.25, 1e-5), ("hbs", 60, 0, float("nan"), 2e-5)]
         p = self.write(tmp_path / "a.csv", rows)
-        assert load_compare_bench().main([p, p]) == 0
+        assert load_script("compare_bench").main([p, p]) == 0
         out = capsys.readouterr().out
         assert "lambda moved in 0 of 2 rows" in out
         assert "largest relative change in a cell median: 0.00e+00" in out
@@ -337,5 +364,5 @@ class TestCompareBench:
     def test_different_rows_exit_1(self, tmp_path, capsys):
         p = self.write(tmp_path / "a.csv", [("hbs", 40, 0, 0.25, 1e-5)])
         c = self.write(tmp_path / "b.csv", [("hbs", 40, 1, 0.25, 1e-5)])
-        assert load_compare_bench().main([p, c]) == 1
+        assert load_script("compare_bench").main([p, c]) == 1
         assert "different rows" in capsys.readouterr().err

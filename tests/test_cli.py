@@ -173,6 +173,19 @@ class TestFit:
         assert "spec" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_spec_term_scales_is_an_unknown_key(self, tmp_path, capsys):
+        # The fit sets every term scale itself (rescale_term_weights).
+        data, _, _ = training_csv(tmp_path / "train.csv", seed=5, n=60)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"main_effects": [0, 1], "term_scales": [1, 1]}))
+        out = tmp_path / "model.json"
+        assert main([
+            "fit", "--data", data, "--response", "y", "--q", "10",
+            "--spec", str(spec_path), "--out", str(out),
+        ]) == 1
+        assert "unknown spec keys: ['term_scales']" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("d", [3, 1, 2.5, "2"])
     def test_spec_d_must_match_the_data(self, tmp_path, capsys, d):
         data, _, _ = training_csv(tmp_path / "train.csv", seed=5, n=60)

@@ -1,5 +1,7 @@
 """Spline kernels, ANOVA term structure, and matrix assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -447,13 +449,28 @@ class TestGramMatrixBuilder:
 
     @pytest.mark.parametrize("additive", [False, True], ids=["full", "additive"])
     def test_factor_spans(self, rng, additive):
-        # The left factor rows are built once per span of _FACTOR_ROWS
-        # rows, a whole number of chunks; K does not see the spans.
+        # One call longer than the fit's and predict's row blocks (2048
+        # and 2049 rows) builds its factor rows once, as those blocks do.
         spec = self.ADDITIVE if additive else self.SPEC
-        X, Z = rng.random((2 * kernels._FACTOR_ROWS + 9, 3)), rng.random((30, 3))
+        X, Z = rng.random((2 * 2048 + 9, 3)), rng.random((30, 3))
         K = gram_matrix(X, Z, spec)
         assert_builder(K, X, Z, spec)
         assert np.array_equal(K, gram_matrix(Z, X, spec).T)
+
+    def test_working_memory_of_a_predict_block(self, rng):
+        # A predict block (2049 rows) at q = 200, d = 4: d + 2 chunk
+        # buffers of chunk_rows(200) x 200 (0.73 MiB) and the factor rows
+        # (0.5 MiB) beside out, which is 3.1 MiB; nothing n x q more.
+        spec = default_spec(4)
+        X, Z = rng.random((2049, 4)), rng.random((200, 4))
+        out = np.empty((2049, 200))
+        tracemalloc.start()
+        try:
+            gram_matrix(X, Z, spec, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_additive_spec_is_the_sum_of_its_mains(self, rng):
         # One main with scale 24 has M_a = 1, so its K is 24 R1_a itself;

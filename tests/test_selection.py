@@ -1,5 +1,8 @@
 """Scaling, the four basis selectors, quotas, and the balance diagnostic."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +61,24 @@ class TestScaleToUnitCube:
         data = uniform_data()
         with pytest.raises(ValueError):
             data.X[0, 0] = 2.0
+
+
+class TestDatasetFromUnitCube:
+    """Already-scaled input is checked as scale_to_unit_cube checks raw input."""
+
+    def test_rejects_nonfinite_predictor(self):
+        X = np.full((4, 2), 0.5)
+        X[3, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="predictor at row 3, column 1"):
+            dataset_from_unit_cube(X, np.zeros(4))
+
+    def test_rejects_response_of_wrong_length(self):
+        with pytest.raises(InvalidInputError, match="4 predictor rows but 3 responses"):
+            dataset_from_unit_cube(np.full((4, 2), 0.5), np.zeros(3))
+
+    def test_rejects_nonfinite_response(self):
+        with pytest.raises(InvalidInputError, match="response at row 2"):
+            dataset_from_unit_cube(np.full((4, 2), 0.5), [0.0, 1.0, np.nan, 2.0])
 
 
 class TestSelectionConfig:
@@ -457,3 +478,49 @@ class TestSelectionJson:
         assert back.method == sel.method
         assert back.seed == sel.seed
         assert back.C == sel.C and back.k == sel.k
+
+    @settings(max_examples=40)
+    @given(
+        method=st.sampled_from(["hbs", "ubs", "abs", "sbs"]),
+        n=st.integers(1, 120),
+        d=st.integers(1, 3),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_roundtrip_of_every_selector(self, method, n, d, share, seed):
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        data = dataset_from_unit_cube(gen.random((n, d)), gen.standard_normal(n))
+        sel = select(data, SelectionConfig(q=max(1, round(share * n)), method=method, seed=seed))
+        back = selection_from_json(selection_to_json(sel))
+        for f in dataclasses.fields(BasisSelection):
+            a, b = getattr(sel, f.name), getattr(back, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+            else:
+                assert a == b, f.name
+
+    VALID = {
+        "indices": [3, 1], "bin_weight": [0.5, 0.5], "nonempty_bins": 2, "method": "ubs", "seed": 4,
+    }
+
+    def test_optional_fields_take_their_defaults(self):
+        sel = selection_from_json(json.dumps(self.VALID))
+        assert (sel.C, sel.k, sel.shortfall_moved) == (None, None, 0)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nope", "not valid JSON"),
+            ("[1]", "not an object"),
+            ("{}", "'indices'"),
+            (json.dumps({**VALID, "method": None}), "'method'"),
+            (json.dumps({**VALID, "method": "xyz"}), "'method'"),
+            (json.dumps({k: v for k, v in VALID.items() if k != "seed"}), "'seed'"),
+            (json.dumps({**VALID, "indices": [[3, 1]]}), "'indices'"),
+            (json.dumps({**VALID, "bin_weight": "0.5"}), "'bin_weight'"),
+            (json.dumps({**VALID, "C": "many"}), "'C'"),
+        ],
+    )
+    def test_rejects_bad_text_naming_the_field(self, text, message):
+        with pytest.raises(InvalidInputError, match=message):
+            selection_from_json(text)

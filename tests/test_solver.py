@@ -335,6 +335,23 @@ class TestPredict:
         expect = 1.0 + 2.0 * (X[:, 0] - 0.5) - 3.0 * (X[:, 1] - 0.5)
         assert np.allclose(predict(model, X), expect)
 
+    @pytest.mark.parametrize("n", [1, _BLOCK_ROWS + 2])
+    def test_no_basis_points_predict_s_alpha(self, rng, n):
+        # With q = 0 every kernel block is (rows, 0) and adds nothing.
+        spec = default_spec(3)
+        model = FittedModel(
+            spec=spec,
+            basis_points=np.empty((0, 3)),
+            alpha=rng.standard_normal(spec.m),
+            beta=np.empty(0),
+            lam=1.0,
+            gcv_score=0.0,
+            scaler=np.array([[0.0] * 3, [1.0] * 3]),
+            diagnostics={},
+        )
+        X = rng.random((n, 3))
+        assert np.array_equal(predict(model, X), null_space_eval(X, spec) @ model.alpha)
+
     def test_empty_input_and_clamping(self, banana_data):
         data = banana_data(n=200, seed=25)
         sel = hbs_select(data, SelectionConfig(q=10, method="hbs", seed=8))

@@ -105,11 +105,6 @@ class TestReferenceIntegral:
         v2, s2 = reference_integral("d4", 2, pair, seed=7, log2_points=12)
         assert v1 == v2 and np.array_equal(s1, s2)
 
-    def test_rejects_averaged_t_variant(self):
-        pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
-        with pytest.raises(InvalidConfigError):
-            reference_integral("d2", 2, pair, d2_variant="average")
-
     def test_rejects_bad_arguments_before_any_draw(self, monkeypatch):
         from scipy.stats import qmc
 
@@ -121,14 +116,10 @@ class TestReferenceIntegral:
         wide = (EigenSurrogate((1, 0, 0)), EigenSurrogate((0, 1, 0)))
         with pytest.raises(InvalidConfigError, match="d9"):
             reference_integral("d9", 2, pair)
-        with pytest.raises(InvalidConfigError):
-            reference_integral("d2", 2, pair, d2_variant="average")
         with pytest.raises(InvalidInputError):
             reference_integral("d1", 2, wide)
         with pytest.raises(InvalidConfigError, match="d9"):
             variance_scaling_study("d9", 2)
-        with pytest.raises(InvalidConfigError):
-            variance_scaling_study("d2", 2, d2_variant="average")
         with pytest.raises(InvalidInputError):
             variance_scaling_study("d1", 2, phi_pair=wide)
         with pytest.raises(InvalidConfigError, match="replicates"):
