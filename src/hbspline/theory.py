@@ -24,10 +24,13 @@ shrink with q and would mask the rates being measured.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import selection
 from .errors import InvalidConfigError, InvalidInputError
 from .selection import (
     BasisSelection,
@@ -120,20 +123,38 @@ def _t10_mixture_quantiles(u: np.ndarray, grid=None) -> np.ndarray:
 
 
 # The reference design is drawn, transformed, scaled and evaluated in
-# chunks of this many rows, so the working memory beyond the stored
-# design is O(chunk).
-_REFERENCE_CHUNK = 1 << 15
+# chunks of about this many values (2**15 rows at d = 2), so the working
+# memory beyond the stored columns is O(workers * chunk) at any d.
+_REFERENCE_CHUNK = 1 << 16
 
 
-def _qmc_design(dist: str, d: int, log2_points: int, seed: int) -> np.ndarray:
+def _chunk_rows(d: int) -> int:
+    """Rows per reference chunk: the largest power of two <= _REFERENCE_CHUNK / d."""
+    return 1 << ((_REFERENCE_CHUNK // d).bit_length() - 1)
+
+
+def _usable_cores() -> int:
+    """How many cores this process may run on (its CPU affinity)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _qmc_design(
+    dist: str, d: int, log2_points: int, seed: int, keep: list, pool, in_flight: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Raw design draws via a scrambled Sobol stream (inverse transforms).
 
-    The stream is drawn and transformed chunk by chunk into one
-    preallocated Fortran-ordered (n, d) array, so each column is
-    contiguous and the working memory beyond the result is one chunk.
-    Each row depends only on its own Sobol point, and the result is
-    bitwise that of transforming a single random_base2(log2_points)
-    draw (checked in the tests).
+    Returns the columns `keep` of the (n, d) design, as one Fortran-
+    ordered (n, len(keep)) array, and the (2, d) min-max scaler of all
+    d columns.  The calling thread draws the stream chunk by chunk, in
+    order; `pool` transforms each chunk into its rows of the result and
+    returns the chunk's column extremes, with at most `in_flight` chunks
+    drawn and not yet transformed.  Each row depends only on its own
+    Sobol point and extremes are exact, so the result is bitwise that of
+    transforming a single random_base2(log2_points) draw (checked in the
+    tests) for any pool size.
     """
     # Imported here so that importing the CLI does not load scipy, which
     # is slow to import and which predict never needs.
@@ -141,31 +162,48 @@ def _qmc_design(dist: str, d: int, log2_points: int, seed: int) -> np.ndarray:
     from scipy.stats import qmc
 
     n = 1 << log2_points
-    step = min(n, _REFERENCE_CHUNK)
+    step = min(n, _chunk_rows(d))
     if dist == "d2":
         grid = _t10_mixture_grid()
     if dist == "d3":
         cov = 0.9 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
         chol_t = np.linalg.cholesky(cov).T
-    raw = np.empty((d, n)).T
-    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+    design = np.empty((len(keep), n)).T
     eps = 2.0**-53
-    for start in range(0, n, step):
-        U = sob.random(step)
+
+    def transform(U, start):
         np.clip(U, eps, 1.0 - eps, out=U)
-        rows = raw[start : start + step]
-        if dist == "d1":
-            rows[:] = U
-        elif dist == "d2":
-            rows[:] = _t10_mixture_quantiles(U, grid)
-        else:
+        if dist == "d2":
+            U = _t10_mixture_quantiles(U, grid)
+        elif dist != "d1":
             ndtri(U, out=U)
             if dist == "d3":
-                rows[:] = U @ chol_t
+                U = U @ chol_t
             else:
                 U[:, 1:] += (U[:, :1] ** 2) / 1.2
-                rows[:] = U
-    return raw
+        for i, j in enumerate(keep):
+            design[start : start + step, i] = U[:, j]
+        # Column by column: a reduction along axis 0 of a C-ordered chunk
+        # is an order of magnitude slower.
+        cols = [U[:, j] for j in range(d)]
+        return [c.min() for c in cols], [c.max() for c in cols]
+
+    scaler = np.vstack([np.full(d, np.inf), np.full(d, -np.inf)])
+
+    def fold(future):
+        lo, hi = future.result()
+        np.minimum(scaler[0], lo, out=scaler[0])
+        np.maximum(scaler[1], hi, out=scaler[1])
+
+    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+    pending = deque()
+    for start in range(0, n, step):
+        if len(pending) == in_flight:
+            fold(pending.popleft())
+        pending.append(pool.submit(transform, sob.random(step), start))
+    for future in pending:
+        fold(future)
+    return design, scaler
 
 
 def reference_integral(
@@ -182,8 +220,18 @@ def reference_integral(
     defines the population and must be reused to scale every sample
     whose estimates are compared against the value.
 
-    Memory: the raw design (n * d doubles) plus one chunk; scaling and
-    evaluation run in chunks.
+    The calling thread draws the Sobol stream in order, in chunks of
+    about 2**16 values (2**15 rows at d = 2).  A pool of threads, one per
+    usable core (the process's CPU affinity, so ``taskset`` limits it)
+    and no more than there are chunks, transforms the chunks and then
+    scales and evaluates them.  Only the design columns that the pair
+    reads are stored; the others count only through their extremes.
+    The extremes and the final mean are taken over the whole design, so
+    the value and the scaler are bitwise the same for any number of
+    threads.
+
+    Memory: 2**log2_points doubles per column that the pair reads, plus
+    at most two chunks in flight per thread.
     """
     if dist not in DISTRIBUTIONS:
         raise InvalidConfigError(f"unknown distribution {dist!r}")
@@ -192,19 +240,36 @@ def reference_integral(
             raise InvalidInputError(
                 f"multi-index {phi.nu} has {len(phi.nu)} coordinates, design has d={d}"
             )
+    # Imported here, as in bench.run_experiment, so that importing the
+    # CLI does not load concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
+
     nu, mu = phi_pair
-    raw = _qmc_design(dist, d, log2_points, int(seed) & (2**63 - 1))
-    cols = raw.T
-    scaler = np.vstack([cols.min(axis=1), cols.max(axis=1)])
-    # Each chunk's product overwrites the first column of the rows it has
-    # just consumed.  That column is contiguous, so its mean is bitwise
-    # the mean of a separate product vector.
-    prod = cols[0]
-    for start in range(0, raw.shape[0], _REFERENCE_CHUNK):
-        stop = start + _REFERENCE_CHUNK
-        scaled, _ = apply_scaler(raw[start:stop], scaler)
-        np.multiply(nu(scaled), mu(scaled), out=prod[start:stop])
-    value = float(np.mean(prod))
+    keep = [j for j in range(d) if nu.nu[j] or mu.nu[j]] or [0]
+    nu_kept = EigenSurrogate(tuple(nu.nu[j] for j in keep))
+    mu_kept = EigenSurrogate(tuple(mu.nu[j] for j in keep))
+    step = _chunk_rows(d)
+    starts = range(0, 1 << log2_points, step)
+    workers = min(_usable_cores(), len(starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        design, scaler = _qmc_design(
+            dist, d, log2_points, int(seed) & (2**63 - 1), keep, pool, 2 * workers
+        )
+        kept_scaler = scaler[:, keep]
+
+        # Each chunk's product overwrites the first stored column of the
+        # rows it has just consumed.  That column is contiguous, so its
+        # mean is bitwise the mean of a separate product vector.  The
+        # scaler is the selection module's own: perfbench's tracer wraps
+        # this module's names and expects their spans from one thread.
+        def evaluate(start):
+            rows = design[start : start + step]
+            scaled, _ = selection.apply_scaler(rows, kept_scaler)
+            np.multiply(nu_kept(scaled), mu_kept(scaled), out=rows[:, 0])
+
+        for _ in pool.map(evaluate, starts):
+            pass
+    value = float(np.mean(design[:, 0]))
     return value, scaler
 
 
@@ -332,9 +397,11 @@ def variance_scaling_study(
     kk = min(12, 62 // d) if k is None else k
     # The checks each hbs selection would make, with their messages, made
     # here so that a bad q or curve order fails before the reference draw.
-    SelectionConfig(q=q_list[0], method="hbs", k=kk)
+    # The curve's own come first: they name a d that it cannot take, for
+    # which the default order is 0.
     for q in q_list:
         _curve_order(q, kk, d)
+    SelectionConfig(q=q_list[0], method="hbs", k=kk)
 
     I_ref, scaler = reference_integral(dist, d, phi_pair, seed=_subseed(seed, 0))
 

@@ -497,6 +497,24 @@ class TestTheory:
             "--out", str(tmp_path / "o.csv"),
         ]) == 1
 
+    @pytest.mark.parametrize("dim", ["63", "100"])
+    def test_dim_without_a_curve_order_exits_1_naming_d(
+        self, tmp_path, capsys, monkeypatch, dim
+    ):
+        # At d >= 63 the default curve order min(12, 62 // d) is 0; the
+        # error names d, not a k that the command has no flag for.
+        from scipy.stats import qmc
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("Sobol stream reached before validation")
+
+        monkeypatch.setattr(qmc, "Sobol", no_draw)
+        out = tmp_path / "o.csv"
+        assert main(["theory", "--dist", "d1", "--dim", dim, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"d={dim}" in err and "k=" not in err
+        assert not out.exists()
+
 
 class TestUnwritableOutput:
     """An output that cannot be written exits 1 with one line naming it."""
@@ -632,6 +650,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_cli_import_leaves_multiprocessing_unloaded():
     # Only bench --jobs > 1 starts worker processes; the import costs ~25 ms.
     code = "import sys, hbspline.cli; print('multiprocessing' in sys.modules)"
+    assert run_fresh(code).strip() == "False"
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # Only the scaling study's reference and bench --jobs > 1 start pools.
+    code = "import sys, hbspline.cli; print('concurrent.futures' in sys.modules)"
     assert run_fresh(code).strip() == "False"
 
 

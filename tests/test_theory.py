@@ -12,6 +12,7 @@ from hbspline import (
     hbs_select,
     ubs_select,
 )
+from hbspline import theory
 from hbspline.errors import InvalidConfigError, InvalidInputError
 from hbspline.selection import BasisSelection
 from hbspline.theory import (
@@ -163,9 +164,20 @@ def _one_shot_reference(dist, d, phi_pair, seed, log2_points):
     return float(np.mean(nu(scaled) * mu(scaled))), scaler
 
 
+@pytest.fixture
+def workers(monkeypatch):
+    """Set how many threads reference_integral may use (capped by its chunks)."""
+
+    def use(count):
+        monkeypatch.setattr(theory, "_usable_cores", lambda: count)
+
+    return use
+
+
 class TestChunkedReferenceIntegral:
-    # The reference design is streamed in chunks of 2**15 rows: 12 is
-    # below one chunk, 15 exactly one, 17 four of them.
+    # The reference design is streamed in chunks of 2**15 rows at d = 2
+    # and 2**14 at d = 3: 12 is below one chunk, 15 one or two, 17 four
+    # or eight of them.
     @pytest.mark.parametrize("log2_points", [12, 15, 17])
     @pytest.mark.parametrize("dist, d", [("d1", 2), ("d2", 2), ("d3", 3), ("d4", 3)])
     def test_bitwise_equal_to_one_shot(self, dist, d, log2_points):
@@ -179,37 +191,87 @@ class TestChunkedReferenceIntegral:
         assert value == ref_value
         assert np.array_equal(scaler, ref_scaler)
 
-    def test_traced_peak_is_a_small_multiple_of_the_design(self):
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("log2_points", [12, 15, 17])
+    @pytest.mark.parametrize("dist, d", [("d1", 2), ("d2", 2), ("d3", 3), ("d4", 3)])
+    def test_bitwise_equal_to_one_shot_for_any_thread_count(
+        self, workers, dist, d, log2_points, count
+    ):
+        # At 12 there is one chunk, so fewer chunks than threads.
+        workers(count)
+        self.test_bitwise_equal_to_one_shot(dist, d, log2_points)
+
+    @staticmethod
+    def traced_peak(pair):
+        """tracemalloc peak of a 2**20-point d4 reference on two threads."""
         import tracemalloc
 
-        pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
-        design_bytes = (1 << 20) * 2 * 8
+        d = len(pair[0].nu)
         # scipy loads its Sobol direction-number tables once per process;
         # load them before tracing so that only this call is measured.
-        reference_integral("d4", 2, pair, seed=5, log2_points=4)
+        reference_integral("d4", d, pair, seed=5, log2_points=4)
         tracemalloc.start()
         try:
-            reference_integral("d4", 2, pair, seed=5, log2_points=20)
-            _, peak = tracemalloc.get_traced_memory()
+            reference_integral("d4", d, pair, seed=5, log2_points=20)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * design_bytes
 
-    def test_traced_peak_holds_no_product_vector(self):
-        # The design plus one chunk's working set: no n-length vector
-        # beside the design (that alone would be 1.5x at d = 2).
-        import tracemalloc
-
+    def test_traced_peak_is_a_small_multiple_of_the_design(self, workers):
+        # Each thread holds up to two chunks; fix their number.
+        workers(2)
         pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
         design_bytes = (1 << 20) * 2 * 8
-        reference_integral("d4", 2, pair, seed=5, log2_points=4)
-        tracemalloc.start()
-        try:
-            reference_integral("d4", 2, pair, seed=5, log2_points=20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * design_bytes
+        assert self.traced_peak(pair) < 2.5 * design_bytes
+
+    def test_traced_peak_holds_no_product_vector(self, workers):
+        # The design plus two threads' chunks: no n-length vector beside
+        # the design (that alone would be 1.5x at d = 2).
+        workers(2)
+        pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
+        design_bytes = (1 << 20) * 2 * 8
+        assert self.traced_peak(pair) < 1.25 * design_bytes
+
+    def test_traced_peak_holds_only_the_columns_the_pair_reads(self, workers):
+        # At d = 6 the pair reads 2 columns; the other 4 count only through
+        # their extremes (the whole design would be 3x the bound).
+        workers(2)
+        pair = (
+            EigenSurrogate((1, 0, 0, 0, 0, 0)),
+            EigenSurrogate((0, 0, 0, 0, 1, 0)),
+        )
+        two_columns = (1 << 20) * 2 * 8
+        assert self.traced_peak(pair) < 1.25 * two_columns
+
+    def test_wrapped_names_are_called_from_the_calling_thread_only(
+        self, workers, monkeypatch
+    ):
+        # perfbench's tracer wraps these module names and records their
+        # spans on one stack, so no pool thread may call them.
+        import importlib.util
+        import threading
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        names = tracer.WRAP_POINTS["hbspline.theory"]
+        callers = {}
+
+        def recording(name, fn):
+            def call(*args, **kwargs):
+                callers.setdefault(name, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name in names:
+            monkeypatch.setattr(theory, name, recording(name, getattr(theory, name)))
+        workers(3)
+        variance_scaling_study("d4", 2, q_list=(8, 16), replicates=2, n=2000, seed=1)
+        assert set(callers) == set(names)
+        assert set().union(*callers.values()) == {threading.get_ident()}
 
 
 class TestStratifiedEstimate:
