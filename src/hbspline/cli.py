@@ -89,8 +89,8 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--config", required=True, help="experiment JSON")
     p_bench.add_argument("--out", required=True, help="results CSV")
     p_bench.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: HBSPLINE_JOBS or 1)",
+        "--jobs", type=int, default=1,
+        help="worker processes (default: 1)",
     )
     p_bench.add_argument(
         "--timings", action="store_true",
@@ -253,10 +253,7 @@ def _cmd_bench(args) -> int:
         if problems:
             raise InvalidConfigError(f"{args.config}: " + "; ".join(problems))
         cfg = ExperimentConfig(**obj)
-        jobs = args.jobs
-        if jobs is None:
-            jobs = int(os.environ.get("HBSPLINE_JOBS", "1"))
-        result = run_experiment(cfg, jobs=max(jobs, 1), timings=args.timings)
+        result = run_experiment(cfg, jobs=max(args.jobs, 1), timings=args.timings)
         with open(part, "w", encoding="utf-8") as fh:
             fh.write(result.to_csv())
         failures = sum(1 for r in result.rows if not np.isfinite(r.mse))

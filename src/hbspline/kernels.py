@@ -40,6 +40,7 @@ terms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,6 +88,14 @@ def _k4(t):
     return (a2 * a2 - a2 / 2.0 + 7.0 / 240.0) / 24.0
 
 
+def _spec_index(v) -> int:
+    """A spec entry as an int; integers (numpy's too) only, never truncated."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise InvalidConfigError(f"spec entry {v!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class AnovaSpec:
     """Term structure of the ANOVA decomposition.
@@ -111,8 +120,9 @@ class AnovaSpec:
     term_scales: tuple | None = None
 
     def __post_init__(self):
-        mains = tuple(int(j) for j in self.main_effects)
-        inters = tuple((int(a), int(b)) for a, b in self.interactions)
+        mains = tuple(_spec_index(j) for j in self.main_effects)
+        inters = tuple((_spec_index(a), _spec_index(b)) for a, b in self.interactions)
+        object.__setattr__(self, "d", _spec_index(self.d))
         object.__setattr__(self, "main_effects", mains)
         object.__setattr__(self, "interactions", inters)
         if len(set(mains)) != len(mains):

@@ -232,7 +232,9 @@ class _GcvScan:
         self.s = float(np.trace(G)) / float(np.trace(Rss))
         M0 = G.copy()
         M0[m:, m:] += self.s * Rss
-        self.Linv, self.M0, self.jitter = _cholesky(M0, "the GCV scan's reference matrix")
+        self.Linv, M0, self.jitter = _cholesky(M0, "the GCV scan's reference matrix")
+        self.condition_estimate = _condition_estimate(M0, self.Linv)
+        del M0  # freed before eigh: only the condition estimate reads it
         if self.jitter:
             logger.debug("jitter %.3e applied to the GCV scan's reference matrix", self.jitter)
         gamma, U, z = self._spectrum(G, Rss, self.b)
@@ -254,7 +256,7 @@ class _GcvScan:
 
     def _spectrum(self, G, Rss, b):
         """gamma ascending, U and z = U' L^-1 b, where C = U diag(gamma) U'
-        for C = L^-1 (G + jitter I) L^-T and self.M0 = L L'.
+        for C = L^-1 (G + jitter I) L^-T and M0 + jitter I = L L'.
 
         G is unused here; a reduction of C itself (LAPACK's sygst)
         takes it.
@@ -451,7 +453,7 @@ def _fit(data, sel, spec: AnovaSpec, rescale: bool, lam=None) -> FittedModel:
         gcv_score = (rss / scan.n) / (1.0 - fit.trace_A / scan.n) ** 2
     diagnostics.update({
         "trace_A": fit.trace_A,
-        "condition_estimate": _condition_estimate(scan.M0, scan.Linv),
+        "condition_estimate": scan.condition_estimate,
         "spread": fit.spread,
         "jitter": float(scan.jitter),
         "merged_duplicates": scan.merged,
@@ -639,7 +641,7 @@ def load_model(path) -> FittedModel:
     raw_spec = _model_field(obj, "spec")
     try:
         spec = AnovaSpec(
-            d=int(raw_spec["d"]),
+            d=raw_spec["d"],
             main_effects=tuple(raw_spec["main_effects"]),
             interactions=tuple(tuple(p) for p in raw_spec["interactions"]),
             term_scales=tuple(raw_spec["term_scales"]),
@@ -655,6 +657,9 @@ def load_model(path) -> FittedModel:
         gcv_score = float(_model_field(obj, "gcv_score"))
     except (TypeError, ValueError):
         raise InvalidInputError("model fields 'lambda' and 'gcv_score' must be numbers") from None
+    diagnostics = obj.get("diagnostics", {})
+    if not isinstance(diagnostics, dict):
+        raise InvalidInputError("model field 'diagnostics' is not a JSON object")
     return FittedModel(
         spec=spec,
         basis_points=_model_array(obj, "basis_points", (q, spec.d)),
@@ -663,7 +668,7 @@ def load_model(path) -> FittedModel:
         lam=lam,
         gcv_score=gcv_score,
         scaler=_model_array(obj, "scaler", (2, spec.d)),
-        diagnostics=dict(obj.get("diagnostics", {})),
+        diagnostics=diagnostics,
     )
 
 

@@ -25,7 +25,6 @@ shrink with q and would mask the rates being measured.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,19 +141,18 @@ def _usable_cores() -> int:
 
 
 def _qmc_design(
-    dist: str, d: int, log2_points: int, seed: int, keep: list, pool, in_flight: int
+    dist: str, d: int, log2_points: int, seed: int, keep: list, runs: list, pool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw design draws via a scrambled Sobol stream (inverse transforms).
 
     Returns the columns `keep` of the (n, d) design, as one Fortran-
     ordered (n, len(keep)) array, and the (2, d) min-max scaler of all
-    d columns.  The calling thread draws the stream chunk by chunk, in
-    order; `pool` transforms each chunk into its rows of the result and
-    returns the chunk's column extremes, with at most `in_flight` chunks
-    drawn and not yet transformed.  Each row depends only on its own
-    Sobol point and extremes are exact, so the result is bitwise that of
-    transforming a single random_base2(log2_points) draw (checked in the
-    tests) for any pool size.
+    d columns.  `pool` takes each of the contiguous `runs` of chunk
+    starts as one task, which starts its own engine at the run's first
+    point (a Sobol point depends only on its index) and draws, transforms
+    and stores one chunk at a time.  Rows depend only on their own points
+    and extremes are exact, so the result is bitwise that of transforming
+    a single random_base2(log2_points) draw (checked in the tests).
     """
     # Imported here so that importing the CLI does not load scipy, which
     # is slow to import and which predict never needs.
@@ -188,22 +186,14 @@ def _qmc_design(
         cols = [U[:, j] for j in range(d)]
         return [c.min() for c in cols], [c.max() for c in cols]
 
-    scaler = np.vstack([np.full(d, np.inf), np.full(d, -np.inf)])
+    def draw(run):
+        sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+        if run[0]:  # scipy rejects fast_forward(0) on a fresh engine
+            sob.fast_forward(run[0])
+        return [transform(sob.random(step), start) for start in run]
 
-    def fold(future):
-        lo, hi = future.result()
-        np.minimum(scaler[0], lo, out=scaler[0])
-        np.maximum(scaler[1], hi, out=scaler[1])
-
-    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
-    pending = deque()
-    for start in range(0, n, step):
-        if len(pending) == in_flight:
-            fold(pending.popleft())
-        pending.append(pool.submit(transform, sob.random(step), start))
-    for future in pending:
-        fold(future)
-    return design, scaler
+    extremes = np.concatenate(list(pool.map(draw, runs)))
+    return design, np.vstack([extremes[:, 0].min(axis=0), extremes[:, 1].max(axis=0)])
 
 
 def reference_integral(
@@ -220,18 +210,17 @@ def reference_integral(
     defines the population and must be reused to scale every sample
     whose estimates are compared against the value.
 
-    The calling thread draws the Sobol stream in order, in chunks of
-    about 2**16 values (2**15 rows at d = 2).  A pool of threads, one per
-    usable core (the process's CPU affinity, so ``taskset`` limits it)
-    and no more than there are chunks, transforms the chunks and then
-    scales and evaluates them.  Only the design columns that the pair
-    reads are stored; the others count only through their extremes.
-    The extremes and the final mean are taken over the whole design, so
-    the value and the scaler are bitwise the same for any number of
-    threads.
+    The stream is cut into chunks of about 2**16 values (2**15 rows at
+    d = 2), and the chunks into one contiguous run per thread, with one
+    thread per usable core (the process's CPU affinity, so ``taskset``
+    limits it).  Each thread draws and transforms its run one chunk at a
+    time; then the threads scale and evaluate the chunks.  Only the
+    design columns that the pair reads are stored; the others count only
+    through their extremes.  The extremes and the mean are taken over the
+    whole design, so the value and scaler are the same for any thread count.
 
     Memory: 2**log2_points doubles per column that the pair reads, plus
-    at most two chunks in flight per thread.
+    one chunk per worker.
     """
     if dist not in DISTRIBUTIONS:
         raise InvalidConfigError(f"unknown distribution {dist!r}")
@@ -251,24 +240,26 @@ def reference_integral(
     step = _chunk_rows(d)
     starts = range(0, 1 << log2_points, step)
     workers = min(_usable_cores(), len(starts))
+    runs = [starts[w * len(starts) // workers : (w + 1) * len(starts) // workers]
+            for w in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         design, scaler = _qmc_design(
-            dist, d, log2_points, int(seed) & (2**63 - 1), keep, pool, 2 * workers
+            dist, d, log2_points, int(seed) & (2**63 - 1), keep, runs, pool
         )
         kept_scaler = scaler[:, keep]
 
         # Each chunk's product overwrites the first stored column of the
-        # rows it has just consumed.  That column is contiguous, so its
-        # mean is bitwise the mean of a separate product vector.  The
-        # scaler is the selection module's own: perfbench's tracer wraps
-        # this module's names and expects their spans from one thread.
+        # rows it has just consumed; that column is contiguous, so its mean
+        # is bitwise that of a separate product vector.  One task per chunk:
+        # one per run left repeated studies' peak RSS 8 MiB higher.  The
+        # scaler is the selection module's: perfbench's tracer wraps this
+        # module's names and expects their spans from one thread.
         def evaluate(start):
             rows = design[start : start + step]
             scaled, _ = selection.apply_scaler(rows, kept_scaler)
             np.multiply(nu_kept(scaled), mu_kept(scaled), out=rows[:, 0])
 
-        for _ in pool.map(evaluate, starts):
-            pass
+        list(pool.map(evaluate, starts))
     value = float(np.mean(design[:, 0]))
     return value, scaler
 
@@ -318,14 +309,10 @@ class ScalingReport:
     n: int
     replicates: int
 
-    def passes(
-        self,
-        strat_window: tuple = STRAT_SLOPE_WINDOW,
-        rand_window: tuple = RAND_SLOPE_WINDOW,
-    ) -> bool:
+    def passes(self) -> bool:
         return (
-            strat_window[0] <= self.slope_strat <= strat_window[1]
-            and rand_window[0] <= self.slope_rand <= rand_window[1]
+            STRAT_SLOPE_WINDOW[0] <= self.slope_strat <= STRAT_SLOPE_WINDOW[1]
+            and RAND_SLOPE_WINDOW[0] <= self.slope_rand <= RAND_SLOPE_WINDOW[1]
         )
 
     def to_csv(self) -> str:

@@ -158,8 +158,12 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "spec",
-        [{"main_effects": 5}, {"main_effects": "01"}, {"interactions": [[0]]}, ["d"]],
-        ids=["int-mains", "string-mains", "short-pair", "not-an-object"],
+        [
+            {"main_effects": 5}, {"main_effects": "01"}, {"interactions": [[0]]}, ["d"],
+            {"d": 2, "main_effects": [0.5]}, {"interactions": [[0, 1.7]]},
+        ],
+        ids=["int-mains", "string-mains", "short-pair", "not-an-object",
+             "fractional-main", "fractional-pair"],
     )
     def test_malformed_spec_exits_1(self, tmp_path, capsys, spec):
         data, _, _ = training_csv(tmp_path / "train.csv", seed=5, n=60)
@@ -361,9 +365,15 @@ class TestPredict:
             ("predictors", lambda obj: obj.update(predictors=5)),
             ("predictors", lambda obj: obj.update(predictors="uv")),
             ("predictors", lambda obj: obj.update(predictors=["u", "u"])),
+            ("diagnostics", lambda obj: obj.update(diagnostics=5)),
+            ("diagnostics", lambda obj: obj.update(diagnostics=[1, 2])),
+            ("spec", lambda obj: obj["spec"].update(main_effects=[0.5, 1])),
+            ("spec", lambda obj: obj["spec"].update(interactions=[[0, 1.7]])),
+            ("spec", lambda obj: obj["spec"].update(d=2.5)),
         ],
         ids=["truncated-beta", "missing-alpha", "nan-beta", "int-predictors",
-             "string-predictors", "repeated-predictors"],
+             "string-predictors", "repeated-predictors", "int-diagnostics",
+             "list-diagnostics", "fractional-main", "fractional-pair", "fractional-d"],
     )
     def test_malformed_model_exits_2(self, fitted, tmp_path, capsys, field, damage):
         obj = json.loads(fitted.read_text())
@@ -408,14 +418,12 @@ class TestBench:
         manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
         assert manifest["seed"] == 4
 
-    def test_jobs_flag_and_env_are_immaterial(self, tmp_path, monkeypatch):
+    def test_jobs_flag_is_immaterial(self, tmp_path):
         cfg = self.bench_config(tmp_path)
-        o1, o2, o3 = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
+        o1, o2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["bench", "--config", cfg, "--out", str(o1), "--jobs", "1"]) == 0
         assert main(["bench", "--config", cfg, "--out", str(o2), "--jobs", "2"]) == 0
-        monkeypatch.setenv("HBSPLINE_JOBS", "2")
-        assert main(["bench", "--config", cfg, "--out", str(o3)]) == 0
-        assert o1.read_bytes() == o2.read_bytes() == o3.read_bytes()
+        assert o1.read_bytes() == o2.read_bytes()
 
     def test_prints_one_median_row_per_cell(self, tmp_path, capsys):
         cfg = self.bench_config(tmp_path, q_grid=[10, 15], methods=["ubs", "hbs", "full"])

@@ -152,11 +152,23 @@ class TestAnovaSpec:
             dict(d=2, main_effects=(0, 1), interactions=((0, 1), (0, 1))),
             dict(d=2, main_effects=(0, 1), term_scales=(1.0,)),
             dict(d=2, main_effects=(0, 1), term_scales=(1.0, -1.0)),
+            dict(d=2, main_effects=(0.5,)),
+            dict(d=2, main_effects=(0, 1), interactions=((0, 1.7),)),
+            dict(d=2, main_effects=(0, 1.0)),
+            dict(d=2, main_effects=("0",)),
+            dict(d=2.5, main_effects=(0, 1)),
         ],
     )
     def test_rejects_inconsistent_specs(self, kwargs):
         with pytest.raises(InvalidConfigError):
             AnovaSpec(**kwargs)
+
+    def test_numpy_integer_entries_are_plain_ints(self):
+        spec = AnovaSpec(
+            d=2, main_effects=np.arange(2), interactions=((np.int32(0), np.uint8(1)),)
+        )
+        assert spec == AnovaSpec(d=2, main_effects=(0, 1), interactions=((0, 1),))
+        assert all(type(j) is int for j in spec.main_effects + spec.interactions[0])
 
 
 class TestKernelTerm:

@@ -566,7 +566,12 @@ class ScipyGcvScan(_GcvScan):
     def _spectrum(self, G, Rss, b):
         import scipy.linalg
 
-        L = scipy.linalg.cholesky(self.M0, lower=True)
+        m = self.m
+        M0 = G.copy()
+        M0[m:, m:] += self.s * Rss
+        if self.jitter:
+            M0 = M0 + self.jitter * np.eye(M0.shape[0])
+        L = scipy.linalg.cholesky(M0, lower=True)
         Gj = G + self.jitter * np.eye(G.shape[0])
         (sygst,) = scipy.linalg.get_lapack_funcs(("sygst",), (Gj,))
         C, info = sygst(Gj, L, itype=1, lower=1)

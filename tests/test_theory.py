@@ -218,7 +218,7 @@ class TestChunkedReferenceIntegral:
             tracemalloc.stop()
 
     def test_traced_peak_is_a_small_multiple_of_the_design(self, workers):
-        # Each thread holds up to two chunks; fix their number.
+        # Each thread holds one chunk at a time; fix their number.
         workers(2)
         pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
         design_bytes = (1 << 20) * 2 * 8
@@ -272,6 +272,37 @@ class TestChunkedReferenceIntegral:
         variance_scaling_study("d4", 2, q_list=(8, 16), replicates=2, n=2000, seed=1)
         assert set(callers) == set(names)
         assert set().union(*callers.values()) == {threading.get_ident()}
+
+    def test_fresh_process_with_concurrent_first_engines(self, workers):
+        # In a fresh interpreter scipy loads its Sobol direction-number
+        # tables inside the first engines, here built by three tasks at once.
+        import os
+        import subprocess
+        import sys
+
+        import hbspline
+
+        d = 6
+        pair = (EigenSurrogate((1, 0, 0, 0, 0, 0)), EigenSurrogate((0, 0, 0, 0, 1, 0)))
+        assert (1 << 15) // theory._chunk_rows(d) >= 3
+        code = (
+            "import sys\n"
+            "from hbspline import theory\n"
+            "from hbspline.theory import EigenSurrogate\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+            "theory._usable_cores = lambda: 3\n"
+            f"pair = (EigenSurrogate({pair[0].nu}), EigenSurrogate({pair[1].nu}))\n"
+            f"v, s = theory.reference_integral('d4', {d}, pair, seed=9, log2_points=15)\n"
+            "print(v.hex(), s.tobytes().hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hbspline.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+        )
+        workers(1)
+        value, scaler = reference_integral("d4", d, pair, seed=9, log2_points=15)
+        assert proc.stdout.split() == [value.hex(), scaler.tobytes().hex()]
 
 
 class TestStratifiedEstimate:
@@ -359,7 +390,6 @@ class TestScalingReport:
         assert self.make(STRAT_SLOPE_WINDOW[0], RAND_SLOPE_WINDOW[1]).passes()
         assert not self.make(-1.5, -1.0).passes()
         assert not self.make(-2.0, -0.5).passes()
-        assert self.make(-1.5, -1.0).passes(strat_window=(-2.0, -1.0))
 
     def test_csv_layout(self):
         text = self.make(-2.0, -1.0).to_csv()
