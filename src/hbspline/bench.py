@@ -107,14 +107,24 @@ def gen_design(dist: str, n: int, d: int, seed, d2_variant: str = "mixture") -> 
             t2 = rng.standard_t(10, size=(n, d))
             return ((t - 5.0) + (t2 + 5.0)) / 2.0
         raise InvalidConfigError(f"unknown d2_variant {d2_variant!r}")
+    return _from_normal(dist, d)(rng.standard_normal((n, d)))
+
+
+def _from_normal(dist: str, d: int):
+    """d3's or d4's map from standard-normal (n, d) rows Z to the design.
+
+    d3 is Z C' with C C' = 0.9^|i-j|; d4 adds Z1^2/1.2 to Z's other columns
+    in place.  Worker threads call it, so perfbench's tracer must not wrap it.
+    """
     if dist == "d3":
         cov = 0.9 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-        L = np.linalg.cholesky(cov)
-        return rng.standard_normal((n, d)) @ L.T
-    Z = rng.standard_normal((n, d))
-    X = Z.copy()
-    X[:, 1:] += (Z[:, [0]] ** 2) / 1.2
-    return X
+        chol_t = np.linalg.cholesky(cov).T
+        return lambda Z: Z @ chol_t
+
+    def banana(Z):
+        Z[:, 1:] += (Z[:, :1] ** 2) / 1.2
+        return Z
+    return banana
 
 
 def eval_function(fn: str, x) -> np.ndarray:
@@ -376,8 +386,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, timings: bool = False) 
     ----------
     cfg : ExperimentConfig
     jobs : int
-        Worker processes for replicates; any value yields identical
-        results, assembled in a fixed (method, q, replicate) order.
+        Worker processes for replicates, at least 1; any value yields
+        identical results, assembled in a fixed (method, q, replicate) order.
     timings : bool
         Record wall-clock fit time per cell.  Off by default so that
         the output is a deterministic function of the config.
@@ -388,12 +398,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, timings: bool = False) 
         One row per cell; failed fits carry NaN markers instead of
         aborting the run.
     """
+    if jobs < 1:
+        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
     sigma = calibrate_noise(
-        cfg.function,
-        cfg.distribution,
-        cfg.snr,
-        np.random.SeedSequence(cfg.seed, spawn_key=(0,)),
-        d2_variant=cfg.d2_variant,
+        cfg.function, cfg.distribution, cfg.snr,
+        np.random.SeedSequence(cfg.seed, spawn_key=(0,)), d2_variant=cfg.d2_variant,
     )
     reps = range(cfg.replicates)
     if jobs > 1 and cfg.replicates > 1:

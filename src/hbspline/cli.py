@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--out", required=True, help="results CSV")
     p_bench.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes (default: 1)",
+        help="worker processes, at least 1 (default: 1)",
     )
     p_bench.add_argument(
         "--timings", action="store_true",
@@ -253,7 +253,7 @@ def _cmd_bench(args) -> int:
         if problems:
             raise InvalidConfigError(f"{args.config}: " + "; ".join(problems))
         cfg = ExperimentConfig(**obj)
-        result = run_experiment(cfg, jobs=max(args.jobs, 1), timings=args.timings)
+        result = run_experiment(cfg, jobs=args.jobs, timings=args.timings)
         with open(part, "w", encoding="utf-8") as fh:
             fh.write(result.to_csv())
         failures = sum(1 for r in result.rows if not np.isfinite(r.mse))

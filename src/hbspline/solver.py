@@ -13,8 +13,8 @@ whose stationary conditions are the symmetric normal equations
 solved, for every lambda, from one decomposition (_GcvScan): a Cholesky
 factorization M0 = L L' of a fixed reference matrix, with an escalating
 diagonal jitter fallback, and one symmetric eigendecomposition of the
-penalized block in L's coordinates.  All dense linear algebra is
-numpy.linalg, with the inverse factor L^-1 formed once; the model's
+penalized block in L's coordinates; the scan keeps only the eigenbasis
+W = L^-T U.  All dense linear algebra is numpy.linalg.  The model's
 "condition_estimate" diagnostic is the exact 1-norm condition number
 ||M0||_1 ||M0^-1||_1 with M0^-1 = L^-T L^-1.  The smoothing parameter is
 chosen by generalized cross-validation over the fixed log-spaced grid
@@ -138,14 +138,9 @@ class _PenalizedSystem:
 
     def __init__(self, G, b, yty: float, Rstarstar, n: int, m: int):
         if n < m + 1:
-            raise InvalidConfigError(
-                f"need at least m+1={m + 1} rows to fit, got {n}"
-            )
+            raise InvalidConfigError(f"need at least m+1={m + 1} rows to fit, got {n}")
         self.n, self.m, self.q = n, m, G.shape[0] - m
-        self.G = G
-        self.b = b
-        self.yty = yty
-        self.Rss = Rstarstar
+        self.G, self.b, self.yty, self.Rss = G, b, yty, Rstarstar
 
 
 def _cholesky(M: np.ndarray, where: str):
@@ -186,11 +181,13 @@ class _GcvScan:
     delta, V = eigh(s L22^-1 R** L22^-T), the m unpenalized directions
     have gamma = 1 exactly and the penalized ones gamma = 1 - delta.
     The normal matrix at lambda is G + t (M0 - G) with t = n lam / s,
-    i.e. L U diag(d) U' L' with d = gamma + t (1 - gamma).  With
-    z = U' L^-1 B'y and shrink = t (1 - gamma) / d, summing over the r
-    directions that are not null in G,
+    i.e. L U diag(d) U' L' with d = gamma + t (1 - gamma).  The scan
+    keeps only W = L^-T U, the generalized eigenbasis with W' M0 W = I
+    and W' G W = diag(gamma).  With z = W' B'y and
+    shrink = t (1 - gamma) / d, summing over the r directions that are
+    not null in G,
 
-        theta       = L^-T U (z / d)
+        theta       = W (z / d)
         trace A     = sum gamma / d
         n - trace A = (n - r) + sum shrink
         RSS         = y'y - sum z^2 (1 + shrink) / d
@@ -206,7 +203,7 @@ class _GcvScan:
     predictor), the jitter ladder factors M0 + j I instead.  The scan
     then solves (G + j I + n lam P) theta = b, a fixed ridge j, with G
     above read as G + j I; its trace A is exact for that fit, as
-    sum (gamma - j w) / d with w the squared column norms of L^-T U,
+    sum (gamma - j w) / d with w the squared column norms of W,
     so a direction null in G counts as residual, not fitted.
     """
 
@@ -224,51 +221,48 @@ class _GcvScan:
         self.m, self.p = m, m + sys_.q
         self.merged = sys_.q - first.shape[0]
         self.cols = np.concatenate([np.arange(m), m + first])
-        self.G = G = sys_.G[np.ix_(self.cols, self.cols)]
-        self.Rss = Rss = sys_.Rss[np.ix_(first, first)]
-        self.b = sys_.b[self.cols]
-        self.n = sys_.n
-        self.yty = sys_.yty
+        # The scan never writes G, R** or b: it copies them only to merge.
+        G, Rss, b = sys_.G, sys_.Rss, sys_.b
+        if self.merged:
+            G, Rss, b = G[np.ix_(self.cols, self.cols)], Rss[np.ix_(first, first)], b[self.cols]
+        self.G, self.Rss, self.b = G, Rss, b
+        self.n, self.yty = sys_.n, sys_.yty
         self.s = float(np.trace(G)) / float(np.trace(Rss))
         M0 = G.copy()
         M0[m:, m:] += self.s * Rss
-        self.Linv, M0, self.jitter = _cholesky(M0, "the GCV scan's reference matrix")
-        self.condition_estimate = _condition_estimate(M0, self.Linv)
+        Linv, M0, self.jitter = _cholesky(M0, "the GCV scan's reference matrix")
+        self.condition_estimate = _condition_estimate(M0, Linv)
         del M0  # freed before eigh: only the condition estimate reads it
         if self.jitter:
             logger.debug("jitter %.3e applied to the GCV scan's reference matrix", self.jitter)
-        gamma, U, z = self._spectrum(G, Rss, self.b)
+        gamma, W = self._spectrum(Linv, G, Rss)
+        del Linv  # W carries all that the scan needs of it
         # Null directions of G add 1 to n - trace A and nothing to the RSS.
         # They are those with gamma <= 0, and at least the p - n smallest
         # (gamma ascends), since G = B'B has rank at most n.
-        p = gamma.shape[0]
-        kept = (gamma > 0.0) & (np.arange(p) >= p - self.n)
+        kept = (gamma > 0.0) & (np.arange(gamma.shape[0]) >= gamma.shape[0] - self.n)
         self.gamma = np.minimum(gamma[kept], 1.0)
-        self.z2 = z[kept] ** 2
-        self.U = U[:, kept]
-        self.jw = np.zeros_like(self.gamma)
-        if self.jitter:
-            self.jw = self.jitter * ((self.Linv.T @ self.U) ** 2).sum(axis=0)
+        self.W = W = W[:, kept]
+        self.z2 = (W.T @ b) ** 2
+        self.jw = self.jitter * (W**2).sum(axis=0)
         self.free = self.n - self.gamma.shape[0]
         # With rank n, B spans R^n and y has no residual off its columns.
         rss0 = self.yty - float((self.z2 / self.gamma).sum()) if self.free else 0.0
         self.rss0 = max(rss0, 0.0)
 
-    def _spectrum(self, G, Rss, b):
-        """gamma ascending, U and z = U' L^-1 b, where C = U diag(gamma) U'
-        for C = L^-1 (G + jitter I) L^-T and M0 + jitter I = L L'.
+    def _spectrum(self, Linv, G, Rss):
+        """gamma ascending and W = L^-T U, where C = U diag(gamma) U' for
+        C = L^-1 (G + jitter I) L^-T, M0 + jitter I = L L' and Linv = L^-1.
 
-        G is unused here; a reduction of C itself (LAPACK's sygst)
-        takes it.
+        U is blockdiag(V, I_m) up to column order, so W comes from Linv's
+        row blocks without forming U.  G is unused here; a reduction of C
+        itself (LAPACK's sygst) takes it.
         """
-        q, m = Rss.shape[0], self.m
-        Li = self.Linv[m:, m:]
+        m = self.m
+        Li = Linv[m:, m:]
         delta, V = np.linalg.eigh(Li @ Rss @ Li.T, UPLO="L")
         gamma = np.concatenate([1.0 - self.s * delta[::-1], np.ones(m)])
-        U = np.zeros((q + m, q + m))
-        U[m:, :q] = V[:, ::-1]
-        U[:m, q:] = np.eye(m)
-        return gamma, U, U.T @ (self.Linv @ b)
+        return gamma, np.hstack([Linv[m:].T @ V[:, ::-1], Linv[:m].T])
 
     def _curve(self, lams):
         """V and d at each lambda (rows); V is inf where trace(A) reaches n."""
@@ -297,7 +291,7 @@ class _GcvScan:
 
     def _inverse(self, r, d):
         """(normal matrix)^-1 r over the kept directions, d from _curve."""
-        return self.Linv.T @ (self.U @ ((self.U.T @ (self.Linv @ r)) / d))
+        return self.W @ ((self.W.T @ r) / d)
 
     def solve(self, lam: float) -> _Solution:
         """The fit at lam; its V is bitwise score(lam).

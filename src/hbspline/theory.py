@@ -43,7 +43,7 @@ from .selection import (
     hbs_select,
     ubs_select,
 )
-from .bench import DISTRIBUTIONS, gen_design
+from .bench import DISTRIBUTIONS, _from_normal, gen_design
 
 __all__ = [
     "EigenSurrogate",
@@ -163,9 +163,8 @@ def _qmc_design(
     step = min(n, _chunk_rows(d))
     if dist == "d2":
         grid = _t10_mixture_grid()
-    if dist == "d3":
-        cov = 0.9 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-        chol_t = np.linalg.cholesky(cov).T
+    if dist in ("d3", "d4"):
+        from_normal = _from_normal(dist, d)
     design = np.empty((len(keep), n)).T
     eps = 2.0**-53
 
@@ -174,11 +173,7 @@ def _qmc_design(
         if dist == "d2":
             U = _t10_mixture_quantiles(U, grid)
         elif dist != "d1":
-            ndtri(U, out=U)
-            if dist == "d3":
-                U = U @ chol_t
-            else:
-                U[:, 1:] += (U[:, :1] ** 2) / 1.2
+            U = from_normal(ndtri(U, out=U))
         for i, j in enumerate(keep):
             design[start : start + step, i] = U[:, j]
         # Column by column: a reduction along axis 0 of a C-ordered chunk

@@ -425,6 +425,14 @@ class TestBench:
         assert main(["bench", "--config", cfg, "--out", str(o2), "--jobs", "2"]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        cfg = self.bench_config(tmp_path)
+        out = tmp_path / "res.csv"
+        assert main(["bench", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "bench.json"]
+
     def test_prints_one_median_row_per_cell(self, tmp_path, capsys):
         cfg = self.bench_config(tmp_path, q_grid=[10, 15], methods=["ubs", "hbs", "full"])
         out = tmp_path / "res.csv"
