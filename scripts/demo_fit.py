@@ -6,6 +6,7 @@ search, and evaluate test MSE against the noiseless surface.
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
     raw_test = gen_design(args.dist, args.n, d, gen)
     probe = scale_to_unit_cube(raw_train, np.zeros(args.n))
     eta = eval_function(args.function, probe.X)
-    data = scale_to_unit_cube(raw_train, eta + args.sigma * gen.standard_normal(args.n))
+    data = dataclasses.replace(probe, y=eta + args.sigma * gen.standard_normal(args.n))
 
     sel = select(data, SelectionConfig(q=args.q, method=args.method, seed=args.seed))
     model = gcv_select(data, sel, default_spec(d))

@@ -7,61 +7,57 @@ space-filling baselines), then solves the penalized least-squares
 problem on that reduced basis with GCV-tuned smoothing.  Fitting costs
 O(n q^2) instead of O(n^3).
 
-The names below are imported from their modules on first use, so that
-importing one module (such as the CLI for predict) does not load the
-others and scipy with them.
+Modules import scipy, concurrent.futures and multiprocessing inside the
+functions that use them, so importing the package does not load them.
 """
 
-import importlib
-
-_EXPORTS = {
-    "errors": (
-        "HbsplineError", "IngestionError", "InvalidConfigError",
-        "InvalidInputError", "SingularSystemError",
-    ),
-    "hilbert": (
-        "CurveOrder", "LocalityReport", "decode", "encode", "index_to_center",
-        "locality_bound_check", "point_to_index",
-    ),
-    "selection": (
-        "BasisSelection", "Dataset", "SelectionConfig", "abs_select",
-        "apply_scaler", "condition5_diagnostic", "dataset_from_unit_cube",
-        "hbs_select", "hilbert_bins", "sbs_select", "scale_to_unit_cube",
-        "select", "selection_from_json", "selection_to_json", "ubs_select",
-    ),
-    "kernels": (
-        "AnovaSpec", "default_spec", "gram_matrix", "null_space_eval",
-        "rescale_term_weights",
-    ),
-    "solver": (
-        "FittedModel", "LAMBDA_GRID", "fit_fixed_lambda", "gcv_select",
-        "load_model", "mse", "predict", "predict_with_diagnostics", "save_model",
-    ),
-    "bench": (
-        "ExperimentConfig", "ExperimentResult", "calibrate_noise",
-        "eval_function", "gen_design", "run_experiment",
-    ),
-    "theory": (
-        "EigenSurrogate", "ScalingReport", "reference_integral",
-        "stratified_integral_estimate", "variance_scaling_study",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = list(_HOME)
 __version__ = "0.1.0"
 
+from .errors import (
+    HbsplineError, IngestionError, InvalidConfigError, InvalidInputError,
+    SingularSystemError,
+)
+from .hilbert import (
+    CurveOrder, LocalityReport, decode, encode, index_to_center,
+    locality_bound_check, point_to_index,
+)
+from .selection import (
+    BasisSelection, Dataset, SelectionConfig, abs_select, apply_scaler,
+    condition5_diagnostic, dataset_from_unit_cube, hbs_select, hilbert_bins,
+    sbs_select, scale_to_unit_cube, select, ubs_select,
+)
+from .kernels import (
+    AnovaSpec, default_spec, gram_matrix, null_space_eval,
+    rescale_term_weights,
+)
+from .solver import (
+    LAMBDA_GRID, FittedModel, fit_fixed_lambda, gcv_select, load_model, mse,
+    predict, predict_with_diagnostics, save_model,
+)
+from .bench import (
+    ExperimentConfig, ExperimentResult, calibrate_noise, eval_function,
+    gen_design, run_experiment,
+)
+from .theory import (
+    EigenSurrogate, ScalingReport, reference_integral,
+    stratified_integral_estimate, variance_scaling_study,
+)
 
-def __getattr__(name):
-    if name in _HOME:
-        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    elif name in _EXPORTS:
-        value = importlib.import_module(f".{name}", __name__)
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))
+__all__ = [
+    "HbsplineError", "IngestionError", "InvalidConfigError",
+    "InvalidInputError", "SingularSystemError",
+    "CurveOrder", "LocalityReport", "decode", "encode", "index_to_center",
+    "locality_bound_check", "point_to_index",
+    "BasisSelection", "Dataset", "SelectionConfig", "abs_select",
+    "apply_scaler", "condition5_diagnostic", "dataset_from_unit_cube",
+    "hbs_select", "hilbert_bins", "sbs_select", "scale_to_unit_cube",
+    "select", "ubs_select",
+    "AnovaSpec", "default_spec", "gram_matrix", "null_space_eval",
+    "rescale_term_weights",
+    "FittedModel", "LAMBDA_GRID", "fit_fixed_lambda", "gcv_select",
+    "load_model", "mse", "predict", "predict_with_diagnostics", "save_model",
+    "ExperimentConfig", "ExperimentResult", "calibrate_noise",
+    "eval_function", "gen_design", "run_experiment",
+    "EigenSurrogate", "ScalingReport", "reference_integral",
+    "stratified_integral_estimate", "variance_scaling_study",
+]

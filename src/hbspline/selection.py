@@ -21,7 +21,6 @@ draws come from a counter-based generator seeded with the config seed.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -46,8 +45,6 @@ __all__ = [
     "sbs_select",
     "select",
     "condition5_diagnostic",
-    "selection_to_json",
-    "selection_from_json",
 ]
 
 logger = logging.getLogger(__name__)
@@ -97,8 +94,16 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _check_rows(X, yv):
-    """Reject a y of the wrong length, then non-finite entries, naming the first."""
+def _rows(raw, y):
+    """Predictors as a new (n, d) float64 array, a 1-D input read as one
+    column, and y as a float64 vector (zeros when None).  Rejects an empty X,
+    a y of the wrong length, then non-finite entries, naming the first."""
+    X = np.array(raw, dtype=np.float64)
+    if X.ndim < 2:
+        X = X.reshape(-1, 1)
+    yv = np.zeros(X.shape[0]) if y is None else np.asarray(y, dtype=np.float64).ravel()
+    if X.shape[0] < 1:
+        raise InvalidInputError("empty dataset")
     if yv.shape[0] != X.shape[0]:
         raise InvalidInputError(f"{X.shape[0]} predictor rows but {yv.shape[0]} responses")
     bad = np.argwhere(~np.isfinite(X))
@@ -108,6 +113,7 @@ def _check_rows(X, yv):
     if not np.all(np.isfinite(yv)):
         r = int(np.flatnonzero(~np.isfinite(yv))[0])
         raise InvalidInputError(f"non-finite response at row {r}")
+    return X, yv
 
 
 def scale_to_unit_cube(raw, y) -> Dataset:
@@ -131,13 +137,7 @@ def scale_to_unit_cube(raw, y) -> Dataset:
     InvalidInputError
         On any non-finite entry; message carries row and column.
     """
-    X = np.array(raw, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    if X.shape[0] < 1:
-        raise InvalidInputError("empty dataset")
-    _check_rows(X, yv)
+    X, yv = _rows(raw, y)
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     scaler = np.vstack([lo, hi])
@@ -167,13 +167,11 @@ def apply_scaler(raw, scaler) -> tuple[np.ndarray, int]:
 def dataset_from_unit_cube(X, y=None) -> Dataset:
     """Wrap already-scaled predictors as a Dataset (identity scaler);
     rejects input as scale_to_unit_cube does, and points outside [0,1]^d."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    yv = np.zeros(X.shape[0]) if y is None else np.asarray(y, dtype=np.float64).ravel()
-    _check_rows(X, yv)
+    X, yv = _rows(X, y)
     if X.min(initial=0.0) < 0.0 or X.max(initial=0.0) > 1.0:
         raise InvalidInputError("predictors not inside the unit cube")
     scaler = np.vstack([np.zeros(X.shape[1]), np.ones(X.shape[1])])
-    return Dataset(X=X.copy(), y=yv.copy(), scaler=scaler)
+    return Dataset(X=X, y=yv.copy(), scaler=scaler)
 
 
 @dataclass(frozen=True)
@@ -241,10 +239,6 @@ class BasisSelection:
     indices: np.ndarray
     bin_weight: np.ndarray
     nonempty_bins: int
-    method: str
-    seed: int
-    C: int | None = None
-    k: int | None = None
     shortfall_moved: int = 0
 
     def __post_init__(self):
@@ -395,9 +389,7 @@ def hbs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:
     if cfg.method != "hbs":
         raise InvalidConfigError(f"hbs_select got method {cfg.method!r}")
     _check_q(data, cfg)
-    C = cfg.resolved_C()
-    k = cfg.resolved_k(data.d)
-    bins = hilbert_bins(data, C, k)
+    bins = hilbert_bins(data, cfg.resolved_C(), cfg.resolved_k(data.d))
     rng = _rng(cfg.seed)
     indices, w, nonempty, moved = _stratified_draw(bins, cfg.q, data.n, rng)
     if moved:
@@ -409,10 +401,6 @@ def hbs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:
         indices=indices,
         bin_weight=w,
         nonempty_bins=nonempty,
-        method="hbs",
-        seed=cfg.seed,
-        C=C,
-        k=k,
         shortfall_moved=moved,
     )
 
@@ -428,8 +416,6 @@ def ubs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:
         indices=indices.astype(np.int64),
         bin_weight=np.full(cfg.q, 1.0 / cfg.q),
         nonempty_bins=cfg.q,
-        method="ubs",
-        seed=cfg.seed,
     )
 
 
@@ -457,8 +443,6 @@ def abs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:
         indices=indices,
         bin_weight=np.full(cfg.q, 1.0 / cfg.q),
         nonempty_bins=nonempty,
-        method="abs",
-        seed=cfg.seed,
         shortfall_moved=moved,
     )
 
@@ -495,8 +479,6 @@ def sbs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:
         indices=picked,
         bin_weight=np.full(cfg.q, 1.0 / cfg.q),
         nonempty_bins=cfg.q,
-        method="sbs",
-        seed=cfg.seed,
     )
 
 
@@ -534,52 +516,3 @@ def condition5_diagnostic(data: Dataset, cfg: SelectionConfig, warn: bool = True
             BALANCE_WARN_THRESHOLD,
         )
     return value
-
-
-def selection_to_json(sel: BasisSelection) -> str:
-    """Serialize a selection for audit and replay."""
-    return json.dumps(
-        {
-            "indices": sel.indices.tolist(),
-            "bin_weight": sel.bin_weight.tolist(),
-            "nonempty_bins": sel.nonempty_bins,
-            "method": sel.method,
-            "seed": sel.seed,
-            "C": sel.C,
-            "k": sel.k,
-            "shortfall_moved": sel.shortfall_moved,
-        }
-    )
-
-
-def selection_from_json(text: str) -> BasisSelection:
-    """Read selection_to_json's text; InvalidInputError names a bad field."""
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:
-        raise InvalidInputError(f"selection is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise InvalidInputError("selection JSON is not an object")
-
-    def field(key, convert, *default):
-        if key not in obj and not default:
-            raise InvalidInputError(f"selection lacks the {key!r} field")
-        value = obj.get(key)
-        try:
-            return default[0] if value is None and default else convert(value)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInputError(f"selection field {key!r} is malformed") from None
-
-    def vector(dtype):
-        return lambda v: np.asarray(v, dtype=dtype).reshape(len(v))
-
-    return BasisSelection(
-        indices=field("indices", vector(np.int64)),
-        bin_weight=field("bin_weight", vector(np.float64)),
-        nonempty_bins=field("nonempty_bins", int),
-        method=field("method", lambda v: METHODS[METHODS.index(v)]),  # index rejects others
-        seed=field("seed", int),
-        C=field("C", int, None),
-        k=field("k", int, None),
-        shortfall_moved=field("shortfall_moved", int, 0),
-    )

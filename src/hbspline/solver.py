@@ -235,7 +235,7 @@ class _GcvScan:
         del M0  # freed before eigh: only the condition estimate reads it
         if self.jitter:
             logger.debug("jitter %.3e applied to the GCV scan's reference matrix", self.jitter)
-        gamma, W = self._spectrum(Linv, G, Rss)
+        gamma, W = self._spectrum(Linv)
         del Linv  # W carries all that the scan needs of it
         # Null directions of G add 1 to n - trace A and nothing to the RSS.
         # They are those with gamma <= 0, and at least the p - n smallest
@@ -250,19 +250,22 @@ class _GcvScan:
         rss0 = self.yty - float((self.z2 / self.gamma).sum()) if self.free else 0.0
         self.rss0 = max(rss0, 0.0)
 
-    def _spectrum(self, Linv, G, Rss):
+    def _spectrum(self, Linv):
         """gamma ascending and W = L^-T U, where C = U diag(gamma) U' for
         C = L^-1 (G + jitter I) L^-T, M0 + jitter I = L L' and Linv = L^-1.
 
         U is blockdiag(V, I_m) up to column order, so W comes from Linv's
-        row blocks without forming U.  G is unused here; a reduction of C
-        itself (LAPACK's sygst) takes it.
+        row blocks without forming U, written into one p x p array so that
+        no product temporary sits beside Linv, V and W.
         """
-        m = self.m
+        m, p = self.m, Linv.shape[0]
         Li = Linv[m:, m:]
-        delta, V = np.linalg.eigh(Li @ Rss @ Li.T, UPLO="L")
+        delta, V = np.linalg.eigh(Li @ self.Rss @ Li.T, UPLO="L")
         gamma = np.concatenate([1.0 - self.s * delta[::-1], np.ones(m)])
-        return gamma, np.hstack([Linv[m:].T @ V[:, ::-1], Linv[:m].T])
+        W = np.empty((p, p))
+        np.matmul(Linv[m:].T, V[:, ::-1], out=W[:, : p - m])
+        W[:, p - m :] = Linv[:m].T
+        return gamma, W
 
     def _curve(self, lams):
         """V and d at each lambda (rows); V is inf where trace(A) reaches n."""
@@ -319,8 +322,14 @@ class _GcvScan:
 
 
 def _condition_estimate(Mj: np.ndarray, c) -> float:
-    """Exact 1-norm condition number ||M||_1 ||M^-1||_1, M^-1 = L^-T L^-1."""
-    kappa = float(np.linalg.norm(Mj, 1)) * float(np.linalg.norm(c.T @ c, 1))
+    """Exact 1-norm condition number ||M||_1 ||M^-1||_1, M^-1 = L^-T L^-1.
+
+    ||M^-1||_1 is norm's reduction on an abs taken in place, so no
+    fourth p x p array sits beside M, L^-1 and M^-1.
+    """
+    kappa = float(np.linalg.norm(Mj, 1))
+    Minv = c.T @ c
+    kappa *= float(np.abs(Minv, out=Minv).sum(axis=0).max())
     return kappa if np.isfinite(kappa) else float("inf")
 
 

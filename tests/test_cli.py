@@ -719,7 +719,7 @@ def test_fit_loads_no_scipy(tmp_path):
 def test_package_exports_resolve():
     import hbspline
 
-    # The package imports its modules on first use of a name.
+    # Every name in __all__ is bound by the package's own imports.
     namespace = {}
     exec("from hbspline import *", namespace)
     assert set(hbspline.__all__) <= set(namespace)

@@ -303,8 +303,6 @@ class TestAssembleMatrices:
             indices=idx,
             bin_weight=np.full(idx.size, 1.0 / idx.size),
             nonempty_bins=idx.size,
-            method="ubs",
-            seed=0,
         )
 
     def test_full_selection_gives_square_kernel_matrix(self, uniform_data):

@@ -342,8 +342,6 @@ class TestStratifiedEstimate:
             indices=np.array([0, 1, 2]),
             bin_weight=np.array([0.5, 0.5]),
             nonempty_bins=2,
-            method="hbs",
-            seed=0,
         )
         with pytest.raises(InvalidInputError):
             stratified_integral_estimate(data, bad_len, pair)
@@ -351,8 +349,6 @@ class TestStratifiedEstimate:
             indices=np.array([0, 1]),
             bin_weight=np.array([0.5, -0.1]),
             nonempty_bins=2,
-            method="hbs",
-            seed=0,
         )
         with pytest.raises(InvalidInputError):
             stratified_integral_estimate(data, bad_sign, pair)
@@ -360,8 +356,6 @@ class TestStratifiedEstimate:
             indices=np.array([0, 1]),
             bin_weight=np.array([0.8, 0.8]),
             nonempty_bins=2,
-            method="hbs",
-            seed=0,
         )
         with pytest.raises(InvalidInputError):
             stratified_integral_estimate(data, too_heavy, pair)
