@@ -96,11 +96,12 @@ class Dataset:
 
 def _rows(raw, y):
     """Predictors as a new (n, d) float64 array, a 1-D input read as one
-    column, and y as a float64 vector (zeros when None).  Rejects an empty X,
-    a y of the wrong length, then non-finite entries, naming the first."""
+    column, and y as a float64 vector (zeros when None).  Rejects an X of over
+    two axes, an empty X, a wrong-length y, then non-finite entries, naming the first."""
     X = np.array(raw, dtype=np.float64)
-    if X.ndim < 2:
-        X = X.reshape(-1, 1)
+    if X.ndim > 2:
+        raise InvalidInputError(f"predictors have {X.ndim} axes, not 2")
+    X = X.reshape(-1, 1) if X.ndim < 2 else X
     yv = np.zeros(X.shape[0]) if y is None else np.asarray(y, dtype=np.float64).ravel()
     if X.shape[0] < 1:
         raise InvalidInputError("empty dataset")

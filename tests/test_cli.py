@@ -726,3 +726,17 @@ def test_package_exports_resolve():
     assert hbspline.solver.gcv_select is hbspline.gcv_select
     with pytest.raises(AttributeError):
         hbspline.no_such_name
+
+
+def test_package_binds_its_names_eagerly():
+    import types
+
+    import hbspline
+
+    # No module-level loader: __all__ lists functions, classes and
+    # constants, never a submodule or a deleted name, each once.
+    assert not {"__getattr__", "__dir__", "importlib"} & set(vars(hbspline))
+    assert len(set(hbspline.__all__)) == len(hbspline.__all__)
+    assert not any(isinstance(getattr(hbspline, n), types.ModuleType) for n in hbspline.__all__)
+    assert not {"selection_to_json", "selection_from_json"} & set(hbspline.__all__)
+    assert isinstance(hbspline.__version__, str)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hbspline import (
+    BasisSelection,
     SelectionConfig,
     abs_select,
     condition5_diagnostic,
@@ -81,6 +82,13 @@ class TestDatasetFromUnitCube:
         wrapped, scaled = dataset_from_unit_cube(x, y), scale_to_unit_cube(x, y)
         assert wrapped.X.shape == scaled.X.shape == (5, 1)
         assert np.array_equal(wrapped.X, scaled.X)
+
+    @pytest.mark.parametrize("build", [dataset_from_unit_cube, scale_to_unit_cube])
+    def test_rejects_predictors_of_three_axes(self, build):
+        # A Dataset's X is (n, d); both constructors refuse more axes
+        # rather than wrap an array no selector or kernel can read.
+        with pytest.raises(InvalidInputError, match="3 axes"):
+            build(np.full((4, 2, 2), 0.5), np.zeros(4))
 
 
 class TestSelectionConfig:
@@ -364,6 +372,31 @@ class TestSbsSelect:
 
 
 class TestSelectorContracts:
+    def test_a_selection_is_its_rows_and_weights(self):
+        names = [f.name for f in dataclasses.fields(BasisSelection)]
+        assert names == ["indices", "bin_weight", "nonempty_bins", "shortfall_moved"]
+
+    @pytest.mark.parametrize("method", ["hbs", "ubs", "abs", "sbs"])
+    @settings(max_examples=25)
+    @given(
+        n=st.integers(1, 120),
+        d=st.integers(1, 3),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_every_field_is_filled(self, method, n, d, share, seed):
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        data = dataset_from_unit_cube(gen.random((n, d)), gen.standard_normal(n))
+        q = max(1, round(share * n))
+        sel = select(data, SelectionConfig(q=q, method=method, seed=seed))
+        assert sel.indices.dtype == np.int64 and sel.bin_weight.dtype == np.float64
+        assert sel.indices.shape == sel.bin_weight.shape == (q,)
+        assert not sel.indices.flags.writeable and not sel.bin_weight.flags.writeable
+        # Every row is binned, so the weights represent the whole sample.
+        assert np.all(sel.bin_weight > 0.0) and np.isclose(sel.bin_weight.sum(), 1.0)
+        assert 1 <= sel.nonempty_bins <= q
+        assert sel.shortfall_moved >= 0
+
     @pytest.mark.parametrize("method", ["hbs", "ubs", "abs", "sbs"])
     @given(q=st.integers(min_value=1, max_value=40))
     @settings(max_examples=15)

@@ -666,6 +666,31 @@ class TestNumpyLinalgAgainstScipy:
             _cholesky(-M, "a negative definite matrix")
 
 
+class TestScanStepsInPlace:
+    """The scan's in-place steps give the floats of the plain expressions."""
+
+    @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
+    def test_condition_estimate_is_the_product_of_norms(self, kind):
+        c, Mj, _ = cholesky_factor(_reference_system(kind), 1e-6)
+        before = (c.copy(), Mj.copy())
+        ref = float(np.linalg.norm(Mj, 1)) * float(np.linalg.norm(c.T @ c, 1))
+        assert _condition_estimate(Mj, c) == ref
+        assert np.array_equal(c, before[0]) and np.array_equal(Mj, before[1])
+
+    @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
+    def test_spectrum_writes_the_stacked_eigenbasis(self, kind):
+        class Stacked(_GcvScan):
+            def _spectrum(self, Linv):
+                gamma, W = super()._spectrum(Linv)
+                m, Li = self.m, Linv[self.m :, self.m :]
+                _, V = np.linalg.eigh(Li @ self.Rss @ Li.T, UPLO="L")
+                self.pair = (W.copy(), np.hstack([Linv[m:].T @ V[:, ::-1], Linv[:m].T]))
+                return gamma, W
+
+        W, ref = Stacked(_reference_system(kind)).pair
+        assert np.array_equal(W, ref)
+
+
 class TestSingleSolveRoute:
     """The fit at lambda from the GCV scan's spectrum, against the Cholesky route."""
 
