@@ -166,6 +166,22 @@ def _load_spec(path, d: int) -> AnovaSpec:
         raise InvalidConfigError(f"{path}: malformed spec: {exc}") from None
 
 
+def _check_finite(path, X, names, y=None, response=None):
+    """Name the first NaN or infinite cell by its CSV row (the header is
+    row 1) and column name; the library would give a 0-based data index."""
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, c = bad[0]
+        raise InvalidInputError(
+            f"{path}: non-finite predictor at row {r + 2}, column {names[c]!r}"
+        )
+    if y is not None and not np.all(np.isfinite(y)):
+        r = int(np.flatnonzero(~np.isfinite(y))[0])
+        raise InvalidInputError(
+            f"{path}: non-finite response at row {r + 2}, column {response!r}"
+        )
+
+
 def _cmd_fit(args) -> int:
     started = _now()
     with _staged(args.out) as part:
@@ -173,6 +189,7 @@ def _cmd_fit(args) -> int:
         X, y, names = read_numeric_csv(args.data, response=args.response, predictors=predictors)
         if not len(X):
             raise IngestionError(f"{args.data}: no data rows to fit on")
+        _check_finite(args.data, X, names, y, args.response)
         # A constant column has no scale to map onto [0, 1] and its main
         # effect no data to fit; reject it rather than fit it on jitter.
         constant = [name for name, col in zip(names, X.T) if col.min() == col.max()]
@@ -223,6 +240,7 @@ def _cmd_predict(args) -> int:
         model = load_model(args.model)
         names = model_predictor_names(args.model)
         X, _, used = read_numeric_csv(args.data, predictors=names)
+        _check_finite(args.data, X, used)
         d = model.scaler.shape[1]
         if len(X) and X.shape[1] != d:
             raise IngestionError(

@@ -1,9 +1,17 @@
 """CSV ingestion, JSON config loading, and run manifests.
 
-CSV files are comma-separated UTF-8 with a required header row and '.'
-decimal points, parsed locale-independently.  Cells of columns used as
-predictors or response must be numeric; a mixed column aborts with the
-offending row and column named rather than coercing silently.
+CSV files are comma-separated UTF-8, with or without a byte-order mark,
+with a required header row and '.' decimal points, parsed
+locale-independently.  Cells of columns used as predictors or response
+must be numeric; a mixed column aborts with the offending row and column
+named rather than coercing silently.
+
+A *plain* CSV has no '"', carriage return or NUL, no empty line, no line
+longer than ``csv.field_size_limit()`` and the header's number of commas
+on every line, so ``csv.reader`` would cut each line at its commas and
+nowhere else.  Plain files are parsed by numpy's C reader and copied as
+text; every other file, and every failure, goes through ``csv.reader``,
+so both give the same numbers, rows and messages.
 """
 
 from __future__ import annotations
@@ -33,10 +41,14 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+def _open(path):
+    return open(path, newline="", encoding="utf-8-sig")
+
+
 def _rows(path):
     """Yield the header (names stripped), then each data row, as the file is read."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with _open(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -58,11 +70,102 @@ def _rows(path):
         raise IngestionError(f"{path}: unreadable CSV: {exc}") from exc
 
 
+_PIECE = 1 << 16  # bytes per read when checking or copying a plain file
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes numpy decompresses
+
+
+def _plain_shape(path):
+    """The header names and data-row count of a plain CSV, else None.
+
+    Reads the file in pieces of at most 64 KiB.  A file of no lines, an
+    empty header line or repeated column names is not plain either.
+    """
+    limit = csv.field_size_limit()
+    lines = 0
+    size = 0
+    last_end = -1  # offset of the last line break read
+    try:
+        with open(path, "rb") as fh:
+            while piece := fh.read(_PIECE):
+                if b'"' in piece or b"\r" in piece or b"\0" in piece:
+                    return None
+                ends = size + np.flatnonzero(np.frombuffer(piece, np.uint8) == 10)
+                if len(ends):  # 10 is '\n'; each line's length is checked
+                    lengths = np.diff(ends, prepend=last_end) - 1
+                    if lengths.min() < 1 or lengths.max() > limit:  # empty or too long
+                        return None
+                    last_end = int(ends[-1])
+                    lines += len(ends)
+                size += len(piece)
+        with _open(path) as fh:
+            header = fh.readline().rstrip("\n")
+    except (OSError, UnicodeDecodeError):
+        return None
+    tail = size - last_end - 1  # bytes of a last line with no line break
+    names = [h.strip() for h in header.split(",")]
+    if tail > limit or not header or len(set(names)) != len(names):
+        return None
+    return names, lines + (tail > 0) - 1
+
+
+def _parse_plain(path, wanted):
+    """_parse_rows' result for a plain file with data rows, else None.
+
+    numpy's loadtxt parses every cell.  It parses with PyOS_string_to_double,
+    the routine behind float(), and rejects the cells on which the two
+    differ (digit separators, non-ASCII digits); any failure, or rows
+    whose width is not the header's, leaves the file to the csv reader.
+    """
+    # loadtxt reads a named file in blocks but an open one line by line.
+    # Named, it would also fetch a URL, so the name is made absolute, and
+    # open a compressed file by its suffix, so those are left alone.
+    path = os.path.abspath(path)
+    shape = None if path.endswith(_COMPRESSED) else _plain_shape(path)
+    if shape is None or not shape[1]:  # the csv reader reads a header-only file
+        return None
+    header, n = shape
+    try:
+        data = np.loadtxt(
+            path, delimiter=",", comments=None, skiprows=1, ndmin=2,
+            dtype=np.float64, encoding="utf-8-sig",
+        )
+    except (OSError, ValueError):
+        return None
+    if data.shape != (n, len(header)):
+        return None
+    values = {name: data[:, j] for j, name in enumerate(header) if wanted(name)}
+    return header, values, {}, n
+
+
+def _parse_rows(path, wanted):
+    """Parse the wanted columns with the csv reader.
+
+    Returns (header, values, first_bad, n): each wanted column's parsed
+    cells, the first unparsable (row, cell) of each column that has one,
+    and the number of data rows.
+    """
+    rows = _rows(path)
+    header = next(rows)
+    values = {name: array("d") for name in header if wanted(name)}
+    columns = [(ci, h, values[h]) for ci, h in enumerate(header) if h in values]
+    first_bad = {}
+    n = 0
+    for n, row in enumerate(rows, start=1):
+        for ci, name, column in columns:
+            cell = row[ci].strip()
+            try:
+                column.append(float(cell))
+            except ValueError:
+                first_bad.setdefault(name, (n + 1, cell))
+    return header, values, first_bad, n
+
+
 def read_numeric_csv(path, response=None, predictors=None):
     """Read predictors (and optionally a response) from a CSV file.
 
-    The file streams once; each cell of a column that may be used is
-    parsed once.  Row faults are reported before column and cell faults.
+    Each cell of a column that may be used is parsed once, by numpy's C
+    reader for a plain file and by the csv reader otherwise (the module
+    docstring).  Row faults are reported before column and cell faults.
 
     Parameters
     ----------
@@ -89,24 +192,13 @@ def read_numeric_csv(path, response=None, predictors=None):
         response, ragged rows, unreadable bytes, or non-numeric cells
         (reported with row and column).
     """
-    rows = _rows(path)
-    header = next(rows)
-    values = {
-        name: array("d")
-        for name in header
-        if predictors is None or name in predictors or name == response
-    }
-    columns = [(ci, h, values[h]) for ci, h in enumerate(header) if h in values]
-    first_bad = {}
-    n = 0
-    for n, row in enumerate(rows, start=1):
-        for ci, name, column in columns:
-            cell = row[ci].strip()
-            try:
-                column.append(float(cell))
-            except ValueError:
-                first_bad.setdefault(name, (n + 1, cell))
 
+    def wanted(name):
+        return predictors is None or name in predictors or name == response
+
+    header, values, first_bad, n = (
+        _parse_plain(path, wanted) or _parse_rows(path, wanted)
+    )
     if response is not None and response not in values:
         raise IngestionError(f"{path}: response column {response!r} not found")
     if predictors is not None:
@@ -139,20 +231,58 @@ def read_numeric_csv(path, response=None, predictors=None):
     X = np.empty((n, len(names)))
     for j, name in enumerate(names):
         X[:, j] = values[name]
-    y = None if response is None else np.asarray(values[response])
+    y = None if response is None else np.ascontiguousarray(values[response])
     return X, y, names
 
 
+def _copy_plain(in_path, out, predictions):
+    """Write a plain CSV and its predictions to out as csv.writer would.
+
+    That is the stripped header names, then each line as read, each
+    ending in ',<prediction>\r\n'.  Returns False, having written part
+    of the copy, when the file is not plain or the counts differ.
+    """
+    shape = _plain_shape(in_path)
+    if shape is None:
+        return False
+    header, n = shape
+    done = 0
+    try:
+        values = np.asarray(predictions, dtype=np.float64)
+        if values.shape != (n,):
+            return False
+        with _open(in_path) as fh:
+            fh.readline()
+            out.write(",".join(header) + ",prediction\r\n")
+            while lines := fh.readlines(_PIECE):
+                if {line.count(",") for line in lines} != {len(header) - 1}:
+                    return False
+                rows = [line.rstrip("\n") for line in lines]
+                preds = values[done:done + len(rows)].tolist()
+                out.write("".join([f"{row},{p!r}\r\n" for row, p in zip(rows, preds)]))
+                done += len(rows)
+    except (OSError, ValueError):
+        return False
+    return True
+
+
 def append_prediction_csv(in_path, out_path, predictions):
-    """Copy a CSV adding a 'prediction' column; out_path is replaced when complete."""
-    rows = _rows(in_path)
+    """Copy a CSV adding a 'prediction' column; out_path is replaced when complete.
+
+    A plain file is copied as text; any other goes through the csv
+    reader and writer, which also report every fault.
+    """
     part = f"{out_path}.part"
     try:
         with open(part, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(next(rows) + ["prediction"])
-            for row, p in zip(rows, predictions, strict=True):
-                writer.writerow(row + [repr(float(p))])
+            if not _copy_plain(in_path, fh, predictions):
+                fh.seek(0)
+                fh.truncate()
+                rows = _rows(in_path)
+                writer = csv.writer(fh)
+                writer.writerow(next(rows) + ["prediction"])
+                for row, p in zip(rows, predictions, strict=True):
+                    writer.writerow(row + [repr(float(p))])
         os.replace(part, out_path)
     except ValueError:  # from zip(strict=True): row and prediction counts differ
         n_rows = sum(1 for _ in _rows(in_path)) - 1

@@ -221,8 +221,12 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "content",
-        [b"u,y\n\xff\xfe,1\n", b"u,y\n" + b"1" * 131_073 + b",2\n"],
-        ids=["not-utf8", "oversized-field"],
+        [
+            b"u,y\n\xff\xfe,1\n",
+            b"u,y\n" + b"1" * 131_073 + b",2\n",
+            b"u,y\n1,2\n" + b"1" * 131_073 + b",2",
+        ],
+        ids=["not-utf8", "oversized-field", "oversized-last-line"],
     )
     def test_unreadable_csv_exits_2(self, tmp_path, capsys, content):
         data = tmp_path / "bad.csv"
@@ -232,6 +236,26 @@ class TestFit:
             "--out", str(tmp_path / "m.json"),
         ]) == 2
         assert "unreadable CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "column, cell, what",
+        [("u", "nan", "predictor"), ("y", "-inf", "response")],
+    )
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["plain", "crlf"])
+    def test_non_finite_cell_named_by_file_row_and_column(
+        self, tmp_path, capsys, column, cell, what, eol
+    ):
+        data, _, _ = training_csv(tmp_path / "train.csv", n=60)
+        with open(data, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[6][rows[0].index(column)] = cell  # file row 7; the header is row 1
+        (tmp_path / "train.csv").write_text(eol.join(map(",".join, rows)) + eol)
+        out = tmp_path / "model.json"
+        assert main([
+            "fit", "--data", data, "--response", "y", "--q", "10", "--out", str(out),
+        ]) == 2
+        assert f"non-finite {what} at row 7, column '{column}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_constant_predictor_column_exits_2(self, tmp_path, capsys):
         # Without the check such a column fits only on the jitter ladder.
@@ -331,6 +355,39 @@ class TestPredict:
         assert np.allclose(
             read_predictions(o1), read_predictions(o2)[::-1], rtol=0, atol=1e-10
         )
+
+    def test_non_finite_cell_named_by_file_row_and_column(self, fitted, tmp_path, capsys):
+        data = tmp_path / "new.csv"
+        data.write_text("u,v\n0.5,1.0\n-1.0,inf\n")
+        out = tmp_path / "o.csv"
+        assert main(["predict", "--model", str(fitted), "--data", str(data),
+                     "--out", str(out)]) == 2
+        assert "non-finite predictor at row 3, column 'v'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["plain", "crlf"])
+    def test_byte_order_mark_on_either_side(self, tmp_path, eol):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+        training_csv(tmp_path / "train.csv", n=80)
+        text = eol.join((tmp_path / "train.csv").read_text().splitlines()) + eol
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        models = []
+        for data in (plain, marked):
+            models.append(tmp_path / f"{data.stem}.json")
+            assert main(["fit", "--data", str(data), "--response", "y", "--q", "10",
+                         "--out", str(models[-1])]) == 0
+        assert models[0].read_bytes() == models[1].read_bytes()
+        assert json.loads(models[1].read_text())["predictors"] == ["u", "v"]
+        scored = []
+        for model, data in zip(models, (marked, plain)):
+            scored.append(tmp_path / f"scored-{data.stem}.csv")
+            assert main(["predict", "--model", str(model), "--data", str(data),
+                         "--out", str(scored[-1])]) == 0
+        assert scored[0].read_bytes() == scored[1].read_bytes()
+        assert scored[0].read_bytes().startswith(b"u,v,y,prediction\r\n")
 
     def test_header_only_input(self, fitted, tmp_path):
         empty = write_csv(tmp_path / "e.csv", ["u", "v"], [])
