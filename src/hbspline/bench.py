@@ -210,15 +210,14 @@ def calibrate_noise(
 class ExperimentConfig:
     """Grid of benchmark cells to run.
 
-    q_grid entries must not exceed n; the 'full' method ignores q and
-    is skipped (rows marked failed) when n exceeds full_cap, since the
-    full-basis solve is cubic in n.
+    Each replicate draws n training and n test rows, and q_grid entries
+    must not exceed n.  The 'full' method ignores q and is skipped (rows
+    marked failed) past full_cap rows: the full-basis solve is cubic in n.
     """
 
     distribution: str
     function: str
     n: int = 2000
-    n_test: int | None = None
     q_grid: tuple = (20, 40, 60, 80, 100)
     methods: tuple = METHODS
     replicates: int = 100
@@ -230,7 +229,6 @@ class ExperimentConfig:
     def __post_init__(self):
         for names, kind, what in (
             (("n", "replicates", "seed", "full_cap"), Integral, "an integer"),
-            (("n_test",), (Integral, type(None)), "an integer or null"),
             (("snr",), Real, "a number"),
             (("q_grid", "methods"), (list, tuple), "a list"),
         ):
@@ -276,10 +274,6 @@ class ExperimentConfig:
     @property
     def d(self) -> int:
         return FUNCTION_DIMS[self.function]
-
-    @property
-    def test_size(self) -> int:
-        return self.n if self.n_test is None else self.n_test
 
 
 @dataclass(frozen=True)
@@ -334,7 +328,7 @@ def _replicate_rows(cfg: ExperimentConfig, sigma: float, rep: int, timings: bool
         cfg.distribution, cfg.n, d, _rng(cfg.seed, 1, rep), d2_variant=cfg.d2_variant
     )
     raw_test = gen_design(
-        cfg.distribution, cfg.test_size, d, _rng(cfg.seed, 2, rep), d2_variant=cfg.d2_variant
+        cfg.distribution, cfg.n, d, _rng(cfg.seed, 2, rep), d2_variant=cfg.d2_variant
     )
     noiseless = scale_to_unit_cube(raw_train, np.zeros(cfg.n))
     noise = sigma * _rng(cfg.seed, 3, rep).standard_normal(cfg.n)

@@ -309,8 +309,8 @@ def _allocate_quotas(pops: np.ndarray, q: int) -> tuple[np.ndarray, int]:
     groups with the largest populations, ties to the lower group index.
     Groups smaller than their quota contribute everything and the
     shortfall is re-spread by the same largest-population rule over
-    groups still below capacity.  Returns the per-group counts and how
-    many draws had to be moved by shortfall handling.
+    groups still below capacity, never past a population.  Returns the
+    per-group counts and how many draws shortfall handling moved.
     """
     g = len(pops)
     base, rem = divmod(q, g)
@@ -318,22 +318,17 @@ def _allocate_quotas(pops: np.ndarray, q: int) -> tuple[np.ndarray, int]:
     if rem:
         order = np.lexsort((np.arange(g), -pops))
         quota[order[:rem]] += 1
-    moved = 0
-    while True:
-        over = quota > pops
-        if not over.any():
-            break
-        deficit = int((quota[over] - pops[over]).sum())
-        moved += deficit
-        quota[over] = pops[over]
-        capacity = pops - quota
-        while deficit > 0:
-            eligible = np.flatnonzero(capacity > 0)
-            take = eligible[np.lexsort((eligible, -pops[eligible]))]
-            take = take[: min(deficit, len(take))]
-            quota[take] += 1
-            capacity[take] -= 1
-            deficit -= len(take)
+    over = quota > pops
+    moved = deficit = int((quota[over] - pops[over]).sum())
+    quota[over] = pops[over]
+    capacity = pops - quota
+    while deficit > 0:
+        eligible = np.flatnonzero(capacity > 0)
+        take = eligible[np.lexsort((eligible, -pops[eligible]))]
+        take = take[: min(deficit, len(take))]
+        quota[take] += 1
+        capacity[take] -= 1
+        deficit -= len(take)
     return quota, moved
 
 

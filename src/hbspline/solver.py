@@ -55,7 +55,6 @@ from .selection import apply_scaler
 __all__ = [
     "LAMBDA_GRID",
     "FittedModel",
-    "design_matrices",
     "gcv_select",
     "fit_fixed_lambda",
     "predict",
@@ -336,23 +335,6 @@ def _condition_estimate(Mj: np.ndarray, c) -> float:
 def _check_indices(data, sel):
     if sel.indices.max(initial=-1) >= data.n or sel.indices.min(initial=0) < 0:
         raise InvalidInputError("selection indices out of range for dataset")
-
-
-def design_matrices(data, sel, spec: AnovaSpec):
-    """The whole design B = [S | R*] of a basis selection, and R**.
-
-    B is n x (m+q): S, the unpenalized basis at the data, then R*, the
-    kernel between every data row and every basis point, written in
-    place by the chunked kernel builder.  R** (q x q) is the selected
-    rows of R*, so its floats are bitwise those of R*.  The fit streams
-    the same rows in blocks (_design_blocks); this is the reference.
-    """
-    _check_indices(data, sel)
-    m = spec.m
-    B = np.empty((data.n, m + sel.indices.shape[0]))
-    B[:, :m] = null_space_eval(data.X, spec)
-    gram_matrix(data.X, data.X[sel.indices], spec, out=B[:, m:])
-    return B, B[sel.indices, m:]
 
 
 def _design_blocks(X, basis_points, spec: AnovaSpec):

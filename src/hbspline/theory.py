@@ -333,12 +333,10 @@ class ScalingReport:
 def variance_scaling_study(
     dist: str,
     d: int,
-    phi_pair: tuple | None = None,
     q_list: tuple = DEFAULT_Q_LIST,
     replicates: int = 200,
     seed: int = 0,
     n: int = 100_000,
-    k: int | None = None,
 ) -> ScalingReport:
     """Measure both estimators' squared-error decay in q.
 
@@ -349,18 +347,17 @@ def variance_scaling_study(
     integral.  Slopes are ordinary least squares on log(mean squared
     error) versus log(q).
 
+    The integrand is the product of the first two nonconstant
+    coordinate cosines, nu = (1, 0, ...) and mu = (0, 1, 0, ...), and
+    the curve order is min(12, 62 // d), so bins are unions of many
+    fine cells at every q in the default list.
+
     Parameters
     ----------
     dist, d : str, int
         Design distribution and dimension.
-    phi_pair : (EigenSurrogate, EigenSurrogate), optional
-        Defaults to the first two nonconstant coordinate cosines,
-        nu = (1, 0, ...) and mu = (0, 1, 0, ...).
     q_list : tuple
         Strictly increasing bin counts.
-    k : int, optional
-        Curve order; defaults to min(12, 62 // d) so bins are unions
-        of many fine cells at every q in the default list.
     """
     if d < 2:
         raise InvalidConfigError("the scaling study needs d >= 2")
@@ -372,18 +369,17 @@ def variance_scaling_study(
         raise InvalidConfigError(f"max q {max(q_list)} exceeds n={n}")
     if seed < 0:
         raise InvalidConfigError(f"seed={seed} must be >= 0")
-    if phi_pair is None:
-        nu = tuple(1 if j == 0 else 0 for j in range(d))
-        mu = tuple(1 if j == 1 else 0 for j in range(d))
-        phi_pair = (EigenSurrogate(nu), EigenSurrogate(mu))
-    kk = min(12, 62 // d) if k is None else k
+    nu = tuple(1 if j == 0 else 0 for j in range(d))
+    mu = tuple(1 if j == 1 else 0 for j in range(d))
+    phi_pair = (EigenSurrogate(nu), EigenSurrogate(mu))
+    k = min(12, 62 // d)
     # The checks each hbs selection would make, with their messages, made
     # here so that a bad q or curve order fails before the reference draw.
     # The curve's own come first: they name a d that it cannot take, for
-    # which the default order is 0.
+    # which the order may be 0.
     for q in q_list:
-        _curve_order(q, kk, d)
-    SelectionConfig(q=q_list[0], method="hbs", k=kk)
+        _curve_order(q, k, d)
+    SelectionConfig(q=q_list[0], method="hbs", k=k)
 
     I_ref, scaler = reference_integral(dist, d, phi_pair, seed=_subseed(seed, 0))
 
@@ -396,7 +392,7 @@ def variance_scaling_study(
         data = dataset_from_unit_cube(scaled)
         for qi, q in enumerate(q_list):
             hs = _subseed(seed, 2, r, qi)
-            sel = hbs_select(data, SelectionConfig(q=q, method="hbs", seed=hs, C=q, k=kk))
+            sel = hbs_select(data, SelectionConfig(q=q, method="hbs", seed=hs, C=q, k=k))
             est = stratified_integral_estimate(data, sel, phi_pair)
             est_strat[r, qi] = est
             sq_strat[r, qi] = (est - I_ref) ** 2

@@ -30,8 +30,9 @@ from hbspline.selection import (
     scale_to_unit_cube,
     ubs_select,
 )
-from hbspline.solver import LAMBDA_GRID, design_matrices, fit_fixed_lambda, gcv_select
+from hbspline.solver import LAMBDA_GRID, fit_fixed_lambda, gcv_select
 from hbspline.theory import variance_scaling_study
+from reference import design_matrices
 
 REPO = Path(__file__).resolve().parent.parent
 

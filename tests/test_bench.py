@@ -169,8 +169,6 @@ class TestExperimentConfig:
     def test_properties(self):
         cfg = ExperimentConfig("d1", "f3", n=500)
         assert cfg.d == 3
-        assert cfg.test_size == 500
-        assert ExperimentConfig("d1", "f1", n=500, n_test=77).test_size == 77
 
     def test_normalizes_types(self):
         cfg = ExperimentConfig("d1", "f1", n=100, q_grid=[10.0, 20], methods=["HBS"])

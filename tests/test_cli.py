@@ -89,6 +89,17 @@ class TestFit:
             ma.pop(key), mb.pop(key)
         assert ma == mb
 
+    def test_more_bins_than_rows(self, tmp_path):
+        data, _, _ = training_csv(tmp_path / "train.csv", seed=5)
+        out = tmp_path / "model.json"
+        assert main([
+            "fit", "--data", data, "--response", "y",
+            "--q", "10", "--C", "100000", "--out", str(out),
+        ]) == 0
+        assert load_model(out).basis_points.shape == (10, 2)
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        assert manifest["config"]["C"] == 100000
+
     def test_fixed_lambda_flag(self, tmp_path):
         data, _, _ = training_csv(tmp_path / "train.csv", seed=3)
         out = tmp_path / "model.json"
@@ -574,7 +585,7 @@ class TestTheory:
     def test_dim_without_a_curve_order_exits_1_naming_d(
         self, tmp_path, capsys, monkeypatch, dim
     ):
-        # At d >= 63 the default curve order min(12, 62 // d) is 0; the
+        # At d >= 63 the study's curve order min(12, 62 // d) is 0; the
         # error names d, not a k that the command has no flag for.
         from scipy.stats import qmc
 

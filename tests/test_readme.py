@@ -1,14 +1,17 @@
-"""README.md names only scripts that exist and commands the CLI accepts.
+"""README.md names only scripts that exist and commands the CLI accepts,
+and its library quick start predicts the surface it fits.
 
-The command examples are parsed, not run.
+The command examples are parsed, not run; the python block is run.
 """
 
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hbspline.bench import eval_function
 from hbspline.cli import _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -45,3 +48,15 @@ def test_example_parses(command):
         _build_parser().parse_args(argv)
     except SystemExit as exc:
         pytest.fail(f"README example does not parse ({exc.code}): {command}")
+
+
+def test_quick_start_predicts_the_surface():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        flags=re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    # yhat is at the training rows; the noiseless surface is f1 there.
+    surface = eval_function("f1", namespace["data"].X)
+    mse = float(np.mean((namespace["yhat"] - surface) ** 2))
+    assert mse < 0.1 * float(np.var(surface)), mse

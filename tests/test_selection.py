@@ -237,6 +237,31 @@ class TestHbsSelect:
         if sel.shortfall_moved == 0:
             assert per_bin.max() <= cap
 
+    def test_more_bins_than_points_takes_the_most_populous_bins(self, banana_data):
+        data = banana_data(n=2000, seed=12)
+        cfg = SelectionConfig(q=10, method="hbs", seed=5, C=500)
+        sel = hbs_select(data, cfg)
+        bins = hilbert_bins(data, 500, cfg.resolved_k(data.d))
+        pops = np.bincount(bins, minlength=500)
+        chosen = bins[sel.indices]
+        assert np.unique(sel.indices).size == 10
+        assert np.unique(chosen).size == 10  # at most one row per bin
+        assert sel.nonempty_bins == np.count_nonzero(pops)
+        assert sel.nonempty_bins > 10
+        others = np.setdiff1d(np.flatnonzero(pops), chosen)
+        assert pops[chosen].min() >= pops[others].max()
+
+    def test_fewer_bins_than_points_caps_each_bin(self, uniform_data):
+        data = uniform_data(n=2000, seed=13)
+        cfg = SelectionConfig(q=60, method="hbs", seed=6, C=7)
+        sel = hbs_select(data, cfg)
+        assert sel.q == 60 and np.unique(sel.indices).size == 60
+        assert sel.shortfall_moved == 0
+        bins = hilbert_bins(data, 7, cfg.resolved_k(data.d))
+        per_bin = np.bincount(bins[sel.indices], minlength=7)
+        assert per_bin.max() <= -(-60 // sel.nonempty_bins)  # ceil(q / nonempty)
+        assert np.isclose(sel.bin_weight.sum(), 1.0)
+
     def test_weights_account_for_bin_populations(self, banana_data):
         data = banana_data(n=1500, seed=2)
         cfg = SelectionConfig(q=40, method="hbs", seed=9)

@@ -121,19 +121,10 @@ class TestReferenceIntegral:
             reference_integral("d1", 2, wide)
         with pytest.raises(InvalidConfigError, match="d9"):
             variance_scaling_study("d9", 2)
-        with pytest.raises(InvalidInputError):
-            variance_scaling_study("d1", 2, phi_pair=wide)
         with pytest.raises(InvalidConfigError, match="replicates"):
             variance_scaling_study("d1", 2, replicates=1)
         with pytest.raises(InvalidConfigError, match="seed"):
             variance_scaling_study("d1", 2, seed=-1)
-        small = dict(q_list=(8, 16), n=2000)
-        with pytest.raises(InvalidConfigError, match="C=8 exceeds the 4 curve cells at k=1"):
-            variance_scaling_study("d1", 2, k=1, **small)
-        with pytest.raises(InvalidConfigError, match="d\\*k = 80 exceeds 62"):
-            variance_scaling_study("d1", 2, k=40, **small)
-        with pytest.raises(InvalidConfigError, match="k=0 must be >= 1"):
-            variance_scaling_study("d1", 2, k=0, **small)
         with pytest.raises(InvalidConfigError, match="q=0 must be >= 1"):
             variance_scaling_study("d1", 2, q_list=(0, 8), n=2000)
 
