@@ -191,7 +191,7 @@ def _cmd_fit(args) -> int:
             raise IngestionError(f"{args.data}: no data rows to fit on")
         _check_finite(args.data, X, names, y, args.response)
         # A constant column has no scale to map onto [0, 1] and its main
-        # effect no data to fit; reject it rather than fit it on jitter.
+        # effect no data to fit; name it rather than leave it to the rank rule.
         constant = [name for name, col in zip(names, X.T) if col.min() == col.max()]
         if constant:
             raise InvalidInputError(
@@ -210,8 +210,8 @@ def _cmd_fit(args) -> int:
             model = gcv_select(data, sel, spec)
         save_model(model, part, predictors=names)
         warnings = {}
-        if model.diagnostics.get("jitter"):
-            warnings["jitter"] = model.diagnostics["jitter"]
+        if model.diagnostics["dropped_directions"]:
+            warnings["dropped_directions"] = model.diagnostics["dropped_directions"]
         if args.method == "hbs":
             warnings["bin_balance"] = condition5_diagnostic(data, cfg)
         config = {

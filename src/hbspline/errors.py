@@ -31,14 +31,11 @@ class IngestionError(HbsplineError):
 
 
 class SingularSystemError(HbsplineError):
-    """The penalized normal equations could not be factorized.
+    """An eigendecomposition of the GCV scan did not converge.
 
-    Carries the last condition-number estimate so callers can report
-    how ill-posed the system was.
+    A non-finite (overflowed) system causes it.  A singular one does not:
+    the scan drops null directions by its rank rule, and always keeps the
+    constant term's, so it never has nothing to keep.
     """
 
     exit_code = 3
-
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate

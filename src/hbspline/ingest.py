@@ -6,12 +6,12 @@ locale-independently.  Cells of columns used as predictors or response
 must be numeric; a mixed column aborts with the offending row and column
 named rather than coercing silently.
 
-A *plain* CSV has no '"', carriage return or NUL, no empty line, no line
-longer than ``csv.field_size_limit()`` and the header's number of commas
-on every line, so ``csv.reader`` would cut each line at its commas and
-nowhere else.  Plain files are parsed by numpy's C reader and copied as
-text; every other file, and every failure, goes through ``csv.reader``,
-so both give the same numbers, rows and messages.
+A *plain* CSV has no '"', NUL or carriage return outside '\r\n', no empty
+line, no line longer than ``csv.field_size_limit()`` and the header's
+number of commas on every line, so ``csv.reader`` would cut each line at
+its commas and nowhere else.  Plain files are parsed by numpy's C reader
+and copied as text; every other file, and every failure, goes through
+``csv.reader``, so both give the same numbers, rows and messages.
 """
 
 from __future__ import annotations
@@ -77,16 +77,20 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes numpy decompresses
 def _plain_shape(path):
     """The header names and data-row count of a plain CSV, else None.
 
-    Reads the file in pieces of at most 64 KiB.  A file of no lines, an
+    Reads the file in pieces of about 64 KiB, with '\r\n' made '\n' (a
+    piece ending in '\r' takes one more byte).  A file of no lines, an
     empty header line or repeated column names is not plain either.
     """
     limit = csv.field_size_limit()
     lines = 0
-    size = 0
+    size = 0  # bytes read, counting each '\r\n' as one
     last_end = -1  # offset of the last line break read
     try:
         with open(path, "rb") as fh:
             while piece := fh.read(_PIECE):
+                piece += fh.read(1) if piece.endswith(b"\r") else b""
+                if b"\r" in piece:  # replace() scans slower than memchr
+                    piece = piece.replace(b"\r\n", b"\n")
                 if b'"' in piece or b"\r" in piece or b"\0" in piece:
                     return None
                 ends = size + np.flatnonzero(np.frombuffer(piece, np.uint8) == 10)
@@ -98,7 +102,7 @@ def _plain_shape(path):
                     lines += len(ends)
                 size += len(piece)
         with _open(path) as fh:
-            header = fh.readline().rstrip("\n")
+            header = fh.readline().rstrip("\r\n")
     except (OSError, UnicodeDecodeError):
         return None
     tail = size - last_end - 1  # bytes of a last line with no line break
@@ -238,8 +242,8 @@ def read_numeric_csv(path, response=None, predictors=None):
 def _copy_plain(in_path, out, predictions):
     """Write a plain CSV and its predictions to out as csv.writer would.
 
-    That is the stripped header names, then each line as read, each
-    ending in ',<prediction>\r\n'.  Returns False, having written part
+    That is the stripped header names, then each line as read, its line
+    break made ',<prediction>\r\n'.  Returns False, having written part
     of the copy, when the file is not plain or the counts differ.
     """
     shape = _plain_shape(in_path)
@@ -257,7 +261,7 @@ def _copy_plain(in_path, out, predictions):
             while lines := fh.readlines(_PIECE):
                 if {line.count(",") for line in lines} != {len(header) - 1}:
                     return False
-                rows = [line.rstrip("\n") for line in lines]
+                rows = [line.rstrip("\r\n") for line in lines]
                 preds = values[done:done + len(rows)].tolist()
                 out.write("".join([f"{row},{p!r}\r\n" for row, p in zip(rows, preds)]))
                 done += len(rows)

@@ -10,17 +10,15 @@ whose stationary conditions are the symmetric normal equations
     [ S'S      S'R*            ] [a]   [S'y ]
     [ R*'S     R*'R* + n lam R** ] [b] = [R*'y]
 
-solved, for every lambda, from one decomposition (_GcvScan): a Cholesky
-factorization M0 = L L' of a fixed reference matrix, with an escalating
-diagonal jitter fallback, and one symmetric eigendecomposition of the
-penalized block in L's coordinates; the scan keeps only the eigenbasis
-W = L^-T U.  All dense linear algebra is numpy.linalg.  The model's
-"condition_estimate" diagnostic is the exact 1-norm condition number
-||M0||_1 ||M0^-1||_1 with M0^-1 = L^-T L^-1.  The smoothing parameter is
-chosen by generalized cross-validation over the fixed log-spaced grid
-LAMBDA_GRID followed by a short golden-section refinement between the
-winning grid point's neighbors, and the chosen lambda is solved from the
-same decomposition.
+solved, for every lambda, from one decomposition (_GcvScan): symmetric
+eigendecompositions whiten a fixed reference matrix M0, dropping its null
+directions by a stated rank rule, and diagonalize G in those coordinates.
+All dense linear algebra is numpy.linalg.  The model's
+"condition_estimate" diagnostic is the exact 1-norm condition number of
+M0 on its kept range.  The smoothing parameter is chosen by generalized
+cross-validation over the fixed log-spaced grid LAMBDA_GRID followed by
+a short golden-section refinement between the winning grid point's
+neighbors, and the chosen lambda is solved from the same decomposition.
 
 Everything the per-lambda search needs (B'B, B'y, y'y with
 B = [S, R*], and R**) is accumulated once over row blocks of B, so no
@@ -69,9 +67,6 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
 
-# Relative diagonal jitter ladder tried when a factorization fails.
-_JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
-
 # Rows of the design [S | R*] formed at a time when accumulating the
 # normal equations.  At n = 2e4-1e5, q = 100-1000, d = 2-4 (one BLAS
 # thread) blocks of 1024-8192 rows cost the same to within 8 %, and 256
@@ -79,9 +74,11 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # up to 2048 rows forms its G and b from one block, as from the whole B.
 _BLOCK_ROWS = 2048
 
+_EPS = np.finfo(np.float64).eps
+
 # An RSS below this fraction of y'y has lost its digits in the closed
 # form y'y - 2 theta'b + theta'G theta (the fit nearly interpolates).
-_CANCELLATION = np.sqrt(np.finfo(np.float64).eps)
+_CANCELLATION = np.sqrt(_EPS)
 
 
 # The smoothing parameters the GCV search scans (read-only).
@@ -113,8 +110,8 @@ def cho_factor(a):
     """Inverse Cholesky factor L^-1 of a symmetric positive definite matrix.
 
     Raises np.linalg.LinAlgError when a is not numerically positive
-    definite.  The solver works with L^-1 rather than L: numpy has no
-    triangular solve, and every use below is a product with L^-1.
+    definite.  The fit no longer calls it; perfbench's tracer wraps it
+    by name.
     """
     return np.linalg.inv(np.linalg.cholesky(a))
 
@@ -142,22 +139,33 @@ class _PenalizedSystem:
         self.G, self.b, self.yty, self.Rss = G, b, yty, Rstarstar
 
 
-def _cholesky(M: np.ndarray, where: str):
-    """cho_factor of M, retrying with the jitter ladder; (c, Mj, jitter)."""
-    scale = float(np.trace(M)) / M.shape[0]
-    for rel in _JITTER_LADDER:
-        jitter = rel * scale
-        try:
-            Mj = M if jitter == 0.0 else M + jitter * np.eye(M.shape[0])
-            return cho_factor(Mj), Mj, jitter
-        except np.linalg.LinAlgError:
-            continue
-    cond = float(np.linalg.cond(M))
-    raise SingularSystemError(
-        f"normal equations not factorizable at {where} "
-        f"(condition estimate {cond:.3e})",
-        condition_estimate=cond,
-    )
+def _above_tolerance(e: np.ndarray) -> np.ndarray:
+    """The rank rule: which eigenvalues e of a symmetric matrix are not null.
+
+    Null is at or below len(e) * eps * max|e|, numpy.linalg.matrix_rank's
+    tolerance; a non-finite e has nothing above it.
+    """
+    return e > e.shape[0] * _EPS * np.abs(e).max()
+
+
+def _whiten(M: np.ndarray) -> np.ndarray:
+    """T with T' M T = I over M's eigenvectors above the rank tolerance.
+
+    M is first scaled in place to unit diagonal, D^-1/2 M D^-1/2 with D
+    its diagonal (1 where not positive): as with Cholesky, its column
+    scales then do not matter (on a q = n = 75 fit at d = 2 the scan's V
+    went from 3.5e-6 of a 40-digit value to 6.7e-7).  T = D^-1/2 Q e^-1/2.
+    """
+    diag = np.diagonal(M)
+    d = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    M /= d
+    M /= d[:, None]
+    e, Q = np.linalg.eigh(M, UPLO="L")
+    null = int(np.count_nonzero(~_above_tolerance(e)))  # e ascends: a prefix
+    T = Q[:, null:]
+    T /= np.sqrt(e[null:])
+    T /= d[:, None]
+    return T
 
 
 class _Solution(NamedTuple):
@@ -171,107 +179,98 @@ class _Solution(NamedTuple):
 
 
 class _GcvScan:
-    """V(lambda), and the fit at any lambda, from one factorization and one eigh.
+    """V(lambda), and the fit at any lambda, from three symmetric eigh calls.
 
-    With P = blockdiag(0, R**), M0 = G + s P, s = tr G / tr P, and
-    M0 = L L', the matrix C = L^-1 G L^-T = I - s L^-1 P L^-T has
-    eigenvalues gamma in [0, 1].  L^-1 is lower triangular, so
-    L^-1 P L^-T = blockdiag(0, L22^-1 R** L22^-T): with
-    delta, V = eigh(s L22^-1 R** L22^-T), the m unpenalized directions
-    have gamma = 1 exactly and the penalized ones gamma = 1 - delta.
-    The normal matrix at lambda is G + t (M0 - G) with t = n lam / s,
-    i.e. L U diag(d) U' L' with d = gamma + t (1 - gamma).  The scan
-    keeps only W = L^-T U, the generalized eigenbasis with W' M0 W = I
-    and W' G W = diag(gamma).  With z = W' B'y and
-    shrink = t (1 - gamma) / d, summing over the r directions that are
-    not null in G,
+    With P = blockdiag(0, R**), M0 = G + s P and s = tr G / tr P, the
+    scan whitens M0 blockwise (_whiten): A = S'S as T_A' A T_A = I, then
+    the Schur complement E = M0_22 - M0_21 A^+ M0_12, A^+ = T_A T_A', as
+    T_E' E T_E = I.  Each drops the directions that the rank rule
+    (_above_tolerance) finds null: a constant predictor's column, the
+    difference of two copies of a basis point, and any direction M0
+    does not resolve in double precision; the r kept are M0's rank.
+    W0 = [[-A^+ M0_12 T_E, T_A], [T_E, 0]] has W0' M0 W0 = I and
+    W0' P W0 = blockdiag(T_E' R** T_E, 0), so with
+    mu, V = eigh(-s T_E' R** T_E) and W = W0 blockdiag(V, I), W' M0 W = I
+    and W' G W = diag(gamma), gamma = 1 + mu on the penalized directions
+    and exactly 1 on the unpenalized ones.  The normal matrix at lambda
+    is G + t (M0 - G) with t = n lam / s, so W' (normal matrix) W = diag(d)
+    with d = gamma + t (1 - gamma).  The scan keeps only W.  With
+    z = W' B'y and shrink = t (1 - gamma) / d, summing over the r'
+    directions whose gamma the rank rule finds not null in G,
 
         theta       = W (z / d)
         trace A     = sum gamma / d
-        n - trace A = (n - r) + sum shrink
+        n - trace A = (n - r') + sum shrink
         RSS         = y'y - sum z^2 (1 + shrink) / d
                     = RSS_0 + sum (z^2 / gamma) shrink^2
 
     where RSS_0 = y'y - sum z^2 / gamma is the residual of y off the
-    columns of B (0 when r = n).  Each lambda costs O(m + q) to score
-    and O((m + q)^2) to solve.  This is GCVPACK's scheme (Bates,
-    Lindstrom, Wahba & Yandell 1987): one decomposition serves every
-    lambda, the chosen one included.
-
-    When M0 is singular (S is rank deficient, as with a constant
-    predictor), the jitter ladder factors M0 + j I instead.  The scan
-    then solves (G + j I + n lam P) theta = b, a fixed ridge j, with G
-    above read as G + j I; its trace A is exact for that fit, as
-    sum (gamma - j w) / d with w the squared column norms of W,
-    so a direction null in G counts as residual, not fitted.
+    columns of B (0 when r' = n).  W W' is a generalized inverse of M0, so
+    theta is minimum-norm in _whiten's unit-diagonal coordinates, where
+    copies of a basis point have equal scales and share its coefficient.
+    Each lambda costs O(m + q) to score and O((m + q)^2) to solve: the
+    GCVPACK scheme (Bates, Lindstrom, Wahba & Yandell 1987).
     """
 
     def __init__(self, sys_: _PenalizedSystem):
-        m = sys_.m
-        # Repeated basis points give identical R** rows and R* columns:
-        # the fit depends only on the sum of their coefficients, and M0
-        # is singular along their difference.  One copy of each gives
-        # the same fits from a nonsingular M0; the first copy carries the
-        # coefficient and the others get 0.
-        first = {}
-        for i, row in enumerate(sys_.Rss):
-            first.setdefault(row.tobytes(), i)
-        first = np.fromiter(first.values(), dtype=np.int64)
-        self.m, self.p = m, m + sys_.q
-        self.merged = sys_.q - first.shape[0]
-        self.cols = np.concatenate([np.arange(m), m + first])
-        # The scan never writes G, R** or b: it copies them only to merge.
-        G, Rss, b = sys_.G, sys_.Rss, sys_.b
-        if self.merged:
-            G, Rss, b = G[np.ix_(self.cols, self.cols)], Rss[np.ix_(first, first)], b[self.cols]
-        self.G, self.Rss, self.b = G, Rss, b
-        self.n, self.yty = sys_.n, sys_.yty
-        self.s = float(np.trace(G)) / float(np.trace(Rss))
-        M0 = G.copy()
-        M0[m:, m:] += self.s * Rss
-        Linv, M0, self.jitter = _cholesky(M0, "the GCV scan's reference matrix")
-        self.condition_estimate = _condition_estimate(M0, Linv)
-        del M0  # freed before eigh: only the condition estimate reads it
-        if self.jitter:
-            logger.debug("jitter %.3e applied to the GCV scan's reference matrix", self.jitter)
-        gamma, W = self._spectrum(Linv)
-        del Linv  # W carries all that the scan needs of it
-        # Null directions of G add 1 to n - trace A and nothing to the RSS.
-        # They are those with gamma <= 0, and at least the p - n smallest
-        # (gamma ascends), since G = B'B has rank at most n.
-        kept = (gamma > 0.0) & (np.arange(gamma.shape[0]) >= gamma.shape[0] - self.n)
+        # The scan never writes G, R** or b.
+        self.G, self.Rss, self.b = sys_.G, sys_.Rss, sys_.b
+        self.n, self.yty, self.m, self.p = sys_.n, sys_.yty, sys_.m, sys_.G.shape[0]
+        self.s = float(np.trace(self.G)) / float(np.trace(self.Rss))
+        try:
+            gamma, W = self._spectrum()
+        except np.linalg.LinAlgError as exc:  # as on a non-finite system
+            raise SingularSystemError(f"GCV scan eigendecomposition failed: {exc}") from None
+        self.rank = W.shape[1]
+        M0 = self.G.copy()
+        M0[self.m :, self.m :] += self.s * self.Rss
+        self.condition_estimate = _condition_estimate(M0, W.T)
+        del M0
+        # Null directions of G add 1 to n - trace A and nothing to the RSS:
+        # those with gamma at or below the rank tolerance, and at least the
+        # r - n smallest (gamma ascends), since G = B'B has rank at most n.
+        kept = _above_tolerance(gamma) & (np.arange(self.rank) >= self.rank - self.n)
         self.gamma = np.minimum(gamma[kept], 1.0)
         self.W = W = W[:, kept]
-        self.z2 = (W.T @ b) ** 2
-        self.jw = self.jitter * (W**2).sum(axis=0)
+        self.z2 = (W.T @ self.b) ** 2
         self.free = self.n - self.gamma.shape[0]
         # With rank n, B spans R^n and y has no residual off its columns.
         rss0 = self.yty - float((self.z2 / self.gamma).sum()) if self.free else 0.0
         self.rss0 = max(rss0, 0.0)
 
-    def _spectrum(self, Linv):
-        """gamma ascending and W = L^-T U, where C = U diag(gamma) U' for
-        C = L^-1 (G + jitter I) L^-T, M0 + jitter I = L L' and Linv = L^-1.
+    def _spectrum(self):
+        """gamma ascending and W (p x r) with W' M0 W = I and W' G W = diag(gamma).
 
-        U is blockdiag(V, I_m) up to column order, so W comes from Linv's
-        row blocks without forming U, written into one p x p array so that
-        no product temporary sits beside Linv, V and W.
+        W = W0 blockdiag(V, I) is written into one p x r array, so that
+        no product temporary sits beside T_E, V and W.
         """
-        m, p = self.m, Linv.shape[0]
-        Li = Linv[m:, m:]
-        delta, V = np.linalg.eigh(Li @ self.Rss @ Li.T, UPLO="L")
-        gamma = np.concatenate([1.0 - self.s * delta[::-1], np.ones(m)])
-        W = np.empty((p, p))
-        np.matmul(Linv[m:].T, V[:, ::-1], out=W[:, : p - m])
-        W[:, p - m :] = Linv[:m].T
-        return gamma, W
+        m, G, Rss = self.m, self.G, self.Rss
+        Ta = _whiten(G[:m, :m].copy())
+        K = Ta.T @ G[:m, m:]
+        E = np.multiply(Rss, self.s)
+        E += G[m:, m:]
+        E -= K.T @ K
+        Te = _whiten(E)
+        del E
+        H = Te.T @ (Rss @ Te)
+        H *= -self.s
+        mu, V = np.linalg.eigh(H, UPLO="L")
+        del H
+        k, r = V.shape[0], V.shape[0] + Ta.shape[1]
+        W = np.empty((self.p, r))
+        np.matmul(Te, V, out=W[m:, :k])
+        del Te, V
+        np.matmul(Ta, -(K @ W[m:, :k]), out=W[:m, :k])
+        W[:m, k:] = Ta
+        W[m:, k:] = 0.0
+        return np.concatenate([1.0 + mu, np.ones(r - k)]), W
 
     def _curve(self, lams):
         """V and d at each lambda (rows); V is inf where trace(A) reaches n."""
         t = (self.n * np.atleast_1d(np.asarray(lams, dtype=np.float64)) / self.s)[:, None]
         d = self.gamma + t * (1.0 - self.gamma)
         shrink = t * (1.0 - self.gamma) / d
-        resid_dof = self.free + shrink.sum(axis=1) + (self.jw / d).sum(axis=1)
+        resid_dof = self.free + shrink.sum(axis=1)
         # The first RSS form loses all digits as RSS << y'y (fits that
         # nearly interpolate); the second stays exact there but carries
         # the rounding error of small gammas, so it is used only then.
@@ -292,41 +291,39 @@ class _GcvScan:
         return float(self.scores([lam])[0])
 
     def _inverse(self, r, d):
-        """(normal matrix)^-1 r over the kept directions, d from _curve."""
+        """(normal matrix)^+ r over the kept directions, d from _curve."""
         return self.W @ ((self.W.T @ r) / d)
 
     def solve(self, lam: float) -> _Solution:
         """The fit at lam; its V is bitwise score(lam).
 
-        theta takes one step of iterative refinement against the system
-        the scan factored.  On six ill-conditioned bench fits (1-norm
-        condition 3e14 to 9e15) the bare spectral solve's fitted values
-        were 1.5-4x further from a 40-digit solve than a Cholesky
-        solve's; after the step they were closer on five and 2x further
-        on one, and a second step gained nothing.
+        theta takes one step of iterative refinement against the normal
+        equations.  On six bench fits of 1-norm condition 3e14 to 9e15
+        (M0 then whitened by Cholesky) it took the fitted values from
+        1.5-4x further from a 40-digit solve than a Cholesky solve's to
+        closer on five; a second step gained nothing.
         """
         V, rss, d = (a[0] for a in self._curve([lam]))
         theta = self._inverse(self.b, d)
-        resid = self.b - self.G @ theta - self.jitter * theta
+        resid = self.b - self.G @ theta
         resid[self.m :] -= (self.n * lam) * (self.Rss @ theta[self.m :])
-        full = np.zeros(self.p)
-        full[self.cols] = theta + self._inverse(resid, d)
+        theta += self._inverse(resid, d)
         return _Solution(
-            theta=full,
-            trace_A=float(((self.gamma - self.jw) / d).sum()),
+            theta=theta,
+            trace_A=float((self.gamma / d).sum()),
             rss=float(rss),
             V=float(V),
             spread=float(d.max() / d.min()),
         )
 
 
-def _condition_estimate(Mj: np.ndarray, c) -> float:
-    """Exact 1-norm condition number ||M||_1 ||M^-1||_1, M^-1 = L^-T L^-1.
+def _condition_estimate(M: np.ndarray, c) -> float:
+    """1-norm condition number ||M||_1 ||M^-||_1, M^- = c' c an inverse of M.
 
-    ||M^-1||_1 is norm's reduction on an abs taken in place, so no
-    fourth p x p array sits beside M, L^-1 and M^-1.
+    M^- may be a generalized inverse; its norm is a reduction on an abs
+    taken in place, so no fourth p x p array sits beside M, c and M^-.
     """
-    kappa = float(np.linalg.norm(Mj, 1))
+    kappa = float(np.linalg.norm(M, 1))
     Minv = c.T @ c
     kappa *= float(np.abs(Minv, out=Minv).sum(axis=0).max())
     return kappa if np.isfinite(kappa) else float("inf")
@@ -440,8 +437,8 @@ def _fit(data, sel, spec: AnovaSpec, rescale: bool, lam=None) -> FittedModel:
         "trace_A": fit.trace_A,
         "condition_estimate": scan.condition_estimate,
         "spread": fit.spread,
-        "jitter": float(scan.jitter),
-        "merged_duplicates": scan.merged,
+        "rank": scan.rank,
+        "dropped_directions": scan.p - scan.rank,
         "n": scan.n,
         "q": sel.indices.shape[0],
         "m": spec.m,
@@ -463,9 +460,9 @@ def gcv_select(data, sel, spec: AnovaSpec, rescale: bool = True) -> FittedModel:
 
     Scans LAMBDA_GRID, then refines with three golden-section steps in
     log-lambda between the winning point's grid neighbors.  Ties in
-    the score go to the smaller lambda.  One factorization and one
-    symmetric eigendecomposition score every lambda and solve the chosen
-    one, so gcv_score is the scan's own V at that lambda.
+    the score go to the smaller lambda.  One decomposition (_GcvScan)
+    scores every lambda and solves the chosen one, so gcv_score is the
+    scan's own V at that lambda.
 
     Parameters
     ----------
@@ -479,9 +476,9 @@ def gcv_select(data, sel, spec: AnovaSpec, rescale: bool = True) -> FittedModel:
     -------
     FittedModel
         Model at the best lambda; diagnostics carry the influence
-        trace, the reference matrix's 1-norm condition number, the
-        spread max d / min d at lambda, any jitter applied, and the
-        count of merged duplicate basis points.
+        trace, the reference matrix's 1-norm condition number on its
+        kept range, the spread max d / min d at lambda, that matrix's
+        rank, and the count of directions the rank rule dropped from it.
     """
     return _fit(data, sel, spec, rescale)
 

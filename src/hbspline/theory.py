@@ -17,7 +17,7 @@ orthonormal on the unit cube.
 The population is pinned down by a fixed scaling map: the min-max
 scaler of the quasi-Monte Carlo reference sample is reused to scale
 every replicate draw (clamping the rare point that falls outside).
-Re-scaling each replicate by its own extremes would jitter the
+Re-scaling each replicate by its own extremes would perturb the
 integrand by the fluctuation of the sample extremes, which does not
 shrink with q and would mask the rates being measured.
 """

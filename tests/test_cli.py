@@ -59,6 +59,32 @@ class TestFit:
         line = capsys.readouterr().out
         assert "fit: n=300 d=2 q=25 method=hbs" in line
 
+    def test_tied_data_records_the_dropped_directions(self, tmp_path):
+        # 5 levels per predictor, with the four corners of the bounding
+        # square among the basis points: the rank rule drops each extra
+        # copy of a point and the corners' null direction, and the
+        # manifest says how many.
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(43)))
+        X = gen.integers(0, 5, (3000, 2))
+        y = np.sin(0.75 * X[:, 0]) + X[:, 1] / 4.0 + 0.1 * gen.standard_normal(3000)
+        rows = [[str(a), str(b), repr(float(v))] for (a, b), v in zip(X.tolist(), y)]
+        data = write_csv(tmp_path / "tied.csv", ["u", "v", "y"], rows)
+        out = tmp_path / "model.json"
+        assert main([
+            "fit", "--data", data, "--response", "y", "--method", "ubs",
+            "--q", "100", "--seed", "1", "--out", str(out),
+        ]) == 0
+        sel = select(scale_to_unit_cube(X, y), SelectionConfig(q=100, method="ubs", seed=1))
+        basis = X[sel.indices]
+        for corner in ([0, 0], [0, 4], [4, 0], [4, 4]):
+            assert np.any(np.all(basis == corner, axis=1))
+        dropped = 100 - np.unique(basis, axis=0).shape[0] + 1
+        manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
+        assert manifest["warnings"] == {"dropped_directions": dropped}
+        diagnostics = load_model(out).diagnostics
+        assert diagnostics["dropped_directions"] == dropped
+        assert diagnostics["rank"] == 3 + 100 - dropped
+
     def test_matches_library_pipeline(self, tmp_path):
         data, raw, y = training_csv(tmp_path / "train.csv", seed=1)
         out = tmp_path / "model.json"
@@ -269,7 +295,7 @@ class TestFit:
         assert not out.exists()
 
     def test_constant_predictor_column_exits_2(self, tmp_path, capsys):
-        # Without the check such a column fits only on the jitter ladder.
+        # Without the check the rank rule would drop its terms unnamed.
         gen = np.random.default_rng(11)
         rows = [[repr(float(u)), "3.5", repr(float(v))] for u, v in gen.random((60, 2))]
         data = write_csv(tmp_path / "train.csv", ["u", "flat", "y"], rows)

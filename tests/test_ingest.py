@@ -51,7 +51,7 @@ def csv_texts(draw):
         lines.append(",".join(draw(st.lists(cell, min_size=w, max_size=w))))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " "])))
-    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
@@ -194,13 +194,26 @@ class TestReadNumericCsv:
             ("\ufeff\n1\n2\n", False),  # an empty header line after the mark
             ("a,b,y\n1,1_0,3\n", False),
             ('a,b,y\n1,"2",3\n', False),
-            ("a,b,y\r\n1,2,3\r\n", False),
+            ("a,b,y\r\n1,2,3\r\n", True),
+            ("a,b,y\r\n1,2,3\r\n4,5,6", True),
+            ("a,b,y\r1,2,3\r", False),  # a lone '\r'
+            ("a,b,y\r\n1,2,3\r\n\r\n4,5,6\r\n", False),  # an empty '\r\n' line
             ("a,label,y\n1,red,3\n", False),
         ],
     )
     def test_which_files_numpy_parses(self, tmp_path, text, numpy_parses):
         p = write(tmp_path / "d.csv", text)
         assert (ingest._parse_plain(p, lambda name: True) is not None) == numpy_parses
+        with csv_reader_only():
+            want = read_outcome(p, "y", None)
+        assert read_outcome(p, "y", None) == want
+
+    def test_crlf_split_across_pieces(self, tmp_path):
+        # The first 64 KiB piece ends between a '\r' and its '\n'.
+        text = "abc,y\r\n" + "1,2\r\n" * 13200
+        assert text[ingest._PIECE - 1] == "\r"
+        p = write(tmp_path / "d.csv", text)
+        assert ingest._plain_shape(p) == (["abc", "y"], 13200)
         with csv_reader_only():
             want = read_outcome(p, "y", None)
         assert read_outcome(p, "y", None) == want
@@ -269,6 +282,18 @@ class TestAppendPredictionCsv:
         append_prediction_csv(src, tmp_path / "out.csv", np.array(preds))
         assert (tmp_path / "out.csv").read_bytes() == csv_writer_copy(src, preds)
         assert (tmp_path / "out.csv").read_bytes().startswith(b"a,note,b,prediction\r\n")
+
+    def test_crlf_copy_is_byte_identical_on_both_paths(self, tmp_path):
+        src = write(tmp_path / "in.csv", " a ,note,b\r\n1,keep me, 2\r\n-3e5,x,4\r\n5,y,6")
+        preds = [0.1, -2 / 3, 7.0]
+        assert ingest._copy_plain(src, io.StringIO(), preds)
+        out = tmp_path / "out.csv"
+        append_prediction_csv(src, out, preds)
+        got = out.read_bytes()
+        with mock.patch.object(ingest, "_copy_plain", return_value=False):
+            append_prediction_csv(src, out, preds)
+        assert out.read_bytes() == got == csv_writer_copy(src, preds)
+        assert got.startswith(b"a,note,b,prediction\r\n1,keep me, 2,0.1\r\n")
 
     def test_quoted_copy_goes_through_csv_writer(self, tmp_path):
         src = write(tmp_path / "in.csv", 'a,note\n1,"x, y"\n2,"say ""hi"""\n')

@@ -37,15 +37,15 @@ from hbspline.kernels import _ROW_ALIGN, chunk_rows, gram_matrix, null_space_eva
 from hbspline.solver import (
     _BLOCK_ROWS,
     MODEL_FORMAT_VERSION,
-    _cholesky,
     _condition_estimate,
     _GcvScan,
     _normal_equations,
     _PenalizedSystem,
+    _whiten,
     cho_factor,
     cho_solve,
 )
-from reference import design_matrices
+from reference import design_matrices, svd_fit
 
 
 def smooth_surface(X):
@@ -75,27 +75,34 @@ def whole_design_system(B, Rss, y, m):
     return _PenalizedSystem(B.T @ B, B.T @ y, float(y @ y), Rss, B.shape[0], m)
 
 
-def cholesky_factor(sys_, lam):
-    """Cholesky of the normal matrix G + n lam P, escalating jitter on failure."""
+def normal_matrix(sys_, lam):
+    """G + n lam P."""
     M = sys_.G.copy()
     M[sys_.m :, sys_.m :] += (sys_.n * lam) * sys_.Rss
-    return _cholesky(M, f"lambda={lam:g}")
+    return M
+
+
+def cholesky_factor(sys_, lam):
+    """(L^-1, M) for the normal matrix M at lambda; raises LinAlgError
+    unless M is numerically positive definite."""
+    M = normal_matrix(sys_, lam)
+    return cho_factor(M), M
 
 
 def cholesky_gcv(sys_, lam):
-    """(V, trace A, theta, RSS, jitter) at lambda from one Cholesky factorization.
+    """(V, trace A, theta, RSS) at lambda from one Cholesky factorization.
 
     The reference route: the normal matrix at lambda factored afresh,
     trace A = tr(M^-1 G) and the closed-form RSS y'y - 2 theta'b + theta'G theta.
     """
-    c, _, jitter = cholesky_factor(sys_, lam)
+    c, _ = cholesky_factor(sys_, lam)
     theta = cho_solve(c, sys_.b)
     tr = float(np.trace(cho_solve(c, sys_.G)))
     rss = max(sys_.yty - 2.0 * float(theta @ sys_.b) + float(theta @ (sys_.G @ theta)), 0.0)
     denom = (1.0 - tr / sys_.n) ** 2
     if denom <= 0.0:
-        return np.inf, tr, theta, rss, jitter
-    return (rss / sys_.n) / denom, tr, theta, rss, jitter
+        return np.inf, tr, theta, rss
+    return (rss / sys_.n) / denom, tr, theta, rss
 
 
 def coefficients(data, sel, spec, lam):
@@ -182,17 +189,14 @@ class TestSolveCoefficients:
         with pytest.raises(InvalidConfigError):
             coefficients(data, sel, spec, -1.0)
 
-    def test_singular_system_error_carries_condition(self, monkeypatch):
-        import hbspline.solver as solver
-
+    def test_failed_eigendecomposition_raises_singular_system_error(self, monkeypatch):
         def always_fail(*args, **kwargs):
             raise np.linalg.LinAlgError("forced")
 
-        monkeypatch.setattr(solver, "cho_factor", always_fail)
         data, sel, spec = make_problem(n=40, q=8, seed=4)
-        with pytest.raises(SingularSystemError) as excinfo:
+        monkeypatch.setattr(np.linalg, "eigh", always_fail)
+        with pytest.raises(SingularSystemError, match="GCV scan eigendecomposition failed") as excinfo:
             coefficients(data, sel, spec, 1e-3)
-        assert excinfo.value.condition_estimate is not None
         assert excinfo.value.exit_code == 3
 
 
@@ -333,17 +337,15 @@ class TestGcvSelect:
         want = a * predict(model, grid) + b
         assert np.max(np.abs(predict(moved, grid) - want)) <= 1e-9 * np.max(np.abs(want))
 
-    def test_all_grid_failures_raise(self, monkeypatch, banana_data):
-        import hbspline.solver as solver
-
-        def always_fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("forced")
-
-        monkeypatch.setattr(solver, "cho_factor", always_fail)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_system_raises(self, banana_data, bad):
         data = banana_data(n=100, seed=23)
         sel = hbs_select(data, SelectionConfig(q=10, method="hbs", seed=5))
+        sys_ = _normal_equations(data, sel.indices, default_spec(2))
+        sys_.G[1, 1] = bad
         with pytest.raises(SingularSystemError):
-            gcv_select(data, sel, default_spec(2))
+            _GcvScan(sys_)
 
     def test_fixed_lambda_matches_requested_value(self, banana_data):
         data = banana_data(n=200, seed=24, noise=0.05)
@@ -518,21 +520,21 @@ class TestGcvScan:
         assert np.argmin(got) == np.argmin(ref)
         assert np.max(np.abs(got - ref) / ref) <= 1e-4
 
-    def test_fit_factorizes_once(self, monkeypatch, banana_data):
-        import hbspline.solver as solver
-
+    def test_fit_decomposes_once(self, monkeypatch, banana_data):
+        # Two whitening eigh calls and one of the whitened penalty serve
+        # every lambda, the chosen one included.
         calls = []
-        real = solver.cho_factor
+        real = np.linalg.eigh
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "cho_factor", counting)
         data = banana_data(n=300, seed=32, noise=0.1)
         sel = hbs_select(data, SelectionConfig(q=25, method="hbs", seed=14))
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         gcv_select(data, sel, default_spec(2))
-        assert len(calls) == 1
+        assert len(calls) == 3
 
 
 EPS = np.finfo(np.float64).eps
@@ -551,7 +553,7 @@ def _reference_system(kind):
         raw = gen_design("d4", 2000, 2, gen)
         data = scale_to_unit_cube(raw, raw[:, 0] + np.sin(raw[:, 1]))
         sel = hbs_select(data, SelectionConfig(q=100, method="hbs", seed=2))
-    else:  # "jittered-M0": a constant column makes M0 singular on the null space
+    else:  # "constant-column": a constant predictor makes M0 singular on the null space
         X = gen.random((200, 2))
         X[:, 1] = 0.5
         data = dataset_from_unit_cube(X, X[:, 0] ** 2 + 0.1 * gen.standard_normal(200))
@@ -560,17 +562,15 @@ def _reference_system(kind):
     return _normal_equations(data, sel.indices, spec)
 
 
-def _merged(sys_, drop_null=False):
-    """The system on the first copy of each repeated basis point, as
-    _GcvScan solves it, and its columns in the full theta.
-
-    With drop_null, it also lacks every unpenalized column that is zero
-    in G (a constant predictor's): the Cholesky route then needs no jitter.
+def _merged(sys_):
+    """The system on the first copy of each repeated basis point, without
+    the unpenalized columns that are zero in G (a constant predictor's),
+    and its columns in the full theta.  Its M0 is positive definite, so
+    the Cholesky route solves it as it stands.
     """
-    keep = np.sort(np.unique(sys_.Rss, axis=0, return_index=True)[1])
+    keep = _first_copies(sys_.Rss)[0]
     cols = np.concatenate([np.arange(sys_.m), sys_.m + keep])
-    if drop_null:
-        cols = cols[(cols >= sys_.m) | (np.diag(sys_.G)[cols] > 0.0)]
+    cols = cols[(cols >= sys_.m) | (np.diag(sys_.G)[cols] > 0.0)]
     m = int(np.count_nonzero(cols < sys_.m))
     merged = _PenalizedSystem(
         sys_.G[np.ix_(cols, cols)], sys_.b[cols], sys_.yty,
@@ -579,33 +579,53 @@ def _merged(sys_, drop_null=False):
     return merged, cols
 
 
+def _first_copies(Rss):
+    """The first copy of each distinct basis point (ascending), and the
+    position in that list of every basis point's first copy."""
+    _, first, inverse = np.unique(Rss, axis=0, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    return keep, np.searchsorted(keep, first[inverse.ravel()])
+
+
+def _fold(sys_, cols, theta):
+    """A full theta on _merged's columns, each copy's coefficient added
+    onto its first copy: the same fitted values."""
+    keep, pos = _first_copies(sys_.Rss)
+    folded = np.concatenate([theta[: sys_.m], np.zeros(keep.shape[0])])
+    np.add.at(folded, sys_.m + pos, theta[sys_.m :])
+    full = np.zeros(sys_.G.shape[0])
+    full[np.concatenate([np.arange(sys_.m), sys_.m + keep])] = folded
+    return full[cols]
+
+
 def _kappa(sys_, lam):
     """Exact 1-norm condition number of the normal matrix at lambda."""
-    c, Mj, _ = cholesky_factor(sys_, lam)
-    return _condition_estimate(Mj, c)
+    c, M = cholesky_factor(sys_, lam)
+    return _condition_estimate(M, c)
 
 
 class ScipyGcvScan(_GcvScan):
-    """_GcvScan with the whole C reduced by LAPACK's sygst and triangular solves, the reference."""
+    """_GcvScan with the whole C reduced by LAPACK's sygst and triangular
+    solves on the _merged system, the reference; W is embedded in the
+    full system's rows, with zeros on the columns _merged leaves out."""
 
-    def _spectrum(self, Linv):
+    def _spectrum(self):
         import scipy.linalg
 
-        m, G, Rss = self.m, self.G, self.Rss
-        M0 = G.copy()
-        M0[m:, m:] += self.s * Rss
-        if self.jitter:
-            M0 = M0 + self.jitter * np.eye(M0.shape[0])
+        ref, cols = _merged(_PenalizedSystem(self.G, self.b, self.yty, self.Rss, self.n, self.m))
+        M0 = ref.G.copy()
+        M0[ref.m :, ref.m :] += self.s * ref.Rss
         L = scipy.linalg.cholesky(M0, lower=True)
-        Gj = G + self.jitter * np.eye(G.shape[0])
-        (sygst,) = scipy.linalg.get_lapack_funcs(("sygst",), (Gj,))
-        C, info = sygst(Gj, L, itype=1, lower=1)
+        (sygst,) = scipy.linalg.get_lapack_funcs(("sygst",), (ref.G,))
+        C, info = sygst(ref.G, L, itype=1, lower=1)
         assert info == 0
         gamma, U = np.linalg.eigh(C, UPLO="L")
-        return gamma, scipy.linalg.solve_triangular(L, U, lower=True, trans="T")
+        W = np.zeros((self.p, cols.shape[0]))
+        W[cols] = scipy.linalg.solve_triangular(L, U, lower=True, trans="T")
+        return gamma, W
 
 
-REFERENCE_SYSTEMS = ["well-conditioned", "cond-1e13", "jittered-M0", "duplicated-basis"]
+REFERENCE_SYSTEMS = ["well-conditioned", "cond-1e13", "constant-column", "duplicated-basis"]
 
 
 class TestNumpyLinalgAgainstScipy:
@@ -615,19 +635,19 @@ class TestNumpyLinalgAgainstScipy:
     def test_cho_solve_and_condition_number(self, kind):
         import scipy.linalg
 
-        sys_ = _reference_system(kind)
-        c, Mj, _ = cholesky_factor(sys_, 1e-6)
-        kappa = _condition_estimate(Mj, c)
+        sys_, _ = _merged(_reference_system(kind))
+        c, M = cholesky_factor(sys_, 1e-6)
+        kappa = _condition_estimate(M, c)
         if kind == "cond-1e13":
             assert 1e12 <= kappa <= 1e14
-        ref_c = scipy.linalg.cho_factor(Mj, lower=True)
+        ref_c = scipy.linalg.cho_factor(M, lower=True)
         rhs = np.column_stack([sys_.b, sys_.G])
         got, ref = cho_solve(c, rhs), scipy.linalg.cho_solve(ref_c, rhs)
         assert np.max(np.abs(got - ref)) <= kappa * EPS * np.max(np.abs(ref))
         # pocon estimates ||M^-1||_1 from below; the exact value is at most a
         # small factor above it.
-        (pocon,) = scipy.linalg.get_lapack_funcs(("pocon",), (Mj,))
-        rcond, info = pocon(ref_c[0], np.linalg.norm(Mj, 1), uplo="L")
+        (pocon,) = scipy.linalg.get_lapack_funcs(("pocon",), (M,))
+        rcond, info = pocon(ref_c[0], np.linalg.norm(M, 1), uplo="L")
         assert info == 0
         assert 1.0 / rcond <= kappa * (1.0 + kappa * EPS) and kappa <= 10.0 / rcond
 
@@ -636,22 +656,20 @@ class TestNumpyLinalgAgainstScipy:
         sys_ = _reference_system(kind)
         got, ref = _GcvScan(sys_), ScipyGcvScan(sys_)
         merged, _ = _merged(sys_)
+        # The rank rule drops what the reference leaves out by hand, and
+        # both class the same directions as null in G.
+        assert got.rank == ref.rank
+        assert got.free == ref.free
         # M0 = G + s P is the normal matrix at n lam = s.
-        c0, M0, jitter0 = cholesky_factor(merged, got.s / sys_.n)
-        assert (jitter0 > 0.0) == (kind == "jittered-M0")
+        c0, M0 = cholesky_factor(merged, got.s / sys_.n)
         tol0 = _condition_estimate(M0, c0) * EPS
-        # Directions with gamma below cond(M0) * eps are null in G to
-        # working precision: either reduction may keep or drop them.
-        sure_got, sure_ref = got.gamma > tol0, ref.gamma > tol0
-        assert sure_got.sum() == sure_ref.sum()
-        assert np.max(np.abs(got.gamma[sure_got] - ref.gamma[sure_ref])) <= tol0
+        assert np.max(np.abs(got.gamma - ref.gamma)) <= tol0
         # z is unique only up to rotations within a repeated gamma (the m
         # null-space directions share gamma = 1), so compare z^2 summed
         # over each cluster of equal gammas.
-        gamma = ref.gamma[sure_ref]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(gamma) > 1e-8) + 1])
-        z2_got = np.add.reduceat(got.z2[sure_got], starts)
-        z2_ref = np.add.reduceat(ref.z2[sure_ref], starts)
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(ref.gamma) > 1e-8) + 1])
+        z2_got = np.add.reduceat(got.z2, starts)
+        z2_ref = np.add.reduceat(ref.z2, starts)
         assert np.max(np.abs(z2_got - z2_ref)) <= tol0 * ref.z2.sum()
         V_got, V_ref = got.scores(LAMBDA_GRID), ref.scores(LAMBDA_GRID)
         tol = np.array([_kappa(merged, lam) for lam in LAMBDA_GRID]) * EPS
@@ -659,38 +677,36 @@ class TestNumpyLinalgAgainstScipy:
 
     @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
     def test_scan_keeps_the_generalized_eigenbasis(self, kind):
-        # W' M0j W = I and W' (G + j I) W = diag(gamma), with M0j the
-        # jittered reference matrix the scan factored (measured worst:
-        # 0.08 cond * eps).
+        # W' M0 W = I and W' G W = diag(gamma) over the kept directions.
         sys_ = _reference_system(kind)
         scan = _GcvScan(sys_)
-        m, W, eye = scan.m, scan.W, np.eye(scan.G.shape[0])
-        M0j = scan.G + scan.jitter * eye
-        M0j[m:, m:] += scan.s * scan.Rss
+        W = scan.W
         tol = scan.condition_estimate * EPS
-        assert np.linalg.norm(W.T @ M0j @ W - np.eye(W.shape[1]), 2) <= tol
-        Gj = scan.G + scan.jitter * eye
-        assert np.linalg.norm(W.T @ Gj @ W - np.diag(scan.gamma), 2) <= tol
-        # With nothing merged the scan reads the system's own arrays.
+        M0 = normal_matrix(sys_, scan.s / sys_.n)
+        assert np.linalg.norm(W.T @ M0 @ W - np.eye(W.shape[1]), 2) <= tol
+        assert np.linalg.norm(W.T @ scan.G @ W - np.diag(scan.gamma), 2) <= tol
+        # The scan reads the system's own arrays.
         for mine, theirs in ((scan.G, sys_.G), (scan.Rss, sys_.Rss), (scan.b, sys_.b)):
-            assert np.shares_memory(mine, theirs) == (scan.merged == 0)
-        assert (scan.merged > 0) == (kind == "duplicated-basis")
+            assert mine is theirs
+        dropped = {"constant-column": 1, "duplicated-basis": 4}.get(kind, 0)
+        assert scan.rank == scan.p - dropped
 
-    def test_jitter_ladder_fires_on_indefinite_matrix(self):
+    def test_rank_rule_drops_eigenvalues_at_the_tolerance(self):
+        # 12 x 12 with largest eigenvalue 2: the tolerance is 12 eps 2,
+        # about 5.3e-15.  Negative, zero and 1e-16 eigenvalues are null;
+        # 1e-12 is kept.
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
         Q, _ = np.linalg.qr(gen.standard_normal((12, 12)))
-        eig = np.concatenate([np.linspace(1.0, 2.0, 11), [-1e-10]])
+        eig = np.concatenate([[-1e-10, 0.0, 1e-16, 1e-12], np.linspace(1.0, 2.0, 8)])
         M = (Q * eig) @ Q.T
         M = (M + M.T) / 2.0
-        with pytest.raises(np.linalg.LinAlgError):
-            cho_factor(M)
-        c, Mj, jitter = _cholesky(M, "an indefinite matrix")
-        scale = np.trace(M) / 12
-        assert 1e-10 * scale <= jitter <= 1e-9 * scale
-        assert np.array_equal(Mj, M + jitter * np.eye(12))
-        assert np.allclose(c @ Mj @ c.T, np.eye(12), atol=1e-9)
-        with pytest.raises(SingularSystemError):
-            _cholesky(-M, "a negative definite matrix")
+        T = _whiten(M.copy())
+        assert T.shape == (12, 9)
+        # eigh's eps * 2 error, scaled by 1 / 1e-12 along the smallest kept direction
+        assert np.allclose(T.T @ M @ T, np.eye(9), atol=1e-3)
+        assert np.linalg.norm(T[:, 0]) > 1e5  # the 1e-12 direction
+        negative = -(Q * np.linspace(1.0, 2.0, 12)) @ Q.T
+        assert _whiten(negative).shape == (12, 0)
 
 
 class TestScanStepsInPlace:
@@ -698,20 +714,41 @@ class TestScanStepsInPlace:
 
     @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
     def test_condition_estimate_is_the_product_of_norms(self, kind):
-        c, Mj, _ = cholesky_factor(_reference_system(kind), 1e-6)
-        before = (c.copy(), Mj.copy())
-        ref = float(np.linalg.norm(Mj, 1)) * float(np.linalg.norm(c.T @ c, 1))
-        assert _condition_estimate(Mj, c) == ref
-        assert np.array_equal(c, before[0]) and np.array_equal(Mj, before[1])
+        sys_ = _reference_system(kind)
+        scan = _GcvScan(sys_)
+        M0, Wt = normal_matrix(sys_, scan.s / sys_.n), scan.W.T
+        before = (Wt.copy(), M0.copy())
+        ref = float(np.linalg.norm(M0, 1)) * float(np.linalg.norm(Wt.T @ Wt, 1))
+        assert _condition_estimate(M0, Wt) == ref
+        assert np.array_equal(Wt, before[0]) and np.array_equal(M0, before[1])
+
+    @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
+    def test_whiten_ignores_column_scales(self, kind):
+        # Scaling M's columns and rows by D, powers of two from 2^-20 to
+        # 2^20 so that no rounding enters, scales T by D^-1 and keeps the
+        # same directions: the rank rule sees M's shape, not its units.
+        # A zero column has no scale to change, so D is 1 there.
+        M = normal_matrix(_reference_system(kind), 1e-3)
+        D = 2.0 ** np.random.default_rng(3).integers(-20, 21, M.shape[0])
+        D[np.diag(M) == 0.0] = 1.0
+        T = _whiten(M.copy())
+        T_scaled = _whiten(M * D * D[:, None])
+        assert T_scaled.shape == T.shape
+        assert np.array_equal(T_scaled * D[:, None], T)
 
     @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
     def test_spectrum_writes_the_stacked_eigenbasis(self, kind):
         class Stacked(_GcvScan):
-            def _spectrum(self, Linv):
-                gamma, W = super()._spectrum(Linv)
-                m, Li = self.m, Linv[self.m :, self.m :]
-                _, V = np.linalg.eigh(Li @ self.Rss @ Li.T, UPLO="L")
-                self.pair = (W.copy(), np.hstack([Linv[m:].T @ V[:, ::-1], Linv[:m].T]))
+            def _spectrum(self):
+                gamma, W = super()._spectrum()
+                m, G, Rss = self.m, self.G, self.Rss
+                Ta = _whiten(G[:m, :m].copy())
+                K = Ta.T @ G[:m, m:]
+                Te = _whiten(self.s * Rss + G[m:, m:] - K.T @ K)
+                _, V = np.linalg.eigh(-self.s * (Te.T @ (Rss @ Te)), UPLO="L")
+                U = Te @ V
+                zero = np.zeros((U.shape[0], Ta.shape[1]))
+                self.pair = (W.copy(), np.block([[Ta @ -(K @ U), Ta], [U, zero]]))
                 return gamma, W
 
         W, ref = Stacked(_reference_system(kind)).pair
@@ -723,45 +760,41 @@ class TestSingleSolveRoute:
 
     @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
     def test_solve_matches_cholesky_route(self, kind):
+        # The Cholesky route solves the _merged system; the scan's theta
+        # splits a coefficient across copies of a basis point, so it is
+        # folded onto the first copies before the two are compared.
         sys_ = _reference_system(kind)
         scan = _GcvScan(sys_)
-        ref, cols = _merged(sys_, drop_null=True)
-        rest = np.setdiff1d(np.arange(scan.p), cols)
-        assert (scan.jitter > 0.0) == (kind == "jittered-M0")
+        ref, cols = _merged(sys_)
         for lam in np.append(LAMBDA_GRID, 1e12):
-            _, tr, theta, rss, jitter = cholesky_gcv(ref, lam)
-            assert jitter == 0.0
-            c, M, _ = cholesky_factor(ref, lam)
-            # First-order perturbation bound: rounding, plus the ridge that
-            # a jittered scan adds, each relative to the normal matrix.
-            bound = _condition_estimate(M, c) * (EPS + scan.jitter / np.linalg.norm(M, 1))
+            _, tr, theta, rss = cholesky_gcv(ref, lam)
+            c, M = cholesky_factor(ref, lam)
+            # First-order perturbation bound: rounding relative to the normal matrix.
+            bound = _condition_estimate(M, c) * EPS
             fit = scan.solve(lam)
-            diff = fit.theta[cols] - theta
+            diff = _fold(sys_, cols, fit.theta) - theta
             # Fitted values B theta compared in the G-norm.
             assert np.sqrt(diff @ ref.G @ diff) <= bound * np.sqrt(theta @ ref.G @ theta)
             assert abs(fit.trace_A - tr) <= bound
             assert abs(fit.rss - rss) <= bound * rss
-            assert np.all(fit.theta[rest] == 0.0)
 
     @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
     def test_solve_is_backward_stable(self, kind):
-        # With its refinement step, theta solves the system the scan
-        # factored to a normwise backward error below eps: measured worst
-        # 0.3 eps here, against 27 eps for the bare spectral solve.
+        # With its refinement step, theta solves the normal equations to a
+        # normwise backward error below eps.
         sys_ = _reference_system(kind)
         scan = _GcvScan(sys_)
         for lam in LAMBDA_GRID:
-            theta = scan.solve(lam).theta[scan.cols]
-            N = scan.G + scan.jitter * np.eye(theta.shape[0])
-            N[scan.m :, scan.m :] += (sys_.n * lam) * scan.Rss
+            theta = scan.solve(lam).theta
+            N = normal_matrix(sys_, lam)
             resid = np.linalg.norm(scan.b - N @ theta)
             scale = np.linalg.norm(N, 2) * np.linalg.norm(theta) + np.linalg.norm(scan.b)
             assert resid <= EPS * scale
 
     def test_scan_memory_at_full_basis(self):
         # Beyond the system it is given, the scan holds at most about
-        # 3 p^2 doubles at a time (p = m + q; measured 3.00 p^2): M0, L^-1
-        # and M0^-1 in the condition estimate, L^-1, V and W in _spectrum.
+        # 3 p^2 doubles at a time (p = m + q): T_E, V and W in _spectrum,
+        # then W, M0 and W W' in the condition estimate.
         import tracemalloc
 
         data, sel, spec = random_problem(1500, 2, 1500, seed=5)
@@ -783,10 +816,58 @@ class TestSingleSolveRoute:
         assert model.gcv_score == scan.score(model.lam)
         assert model.gcv_score <= scan.scores(LAMBDA_GRID).min()
 
+
+def assert_matches_svd_fit(data, sel, model):
+    """The fit's GCV curve, its grid argmin and its fitted values at lambda
+    against the SVD reference, each within the reference normal matrix's
+    condition number times eps (a first-order perturbation bound)."""
+    B, Rss = design_matrices(data, sel, model.spec)
+    m = model.spec.m
+    scan = _GcvScan(_normal_equations(data, sel.indices, model.spec))
+    refs = [svd_fit(B, Rss, data.y, m, lam) for lam in LAMBDA_GRID]
+    V, V_ref = scan.scores(LAMBDA_GRID), np.array([r.V for r in refs])
+    cond = np.array([r.cond for r in refs])
+    assert np.all(np.abs(V - V_ref) <= cond * EPS * V_ref)
+    assert np.argmin(V) == np.argmin(V_ref)
+    ref = svd_fit(B, Rss, data.y, m, model.lam)
+    fitted = B @ np.concatenate([model.alpha, model.beta])
+    want = B @ ref.theta
+    assert np.linalg.norm(fitted - want) <= ref.cond * EPS * np.linalg.norm(want)
+
+
+def tied_data():
+    """3,000 rows on 5 levels per predictor."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(43)))
+    X = gen.integers(0, 5, (3000, 2)) / 4.0
+    truth = np.sin(3.0 * X[:, 0]) + X[:, 1]
+    return dataset_from_unit_cube(X, truth + 0.1 * gen.standard_normal(3000)), truth
+
+
+class TestRankRule:
+    """Degenerate designs, each handled by the rank rule and reported by
+    the rank and dropped_directions diagnostics, against the SVD reference."""
+
+    @pytest.mark.parametrize("method", ["hbs", "ubs"])
+    def test_constant_predictor_in_a_library_fit(self, method):
+        # scale_to_unit_cube maps the constant column to 0.5: its linear
+        # term in S is 0, the one direction the rule drops.
+        gen = np.random.default_rng(5)
+        raw = gen.random((500, 2))
+        raw[:, 1] = 3.5
+        y = np.sin(2 * np.pi * raw[:, 0]) + 0.1 * gen.standard_normal(500)
+        data = scale_to_unit_cube(raw, y)
+        select = {"hbs": hbs_select, "ubs": ubs_select}[method]
+        sel = select(data, SelectionConfig(q=30, method=method, seed=3))
+        model = gcv_select(data, sel, default_spec(2))
+        assert model.diagnostics["rank"] == 3 + 30 - 1
+        assert model.diagnostics["dropped_directions"] == 1
+        assert_matches_svd_fit(data, sel, model)
+
     @pytest.mark.parametrize("lam", [1e-6, 1e-3])
-    def test_duplicated_basis_point_sits_on_its_first_copy(self, lam):
+    def test_duplicated_basis_points_share_their_coefficient(self, lam):
         data, sel, spec = _random_system(3, 60, 20, duplicates=4)
         later = sel.indices >= 56  # copies of rows 0-3, also in the basis
+        copied = np.isin(sel.indices, np.arange(4))
         once = BasisSelection(
             indices=sel.indices[~later],
             bin_weight=sel.bin_weight[~later],
@@ -794,35 +875,56 @@ class TestSingleSolveRoute:
         )
         model = fit_fixed_lambda(data, sel, spec, lam, rescale=False)
         ref = fit_fixed_lambda(data, once, spec, lam, rescale=False)
-        assert model.diagnostics["merged_duplicates"] == 4
-        assert np.all(model.beta[later] == 0.0)
+        assert model.diagnostics["dropped_directions"] == 4
+        assert model.diagnostics["rank"] == ref.diagnostics["rank"] == spec.m + sel.q - 4
+        # Copies have equal scales in _whiten, so the fit splits each
+        # coefficient evenly over them.
         scale = np.max(np.abs(ref.beta))
-        assert np.max(np.abs(model.beta[~later] - ref.beta)) <= 1e-9 * scale
+        assert np.max(np.abs(model.beta[later] - model.beta[copied])) <= 1e-9 * scale
+        summed = model.beta[~later].copy()
+        summed[copied[~later]] += model.beta[later]
+        assert np.max(np.abs(summed - ref.beta)) <= 1e-9 * scale
         grid = np.random.Generator(np.random.Philox(np.random.SeedSequence(17))).random((200, 2))
         pred, pred_ref = predict(model, grid), predict(ref, grid)
         assert np.max(np.abs(pred - pred_ref)) <= 1e-10 * np.max(np.abs(pred_ref))
+        assert_matches_svd_fit(data, sel, model)
 
     @pytest.mark.parametrize("method", ["hbs", "ubs"])
-    def test_tied_predictors_merge_duplicate_basis_points(self, method):
-        # 3,000 rows on 5 levels per predictor: q = 100 draws at most 25
-        # distinct points, and the fit solves on one copy of each.  No
-        # jitter is asserted: with the four corners of the data's bounding
-        # square in the basis, R** is exactly singular (R1(0, .) = R1(1, .),
-        # and the kernel has no linear x linear term), and M0 then rides
-        # the jitter ladder.
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(43)))
-        X = gen.integers(0, 5, (3000, 2)) / 4.0
-        truth = np.sin(3.0 * X[:, 0]) + X[:, 1]
-        data = dataset_from_unit_cube(X, truth + 0.1 * gen.standard_normal(3000))
+    def test_tied_predictors_with_the_four_corners_in_the_basis(self, method):
+        # q = 100 draws at most 25 distinct points.  With the four corners
+        # of the data's bounding square in the basis, R* and R** are also
+        # exactly singular along e00 - e10 - e01 + e11 (R1(0, .) = R1(1, .),
+        # and the kernel has no linear x linear term): the rule drops every
+        # extra copy and that one direction.
+        data, truth = tied_data()
         select = {"hbs": hbs_select, "ubs": ubs_select}[method]
         sel = select(data, SelectionConfig(q=100, method=method, seed=1))
-        model = gcv_select(data, sel, default_spec(2))
-        distinct = np.unique(data.X[sel.indices], axis=0).shape[0]
+        basis = data.X[sel.indices]
+        for corner in ([0, 0], [0, 1], [1, 0], [1, 1]):
+            assert np.any(np.all(basis == corner, axis=1))
+        distinct = np.unique(basis, axis=0).shape[0]
         assert distinct <= 25
-        assert model.diagnostics["merged_duplicates"] == 100 - distinct
-        assert np.count_nonzero(model.beta) <= distinct
+        model = gcv_select(data, sel, default_spec(2))
+        assert model.diagnostics["dropped_directions"] == 100 - distinct + 1
+        assert model.diagnostics["rank"] == 3 + distinct - 1
         assert np.isfinite(model.gcv_score) and model.lam > 0.0
         assert mse(predict(model, data.X), truth) < 0.1**2
+        assert_matches_svd_fit(data, sel, model)
+
+    def test_one_dimension_at_full_basis(self):
+        # At d = 1 with q = n, n = 150, M0 has 1-norm condition about
+        # 3.5e13 and one direction below the rank tolerance.
+        gen = np.random.default_rng(150)
+        X = gen.random((150, 1))
+        data = dataset_from_unit_cube(X, np.sin(2 * np.pi * X[:, 0]) + 0.2 * gen.standard_normal(150))
+        sel = ubs_select(data, SelectionConfig(q=150, method="ubs", seed=1))
+        model = gcv_select(data, sel, default_spec(1))
+        assert model.diagnostics["dropped_directions"] == 1
+        assert model.diagnostics["rank"] == 2 + 150 - 1
+        B, Rss = design_matrices(data, sel, model.spec)
+        scan = _GcvScan(_normal_equations(data, sel.indices, model.spec))
+        V_ref = [svd_fit(B, Rss, data.y, model.spec.m, lam).V for lam in LAMBDA_GRID]
+        assert np.argmin(scan.scores(LAMBDA_GRID)) == np.argmin(V_ref)
 
 
 def random_problem(n, d, q, seed):
