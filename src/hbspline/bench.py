@@ -233,10 +233,9 @@ class ExperimentConfig:
             (("q_grid", "methods"), (list, tuple), "a list"),
         ):
             for name in names:
-                if not isinstance(getattr(self, name), kind):
-                    raise InvalidConfigError(
-                        f"{name} must be {what}, not {getattr(self, name)!r}"
-                    )
+                v = getattr(self, name)
+                if not isinstance(v, kind) or isinstance(v, bool):
+                    raise InvalidConfigError(f"{name} must be {what}, not {v!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise InvalidConfigError(f"unknown distribution {self.distribution!r}")
         if self.function not in FUNCTIONS:
@@ -249,12 +248,15 @@ class ExperimentConfig:
             raise InvalidConfigError("seed must be >= 0")
         if self.snr <= 0:
             raise InvalidConfigError("snr must be positive")
-        try:
-            object.__setattr__(self, "q_grid", tuple(int(q) for q in self.q_grid))
-        except (TypeError, ValueError):
-            raise InvalidConfigError(
-                f"q_grid must hold integers, not {self.q_grid!r}"
-            ) from None
+        # An integral float such as 10.0 counts as an integer; 2.5, "40"
+        # and true do not.
+        if not all(
+            not isinstance(q, bool)
+            and (isinstance(q, Integral) or isinstance(q, Real) and float(q).is_integer())
+            for q in self.q_grid
+        ):
+            raise InvalidConfigError(f"q_grid must be a list of integers, not {self.q_grid!r}")
+        object.__setattr__(self, "q_grid", tuple(int(q) for q in self.q_grid))
         object.__setattr__(
             self, "methods", tuple(str(m).lower() for m in self.methods)
         )

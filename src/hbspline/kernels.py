@@ -32,10 +32,10 @@ the terms' own products, with no cancelling difference such as
 
     24 R1(s, t) = [c k2(s), e] . [c k2(t), e] - (x(1 - x))^2,  c = sqrt(24), e = sqrt(1/30).
 
-Every term carries a positive scale factor; rescale_term_weights sets
-the scales so each term's Gram matrix on the basis points has average
-diagonal 1, making the single smoothing parameter comparable across
-terms.
+Every term carries a positive scale factor.  The fit always calls
+rescale_term_weights(spec, basis_points), which sets the scales so each
+term's Gram matrix on the basis points has average diagonal 1, making
+the single smoothing parameter comparable across terms.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class AnovaSpec:
     d : int
         Ambient dimension of the predictors.
     main_effects : tuple of int
-        Zero-based dimensions with a smooth main effect.
+        Zero-based dimensions with a smooth main effect; at least one.
     interactions : tuple of (int, int)
         Dimension pairs (j, j') with j < j'; both members must appear
         in main_effects.
@@ -125,6 +125,8 @@ class AnovaSpec:
         object.__setattr__(self, "d", _spec_index(self.d))
         object.__setattr__(self, "main_effects", mains)
         object.__setattr__(self, "interactions", inters)
+        if not mains:
+            raise InvalidConfigError("spec needs at least one main effect")
         if len(set(mains)) != len(mains):
             raise InvalidConfigError("duplicate main effect")
         for j in mains:
@@ -265,9 +267,6 @@ def gram_matrix(Xa, Xb, spec: AnovaSpec, out=None) -> np.ndarray:
     elif out.shape != (n, q) or out.dtype != np.float64:
         raise InvalidInputError(f"out must be a float64 ({n}, {q}) array")
     dims, nd = spec.main_effects, len(spec.main_effects)
-    if not dims:
-        out.fill(0.0)
-        return out
     # Per main effect a, (column of [1 | x | k1 | k2] over dims, multiplier):
     # the pair [x_a, 1] . [1, -x_a], then with sqrt(c) on both sides the
     # pair [c k2, e] of 24 R1 and M_a's [1, k1(x_b) per partner] / 24.
@@ -334,29 +333,15 @@ def _term_diag(X: np.ndarray, kind: str, ref) -> np.ndarray:
     return r1a * r1b + r1a * _k1(tb) ** 2 + _k1(ta) ** 2 * r1b
 
 
-def rescale_term_weights(data, spec: AnovaSpec, basis_points=None) -> AnovaSpec:
-    """Set each term scale to q / trace(term Gram on the basis points).
+def rescale_term_weights(spec: AnovaSpec, basis_points) -> AnovaSpec:
+    """Set each term scale to q / trace(term Gram on the q basis points).
 
     After rescaling, every term's Gram on the basis points has average
     diagonal exactly 1, so a single smoothing parameter penalizes all
-    terms on a comparable scale.  When basis_points is omitted the full
-    design is used.
-
-    Raises
-    ------
-    InvalidConfigError
-        If a term's Gram trace is zero (degenerate data), naming the
-        term.
+    terms on a comparable scale.  The incoming scales are ignored.  No
+    trace is zero: R1(x, x) >= 1/720, so a main term's trace is at
+    least q/720 and an interaction's at least q/720^2.
     """
-    pts = data.X if basis_points is None else np.atleast_2d(basis_points)
-    q = pts.shape[0]
-    scales = []
-    for (kind, ref), name in zip(spec.terms(), spec.term_names()):
-        tr = float(_term_diag(pts, kind, ref).sum())
-        if tr <= 0.0 or not np.isfinite(tr):
-            raise InvalidConfigError(
-                f"term {name} has zero Gram trace on the basis points"
-            )
-        scales.append(q / tr)
-    return replace(spec, term_scales=tuple(scales))
-
+    q = len(basis_points)
+    traces = [float(_term_diag(basis_points, kind, ref).sum()) for kind, ref in spec.terms()]
+    return replace(spec, term_scales=tuple(q / tr for tr in traces))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,10 +190,12 @@ class SelectionConfig:
         Non-negative 64-bit seed; identical (data, config) pairs give
         identical selections.
     C : int or None
-        Histogram bin count for 'hbs'; defaults to q.
+        Histogram bin count, 'hbs' only; defaults to q.
     k : int or None
-        Curve order for 'hbs'; defaults to max(ceil(log2(C)/d) + 2, 4),
+        Curve order, 'hbs' only; defaults to max(ceil(log2(C)/d) + 2, 4),
         capped so that d*k <= 62.
+
+    q, seed, C and k take integers only (numpy's too), never truncated.
     """
 
     q: int
@@ -205,6 +208,19 @@ class SelectionConfig:
         if self.method not in METHODS:
             raise InvalidConfigError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
+            )
+        for name in ("q", "seed", "C", "k"):
+            v = getattr(self, name)
+            if v is None and name in ("C", "k"):
+                continue
+            try:
+                object.__setattr__(self, name, operator.index(v))
+            except TypeError:
+                raise InvalidConfigError(f"{name}={v!r} is not an integer") from None
+        unused = [name for name in ("C", "k") if getattr(self, name) is not None]
+        if unused and self.method != "hbs":
+            raise InvalidConfigError(
+                f"method {self.method!r} takes no {' or '.join(unused)}; only 'hbs' does"
             )
         if self.q < 1:
             raise InvalidConfigError(f"q={self.q} must be >= 1")

@@ -124,21 +124,6 @@ def cho_solve(c, b):
     return c.T @ (c @ b)
 
 
-class _PenalizedSystem:
-    """The normal equations' pieces; per-lambda work is free of the n rows.
-
-    With B = [S | R*] the n x (m+q) design, G = B'B, b = B'y and
-    yty = y'y; P is the penalty blockdiag(0, R**), and the normal matrix
-    at lambda is G + n lam P.  B itself is not kept.
-    """
-
-    def __init__(self, G, b, yty: float, Rstarstar, n: int, m: int):
-        if n < m + 1:
-            raise InvalidConfigError(f"need at least m+1={m + 1} rows to fit, got {n}")
-        self.n, self.m, self.q = n, m, G.shape[0] - m
-        self.G, self.b, self.yty, self.Rss = G, b, yty, Rstarstar
-
-
 def _above_tolerance(e: np.ndarray) -> np.ndarray:
     """The rank rule: which eigenvalues e of a symmetric matrix are not null.
 
@@ -181,7 +166,10 @@ class _Solution(NamedTuple):
 class _GcvScan:
     """V(lambda), and the fit at any lambda, from three symmetric eigh calls.
 
-    With P = blockdiag(0, R**), M0 = G + s P and s = tr G / tr P, the
+    It takes G = B'B, b = B'y and yty = y'y of the n x (m+q) design
+    B = [S | R*], and R**; B itself is not kept, so the per-lambda work is
+    free of the n rows.  With P = blockdiag(0, R**) the normal matrix at
+    lambda is G + n lam P.  With M0 = G + s P and s = tr G / tr P, the
     scan whitens M0 blockwise (_whiten): A = S'S as T_A' A T_A = I, then
     the Schur complement E = M0_22 - M0_21 A^+ M0_12, A^+ = T_A T_A', as
     T_E' E T_E = I.  Each drops the directions that the rank rule
@@ -212,10 +200,12 @@ class _GcvScan:
     GCVPACK scheme (Bates, Lindstrom, Wahba & Yandell 1987).
     """
 
-    def __init__(self, sys_: _PenalizedSystem):
+    def __init__(self, G, b, yty: float, Rss, n: int, m: int):
+        if n < m + 1:
+            raise InvalidConfigError(f"need at least m+1={m + 1} rows to fit, got {n}")
         # The scan never writes G, R** or b.
-        self.G, self.Rss, self.b = sys_.G, sys_.Rss, sys_.b
-        self.n, self.yty, self.m, self.p = sys_.n, sys_.yty, sys_.m, sys_.G.shape[0]
+        self.G, self.Rss, self.b = G, Rss, b
+        self.n, self.yty, self.m, self.p = n, yty, m, G.shape[0]
         self.s = float(np.trace(self.G)) / float(np.trace(self.Rss))
         try:
             gamma, W = self._spectrum()
@@ -350,8 +340,8 @@ def _design_blocks(X, basis_points, spec: AnovaSpec):
         yield lo, Bc
 
 
-def _normal_equations(data, indices, spec: AnovaSpec) -> _PenalizedSystem:
-    """G = B'B and b = B'y accumulated over row blocks of B, and R**.
+def _normal_equations(data, indices, spec: AnovaSpec) -> _GcvScan:
+    """The scan of G = B'B and b = B'y, accumulated over row blocks of B, and R**.
 
     R** is the kernel among the basis points data.X[indices]; the
     builder computes each entry from its two points alone, so its rows
@@ -365,7 +355,7 @@ def _normal_equations(data, indices, spec: AnovaSpec) -> _PenalizedSystem:
         b += Bc.T @ data.y[lo : lo + Bc.shape[0]]
         here = (indices >= lo) & (indices < lo + Bc.shape[0])
         Rss[here] = Bc[indices[here] - lo, m:]
-    return _PenalizedSystem(G, b, float(data.y @ data.y), Rss, data.n, m)
+    return _GcvScan(G, b, float(data.y @ data.y), Rss, data.n, m)
 
 
 def _explicit_rss(data, basis_points, spec: AnovaSpec, theta) -> float:
@@ -418,13 +408,15 @@ def _gcv_search(scan: _GcvScan) -> tuple[float, int]:
     return best_lam, n_fail
 
 
-def _fit(data, sel, spec: AnovaSpec, rescale: bool, lam=None) -> FittedModel:
-    """Fit at lam, or at the GCV choice over LAMBDA_GRID when lam is None."""
+def _fit(data, sel, spec: AnovaSpec, lam=None) -> FittedModel:
+    """Fit at lam, or at the GCV choice over LAMBDA_GRID when lam is None.
+
+    The term scales of spec are set on the basis points first.
+    """
     _check_indices(data, sel)
     basis_points = np.array(data.X[sel.indices], dtype=np.float64)
-    if rescale:
-        spec = rescale_term_weights(data, spec, basis_points)
-    scan = _GcvScan(_normal_equations(data, sel.indices, spec))
+    spec = rescale_term_weights(spec, basis_points)
+    scan = _normal_equations(data, sel.indices, spec)
     diagnostics = {}
     if lam is None:
         lam, diagnostics["grid_failures"] = _gcv_search(scan)
@@ -455,22 +447,19 @@ def _fit(data, sel, spec: AnovaSpec, rescale: bool, lam=None) -> FittedModel:
     )
 
 
-def gcv_select(data, sel, spec: AnovaSpec, rescale: bool = True) -> FittedModel:
-    """Fit on a basis selection, choosing lambda by GCV.
+def gcv_select(data, sel, spec: AnovaSpec) -> FittedModel:
+    """Fit on a basis selection, choosing lambda by GCV (_gcv_search).
 
-    Scans LAMBDA_GRID, then refines with three golden-section steps in
-    log-lambda between the winning point's grid neighbors.  Ties in
-    the score go to the smaller lambda.  One decomposition (_GcvScan)
-    scores every lambda and solves the chosen one, so gcv_score is the
-    scan's own V at that lambda.
+    One decomposition (_GcvScan) scores every lambda and solves the
+    chosen one, so gcv_score is the scan's own V at that lambda.
 
     Parameters
     ----------
     data : Dataset
     sel : BasisSelection
     spec : AnovaSpec
-        Term structure; term scales are re-normalized on the selected
-        basis points unless rescale is False.
+        Term structure; its term scales are ignored and set on the
+        selected basis points (rescale_term_weights).
 
     Returns
     -------
@@ -480,14 +469,14 @@ def gcv_select(data, sel, spec: AnovaSpec, rescale: bool = True) -> FittedModel:
         kept range, the spread max d / min d at lambda, that matrix's
         rank, and the count of directions the rank rule dropped from it.
     """
-    return _fit(data, sel, spec, rescale)
+    return _fit(data, sel, spec)
 
 
-def fit_fixed_lambda(data, sel, spec: AnovaSpec, lam: float, rescale: bool = True) -> FittedModel:
-    """Fit on a basis selection at a caller-chosen lambda."""
+def fit_fixed_lambda(data, sel, spec: AnovaSpec, lam: float) -> FittedModel:
+    """Fit on a basis selection at a caller-chosen lambda, scaled as gcv_select."""
     if not (np.isfinite(lam) and lam > 0):
         raise InvalidConfigError(f"lambda must be positive, got {lam!r}")
-    return _fit(data, sel, spec, rescale, lam=lam)
+    return _fit(data, sel, spec, lam=lam)
 
 
 def predict(model: FittedModel, Xnew) -> np.ndarray:

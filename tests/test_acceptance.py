@@ -117,12 +117,12 @@ def test_05_subset_solver_matches_classical_fit_at_full_basis():
         y = np.sin(2 * np.pi * X[:, 0]) + (X[:, 1] - 0.3) ** 2 + 0.2 * gen.standard_normal(n)
         data = dataset_from_unit_cube(X, y)
         sel = ubs_select(data, SelectionConfig(q=n, method="ubs", seed=seed))
-        spec = rescale_term_weights(data, default_spec(2), data.X[sel.indices])
+        spec = rescale_term_weights(default_spec(2), data.X[sel.indices])
         B, Rss = design_matrices(data, sel, spec)
         m = spec.m
         S, R = B[:, :m], B[:, m:]
         for lam in lams:
-            model = fit_fixed_lambda(data, sel, spec, lam, rescale=False)
+            model = fit_fixed_lambda(data, sel, spec, lam)
             alpha, beta = model.alpha, model.beta
             aug = np.block(
                 [[Rss + n * lam * np.eye(n), S], [S.T, np.zeros((m, m))]]

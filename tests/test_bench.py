@@ -192,6 +192,14 @@ class TestExperimentConfig:
             {"q_grid": ["x"]},
             {"n": "abc"},
             {"seed": -1},
+            # Floats, strings and booleans that int() would truncate.
+            {"q_grid": [2.5, 10]},
+            {"q_grid": ["40"]},
+            {"q_grid": [True, 5]},
+            {"q_grid": [float("nan")]},
+            {"replicates": True},
+            {"seed": 1.0},
+            {"snr": True},
         ],
     )
     def test_rejects_invalid(self, kwargs):

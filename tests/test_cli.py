@@ -11,6 +11,7 @@ from hbspline import (
     gcv_select,
     load_model,
     predict,
+    save_model,
     scale_to_unit_cube,
     select,
 )
@@ -198,9 +199,10 @@ class TestFit:
         [
             {"main_effects": 5}, {"main_effects": "01"}, {"interactions": [[0]]}, ["d"],
             {"d": 2, "main_effects": [0.5]}, {"interactions": [[0, 1.7]]},
+            {"main_effects": [], "interactions": []},
         ],
         ids=["int-mains", "string-mains", "short-pair", "not-an-object",
-             "fractional-main", "fractional-pair"],
+             "fractional-main", "fractional-pair", "no-mains"],
     )
     def test_malformed_spec_exits_1(self, tmp_path, capsys, spec):
         data, _, _ = training_csv(tmp_path / "train.csv", seed=5, n=60)
@@ -326,6 +328,38 @@ class TestFit:
         ]) == 2
         err = capsys.readouterr().err
         assert "error" in err
+
+    @pytest.mark.parametrize("flags", [["--C", "7"], ["--k", "3"], ["--C", "7", "--k", "3"]])
+    def test_bins_and_order_only_for_hbs(self, tmp_path, capsys, flags):
+        # A ubs fit would ignore them and still record them in the manifest.
+        data, _, _ = training_csv(tmp_path / "train.csv", n=40)
+        out = tmp_path / "m.json"
+        assert main([
+            "fit", "--data", data, "--response", "y", "--q", "5", "--method", "ubs",
+            *flags, "--out", str(out),
+        ]) == 1
+        assert "method 'ubs' takes no" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fewer_rows_than_the_null_space_needs_exits_1(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "train.csv", ["u", "v", "y"],
+                         [["0.1", "0.9", "1"], ["0.5", "0.2", "2"], ["0.8", "0.6", "0"]])
+        out = tmp_path / "m.json"
+        assert main([
+            "fit", "--data", data, "--response", "y", "--q", "2", "--method", "ubs",
+            "--out", str(out),
+        ]) == 1
+        assert "need at least m+1=4 rows to fit, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_only_csv_exits_2(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "train.csv", ["u", "v", "y"], [])
+        out = tmp_path / "m.json"
+        assert main([
+            "fit", "--data", data, "--response", "y", "--q", "2", "--out", str(out),
+        ]) == 2
+        assert "no data rows to fit on" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         data, _, _ = training_csv(tmp_path / "train.csv", n=40)
@@ -464,10 +498,14 @@ class TestPredict:
             ("spec", lambda obj: obj["spec"].update(main_effects=[0.5, 1])),
             ("spec", lambda obj: obj["spec"].update(interactions=[[0, 1.7]])),
             ("spec", lambda obj: obj["spec"].update(d=2.5)),
+            ("spec", lambda obj: obj["spec"].update(main_effects=[], interactions=[])),
+            ("basis_points", lambda obj: obj.update(basis_points=5)),
+            ("lambda", lambda obj: obj.update({"lambda": "small"})),
         ],
         ids=["truncated-beta", "missing-alpha", "nan-beta", "int-predictors",
              "string-predictors", "repeated-predictors", "int-diagnostics",
-             "list-diagnostics", "fractional-main", "fractional-pair", "fractional-d"],
+             "list-diagnostics", "fractional-main", "fractional-pair", "fractional-d",
+             "no-mains", "int-basis-points", "string-lambda"],
     )
     def test_malformed_model_exits_2(self, fitted, tmp_path, capsys, field, damage):
         obj = json.loads(fitted.read_text())
@@ -479,6 +517,32 @@ class TestPredict:
         assert rc == 2
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_model_that_is_not_an_object_exits_2(self, fitted, tmp_path, capsys):
+        fitted.write_text(json.dumps([json.loads(fitted.read_text())]))
+        out = tmp_path / "o.csv"
+        assert main(["predict", "--model", str(fitted),
+                     "--data", str(tmp_path / "train.csv"), "--out", str(out)]) == 2
+        assert "does not hold a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_without_predictor_names_counts_the_columns(self, fitted, tmp_path, capsys):
+        # With no stored names, predict takes every numeric column, so an
+        # extra one is a column-count error rather than a silent misfit.
+        model = load_model(fitted)
+        bare = tmp_path / "bare.json"
+        save_model(model, bare)
+        rows = [["0.5", "1.0", "7"], ["-1.0", "2.0", "8"]]
+        wide = write_csv(tmp_path / "wide.csv", ["u", "v", "w"], rows)
+        out = tmp_path / "o.csv"
+        assert main(["predict", "--model", str(bare), "--data", wide, "--out", str(out)]) == 2
+        assert "3 predictor columns, model expects 2" in capsys.readouterr().err
+        assert not out.exists()
+        narrow = write_csv(tmp_path / "narrow.csv", ["u", "v"], [r[:2] for r in rows])
+        assert main(["predict", "--model", str(bare), "--data", narrow,
+                     "--out", str(out)]) == 0
+        want = predict(model, np.array([[0.5, 1.0], [-1.0, 2.0]]))
+        assert np.array_equal(read_predictions(out), want)
 
     def test_version_mismatch_exits_2(self, fitted, tmp_path):
         obj = json.loads(fitted.read_text())
@@ -556,13 +620,23 @@ class TestBench:
                      str(tmp_path / "o.csv")]) == 1
 
     @pytest.mark.parametrize(
-        "field, value", [("q_grid", 5), ("n", "abc"), ("methods", "hbs")]
+        "field, value",
+        [("q_grid", 5), ("n", "abc"), ("methods", "hbs"), ("q_grid", [2.5, 10]),
+         ("q_grid", ["40"]), ("q_grid", [True, 5]), ("replicates", True)],
     )
     def test_malformed_field_exits_1(self, tmp_path, capsys, field, value):
         cfg = self.bench_config(tmp_path, **{field: value})
         assert main(["bench", "--config", cfg, "--out",
                      str(tmp_path / "o.csv")]) == 1
         assert f"{field} must be" in capsys.readouterr().err
+
+    def test_array_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps([{"distribution": "d1", "function": "f1"}]))
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "expected a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bench.json"
@@ -723,6 +797,10 @@ class TestHilbert:
         assert main(["hilbert", "encode", "--d", "2", "--k", "2",
                      "--cell", "a,b"]) == 1
         capsys.readouterr()
+
+    def test_non_numeric_point_exits_1(self, capsys):
+        assert main(["hilbert", "index", "--d", "2", "--k", "2", "--point", "0.1,x"]) == 1
+        assert "--point expects comma-separated floats" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -158,6 +158,7 @@ class TestAnovaSpec:
             dict(d=2, main_effects=(0, 1.0)),
             dict(d=2, main_effects=("0",)),
             dict(d=2.5, main_effects=(0, 1)),
+            dict(d=2, main_effects=()),
         ],
     )
     def test_rejects_inconsistent_specs(self, kwargs):
@@ -251,7 +252,7 @@ class TestRescaleTermWeights:
     def test_average_diagonal_becomes_one(self, banana_data):
         data = banana_data(n=300, seed=1)
         spec = default_spec(2)
-        scaled = rescale_term_weights(data, spec)
+        scaled = rescale_term_weights(spec, data.X)
         for theta, (kind, ref) in zip(scaled.term_scales, scaled.terms()):
             G = theta * _term_block(data.X, data.X, kind, ref)
             assert abs(np.trace(G) / data.n - 1.0) < 1e-12
@@ -259,8 +260,8 @@ class TestRescaleTermWeights:
     def test_idempotent_and_ignores_incoming_scales(self, uniform_data):
         data = uniform_data(n=100)
         spec = default_spec(2)
-        once = rescale_term_weights(data, spec)
-        twice = rescale_term_weights(data, once)
+        once = rescale_term_weights(spec, data.X)
+        twice = rescale_term_weights(once, data.X)
         assert once.term_scales == twice.term_scales
         inflated = AnovaSpec(
             d=2,
@@ -268,31 +269,35 @@ class TestRescaleTermWeights:
             interactions=((0, 1),),
             term_scales=(10.0, 20.0, 30.0),
         )
-        assert rescale_term_weights(data, inflated).term_scales == once.term_scales
+        assert rescale_term_weights(inflated, data.X).term_scales == once.term_scales
 
-    def test_uses_basis_points_when_given(self, uniform_data, rng):
-        data = uniform_data(n=200)
+    def test_uses_basis_points_when_given(self, rng):
         basis = rng.random((30, 2))
-        spec = rescale_term_weights(data, default_spec(2), basis_points=basis)
+        spec = rescale_term_weights(default_spec(2), basis)
         for theta, (kind, ref) in zip(spec.term_scales, spec.terms()):
             G = theta * _term_block(basis, basis, kind, ref)
             assert abs(np.trace(G) / 30 - 1.0) < 1e-12
 
     def test_finite_positive_on_generated_data(self, uniform_data):
         data = uniform_data(n=60)
-        spec = rescale_term_weights(data, default_spec(2), data.X[:30])
+        spec = rescale_term_weights(default_spec(2), data.X[:30])
         assert all(np.isfinite(s) and s > 0 for s in spec.term_scales)
 
-    def test_zero_trace_named(self, uniform_data, monkeypatch):
-        # The cubic-spline diagonal is strictly positive, so force the
-        # degenerate branch to check the error names the term.
-        import hbspline.kernels as kernels
+    def test_term_diagonals_are_bounded_below(self):
+        # R1(x, x) = k2(x)^2 + 1/720, so no term's trace is zero: a main
+        # term's diagonal is at least 1/720 and an interaction's 1/720^2,
+        # at the ends, the middle and the zeros of k2 alike.
+        root = 0.5 - np.sqrt(1.0 / 12.0)
+        t = np.array([0.0, root, 0.5, 1.0 - root, 1.0, 0.3])
+        X = np.column_stack([t, t[::-1]])
+        assert np.all(kernels._term_diag(X, "main", 0) >= (1.0 - 1e-12) / 720.0)
+        assert abs(kernels._term_diag(X, "main", 0)[1] - 1.0 / 720.0) < 1e-15
+        assert np.all(kernels._term_diag(X, "inter", (0, 1)) >= (1.0 - 1e-12) / 720.0**2)
 
-        monkeypatch.setattr(
-            kernels, "_term_diag", lambda X, kind, ref: np.zeros(X.shape[0])
-        )
-        with pytest.raises(InvalidConfigError, match="x0"):
-            rescale_term_weights(uniform_data(n=20), default_spec(2))
+    def test_non_finite_basis_point_is_rejected_by_the_spec(self):
+        basis = np.array([[0.2, 0.4], [np.nan, 0.5]])
+        with pytest.raises(InvalidConfigError, match="term scales"):
+            rescale_term_weights(default_spec(2), basis)
 
 
 class TestAssembleMatrices:
@@ -328,7 +333,7 @@ class TestAssembleMatrices:
 
     def test_assembled_matrices_finite_and_psd(self, uniform_data):
         data = uniform_data(n=50)
-        spec = rescale_term_weights(data, default_spec(2))
+        spec = rescale_term_weights(default_spec(2), data.X)
         sel = self._selection(data, np.arange(0, 50, 5))
         B, Rss = design_matrices(data, sel, spec)
         S, Rstar = B[:, : spec.m], B[:, spec.m :]
@@ -356,12 +361,12 @@ class TestNullSpaceExactness:
         X = rng.random((80, 2))
         y = 2.0 + 3.0 * (X[:, 0] - 0.5)
         data = dataset_from_unit_cube(X, y)
-        spec = default_spec(2)
         sel = ubs_select(data, SelectionConfig(q=15, method="ubs", seed=3))
+        spec = rescale_term_weights(default_spec(2), data.X[sel.indices])
         B, _ = design_matrices(data, sel, spec)
         S, Rstar = B[:, : spec.m], B[:, spec.m :]
         for lam in (1e-8, 1e-3, 10.0):
-            model = fit_fixed_lambda(data, sel, spec, lam, rescale=False)
+            model = fit_fixed_lambda(data, sel, spec, lam)
             alpha, beta = model.alpha, model.beta
             assert np.allclose(alpha, [2.0, 3.0, 0.0], atol=1e-8)
             assert np.max(np.abs(beta)) < 1e-8

@@ -97,6 +97,27 @@ class TestSelectionConfig:
             SelectionConfig(q=5, seed=-1)
         assert SelectionConfig(q=5, seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"q": 2.5}, "q"), ({"q": 5, "C": 2.5}, "C"), ({"q": 5, "k": 3.0}, "k"),
+         ({"q": 5, "seed": 1.5}, "seed"), ({"q": "5"}, "q"), ({"q": None}, "q")],
+    )
+    def test_rejects_non_integers(self, kwargs, name):
+        with pytest.raises(InvalidConfigError, match=f"{name}=.* is not an integer"):
+            SelectionConfig(**kwargs)
+
+    def test_numpy_integers_are_plain_ints(self):
+        cfg = SelectionConfig(q=np.int32(5), seed=np.uint64(7), C=np.int64(9), k=np.int8(4))
+        assert (cfg.q, cfg.seed, cfg.C, cfg.k) == (5, 7, 9, 4)
+        assert all(type(v) is int for v in (cfg.q, cfg.seed, cfg.C, cfg.k))
+
+    @pytest.mark.parametrize("method", ["ubs", "abs", "sbs"])
+    @pytest.mark.parametrize("kwargs", [{"C": 7}, {"k": 3}, {"C": 7, "k": 3}])
+    def test_bins_and_order_only_for_hbs(self, method, kwargs):
+        with pytest.raises(InvalidConfigError, match=f"method '{method}' takes no"):
+            SelectionConfig(q=5, method=method, **kwargs)
+        SelectionConfig(q=5, method="hbs", **kwargs)
+
 
 class TestSeedStreams:
     @pytest.mark.parametrize("seed, key", [(0, ()), (7, ()), (7, (1, 3)), (2**63, (4, 0, 2, 60))])

@@ -1,6 +1,7 @@
 """Penalized least squares, GCV, prediction, and model persistence."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from hbspline.solver import (
     _condition_estimate,
     _GcvScan,
     _normal_equations,
-    _PenalizedSystem,
     _whiten,
     cho_factor,
     cho_solve,
@@ -52,16 +52,14 @@ def smooth_surface(X):
     return np.sin(2 * np.pi * X[:, 0]) + (X[:, 1] - 0.3) ** 2
 
 
-def make_problem(n=60, q=12, seed=0, noise=0.1, lam_spec=True):
+def make_problem(n=60, q=12, seed=0, noise=0.1):
+    """Data, a ubs selection and the spec the fit scales on its basis points."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     X = gen.random((n, 2))
     y = smooth_surface(X) + noise * gen.standard_normal(n)
     data = dataset_from_unit_cube(X, y)
     sel = ubs_select(data, SelectionConfig(q=q, method="ubs", seed=seed))
-    spec = default_spec(2)
-    if lam_spec:
-        spec = rescale_term_weights(data, spec, data.X[sel.indices])
-    return data, sel, spec
+    return data, sel, rescale_term_weights(default_spec(2), data.X[sel.indices])
 
 
 def blocks(data, sel, spec):
@@ -71,8 +69,13 @@ def blocks(data, sel, spec):
 
 
 def whole_design_system(B, Rss, y, m):
-    """The penalized system formed from the whole design at once."""
-    return _PenalizedSystem(B.T @ B, B.T @ y, float(y @ y), Rss, B.shape[0], m)
+    """The scan of the penalized system formed from the whole design at once."""
+    return _GcvScan(B.T @ B, B.T @ y, float(y @ y), Rss, B.shape[0], m)
+
+
+def rescan(sys_, cls=_GcvScan):
+    """A new scan of a system's G, b, y'y, R**, n and m, as the fit makes one."""
+    return cls(sys_.G, sys_.b, sys_.yty, sys_.Rss, sys_.n, sys_.m)
 
 
 def normal_matrix(sys_, lam):
@@ -106,15 +109,16 @@ def cholesky_gcv(sys_, lam):
 
 
 def coefficients(data, sel, spec, lam):
-    """(alpha, beta) of the fit at lam on the spec's own term scales."""
-    model = fit_fixed_lambda(data, sel, spec, lam, rescale=False)
+    """(alpha, beta) of the fit at lam; spec holds the scales the fit sets."""
+    model = fit_fixed_lambda(data, sel, spec, lam)
+    assert model.spec == spec
     return model.alpha, model.beta
 
 
 def smoother(data, sel, spec, lam):
     """trace(A) and the smoothed values A y at lam."""
-    model = fit_fixed_lambda(data, sel, spec, lam, rescale=False)
-    B, _ = design_matrices(data, sel, spec)
+    model = fit_fixed_lambda(data, sel, spec, lam)
+    B, _ = design_matrices(data, sel, model.spec)
     return model.diagnostics["trace_A"], B @ np.concatenate([model.alpha, model.beta])
 
 
@@ -151,7 +155,7 @@ class TestSolveCoefficients:
         y = smooth_surface(X) + 0.1 * gen.standard_normal(n)
         data = dataset_from_unit_cube(X, y)
         sel = ubs_select(data, SelectionConfig(q=n, method="ubs", seed=seed))
-        spec = rescale_term_weights(data, default_spec(2), data.X)
+        spec = rescale_term_weights(default_spec(2), data.X[sel.indices])
         S, R, Rss = blocks(data, sel, spec)
         for lam in (1e-5, 1e-3, 1e-1, 1.0):
             alpha, beta = coefficients(data, sel, spec, lam)
@@ -269,7 +273,7 @@ class TestGcvSelect:
         assert np.isfinite(model.lam) and model.lam > 0
 
     def test_permutation_invariance(self):
-        data, sel, spec = make_problem(n=120, q=15, seed=9, lam_spec=False)
+        data, sel, spec = make_problem(n=120, q=15, seed=9)
         lam = 2e-4
         model = fit_fixed_lambda(data, sel, spec, lam)
         perm = np.random.Generator(
@@ -345,7 +349,7 @@ class TestGcvSelect:
         sys_ = _normal_equations(data, sel.indices, default_spec(2))
         sys_.G[1, 1] = bad
         with pytest.raises(SingularSystemError):
-            _GcvScan(sys_)
+            rescan(sys_)
 
     def test_fixed_lambda_matches_requested_value(self, banana_data):
         data = banana_data(n=200, seed=24, noise=0.05)
@@ -369,7 +373,7 @@ class TestPredict:
 
     def test_interpolates_noiseless_data_at_basis_points(self):
         data, sel, spec = make_problem(n=30, q=30, seed=12, noise=0.0)
-        model = fit_fixed_lambda(data, sel, spec, 1e-10, rescale=False)
+        model = fit_fixed_lambda(data, sel, spec, 1e-10)
         pred = predict(model, data.X)
         assert np.max(np.abs(pred - data.y)) < 1e-4
 
@@ -424,6 +428,17 @@ class TestPredict:
             predict(model, np.zeros((3, 5)))
         with pytest.raises(InvalidInputError):
             predict(model, np.array([[np.nan, 0.5]]))
+        with pytest.raises(InvalidInputError, match="3 columns, model expects 2"):
+            predict(model, np.array([0.1, 0.2, 0.3]))
+
+    def test_one_dimensional_point_is_one_row(self, banana_data):
+        data = banana_data(n=100, seed=27)
+        sel = hbs_select(data, SelectionConfig(q=10, method="hbs", seed=10))
+        model = fit_fixed_lambda(data, sel, default_spec(2), 1e-3)
+        point = np.array([0.3, -0.2])
+        got = predict(model, point)
+        assert got.shape == (1,)
+        assert np.array_equal(got, predict(model, point[None, :]))
 
 
 def unchunked_prediction(model, X):
@@ -477,7 +492,7 @@ def _random_system(seed, n, q, duplicates=0):
         bin_weight=np.full(idx.size, 1.0 / idx.size),
         nonempty_bins=idx.size,
     )
-    spec = rescale_term_weights(data, default_spec(2), data.X[sel.indices])
+    spec = rescale_term_weights(default_spec(2), data.X[sel.indices])
     return data, sel, spec
 
 
@@ -495,7 +510,7 @@ class TestGcvScan:
         q, dup = {"q<n": (n // 3, 0), "q=n": (n, 0), "duplicates": (n // 3, 4)}[shape]
         data, sel, spec = _random_system(seed, n, q, dup)
         B, Rss = design_matrices(data, sel, spec)
-        scan = _GcvScan(whole_design_system(B, Rss, data.y, spec.m))
+        scan = whole_design_system(B, Rss, data.y, spec.m)
         if dup:
             # Repeated basis points leave the Cholesky reference singular;
             # one copy of each spans the same fits, so the same V(lambda).
@@ -516,7 +531,7 @@ class TestGcvScan:
         B, Rss = design_matrices(data, sel, spec)
         sys_ = whole_design_system(B, Rss, data.y, spec.m)
         lams = LAMBDA_GRID
-        got, ref = _GcvScan(sys_).scores(lams), self.reference_scores(sys_, lams)
+        got, ref = sys_.scores(lams), self.reference_scores(sys_, lams)
         assert np.argmin(got) == np.argmin(ref)
         assert np.max(np.abs(got - ref) / ref) <= 1e-4
 
@@ -558,7 +573,7 @@ def _reference_system(kind):
         X[:, 1] = 0.5
         data = dataset_from_unit_cube(X, X[:, 0] ** 2 + 0.1 * gen.standard_normal(200))
         sel = ubs_select(data, SelectionConfig(q=20, method="ubs", seed=2))
-    spec = rescale_term_weights(data, default_spec(2), data.X[sel.indices])
+    spec = rescale_term_weights(default_spec(2), data.X[sel.indices])
     return _normal_equations(data, sel.indices, spec)
 
 
@@ -572,9 +587,9 @@ def _merged(sys_):
     cols = np.concatenate([np.arange(sys_.m), sys_.m + keep])
     cols = cols[(cols >= sys_.m) | (np.diag(sys_.G)[cols] > 0.0)]
     m = int(np.count_nonzero(cols < sys_.m))
-    merged = _PenalizedSystem(
-        sys_.G[np.ix_(cols, cols)], sys_.b[cols], sys_.yty,
-        sys_.Rss[np.ix_(keep, keep)], sys_.n, m,
+    merged = SimpleNamespace(
+        G=sys_.G[np.ix_(cols, cols)], b=sys_.b[cols], yty=sys_.yty,
+        Rss=sys_.Rss[np.ix_(keep, keep)], n=sys_.n, m=m,
     )
     return merged, cols
 
@@ -612,7 +627,7 @@ class ScipyGcvScan(_GcvScan):
     def _spectrum(self):
         import scipy.linalg
 
-        ref, cols = _merged(_PenalizedSystem(self.G, self.b, self.yty, self.Rss, self.n, self.m))
+        ref, cols = _merged(self)
         M0 = ref.G.copy()
         M0[ref.m :, ref.m :] += self.s * ref.Rss
         L = scipy.linalg.cholesky(M0, lower=True)
@@ -654,7 +669,7 @@ class TestNumpyLinalgAgainstScipy:
     @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
     def test_gcv_scan_matches_sygst_reduction(self, kind):
         sys_ = _reference_system(kind)
-        got, ref = _GcvScan(sys_), ScipyGcvScan(sys_)
+        got, ref = rescan(sys_), rescan(sys_, ScipyGcvScan)
         merged, _ = _merged(sys_)
         # The rank rule drops what the reference leaves out by hand, and
         # both class the same directions as null in G.
@@ -679,7 +694,7 @@ class TestNumpyLinalgAgainstScipy:
     def test_scan_keeps_the_generalized_eigenbasis(self, kind):
         # W' M0 W = I and W' G W = diag(gamma) over the kept directions.
         sys_ = _reference_system(kind)
-        scan = _GcvScan(sys_)
+        scan = rescan(sys_)
         W = scan.W
         tol = scan.condition_estimate * EPS
         M0 = normal_matrix(sys_, scan.s / sys_.n)
@@ -715,7 +730,7 @@ class TestScanStepsInPlace:
     @pytest.mark.parametrize("kind", REFERENCE_SYSTEMS)
     def test_condition_estimate_is_the_product_of_norms(self, kind):
         sys_ = _reference_system(kind)
-        scan = _GcvScan(sys_)
+        scan = sys_
         M0, Wt = normal_matrix(sys_, scan.s / sys_.n), scan.W.T
         before = (Wt.copy(), M0.copy())
         ref = float(np.linalg.norm(M0, 1)) * float(np.linalg.norm(Wt.T @ Wt, 1))
@@ -751,7 +766,7 @@ class TestScanStepsInPlace:
                 self.pair = (W.copy(), np.block([[Ta @ -(K @ U), Ta], [U, zero]]))
                 return gamma, W
 
-        W, ref = Stacked(_reference_system(kind)).pair
+        W, ref = rescan(_reference_system(kind), Stacked).pair
         assert np.array_equal(W, ref)
 
 
@@ -763,8 +778,7 @@ class TestSingleSolveRoute:
         # The Cholesky route solves the _merged system; the scan's theta
         # splits a coefficient across copies of a basis point, so it is
         # folded onto the first copies before the two are compared.
-        sys_ = _reference_system(kind)
-        scan = _GcvScan(sys_)
+        sys_ = scan = _reference_system(kind)
         ref, cols = _merged(sys_)
         for lam in np.append(LAMBDA_GRID, 1e12):
             _, tr, theta, rss = cholesky_gcv(ref, lam)
@@ -782,8 +796,7 @@ class TestSingleSolveRoute:
     def test_solve_is_backward_stable(self, kind):
         # With its refinement step, theta solves the normal equations to a
         # normwise backward error below eps.
-        sys_ = _reference_system(kind)
-        scan = _GcvScan(sys_)
+        sys_ = scan = _reference_system(kind)
         for lam in LAMBDA_GRID:
             theta = scan.solve(lam).theta
             N = normal_matrix(sys_, lam)
@@ -802,7 +815,7 @@ class TestSingleSolveRoute:
         p = sys_.G.shape[0]
         tracemalloc.start()
         try:
-            _GcvScan(sys_)
+            rescan(sys_)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -812,7 +825,7 @@ class TestSingleSolveRoute:
         data = banana_data(n=500, seed=34, noise=0.1)
         sel = hbs_select(data, SelectionConfig(q=30, method="hbs", seed=16))
         model = gcv_select(data, sel, default_spec(2))
-        scan = _GcvScan(_normal_equations(data, sel.indices, model.spec))
+        scan = _normal_equations(data, sel.indices, model.spec)
         assert model.gcv_score == scan.score(model.lam)
         assert model.gcv_score <= scan.scores(LAMBDA_GRID).min()
 
@@ -823,7 +836,7 @@ def assert_matches_svd_fit(data, sel, model):
     condition number times eps (a first-order perturbation bound)."""
     B, Rss = design_matrices(data, sel, model.spec)
     m = model.spec.m
-    scan = _GcvScan(_normal_equations(data, sel.indices, model.spec))
+    scan = _normal_equations(data, sel.indices, model.spec)
     refs = [svd_fit(B, Rss, data.y, m, lam) for lam in LAMBDA_GRID]
     V, V_ref = scan.scores(LAMBDA_GRID), np.array([r.V for r in refs])
     cond = np.array([r.cond for r in refs])
@@ -873,10 +886,15 @@ class TestRankRule:
             bin_weight=sel.bin_weight[~later],
             nonempty_bins=int(np.count_nonzero(~later)),
         )
-        model = fit_fixed_lambda(data, sel, spec, lam, rescale=False)
-        ref = fit_fixed_lambda(data, once, spec, lam, rescale=False)
+        model = fit_fixed_lambda(data, sel, spec, lam)
+        # The reference is the fit on one copy of each point at the same
+        # term scales; a library fit on that basis would set its own.
+        scan = _normal_equations(data, once.indices, model.spec)
+        theta = scan.solve(lam).theta
+        ref = replace(model, basis_points=data.X[once.indices],
+                      alpha=theta[: spec.m].copy(), beta=theta[spec.m :].copy())
         assert model.diagnostics["dropped_directions"] == 4
-        assert model.diagnostics["rank"] == ref.diagnostics["rank"] == spec.m + sel.q - 4
+        assert model.diagnostics["rank"] == scan.rank == spec.m + sel.q - 4
         # Copies have equal scales in _whiten, so the fit splits each
         # coefficient evenly over them.
         scale = np.max(np.abs(ref.beta))
@@ -922,7 +940,7 @@ class TestRankRule:
         assert model.diagnostics["dropped_directions"] == 1
         assert model.diagnostics["rank"] == 2 + 150 - 1
         B, Rss = design_matrices(data, sel, model.spec)
-        scan = _GcvScan(_normal_equations(data, sel.indices, model.spec))
+        scan = _normal_equations(data, sel.indices, model.spec)
         V_ref = [svd_fit(B, Rss, data.y, model.spec.m, lam).V for lam in LAMBDA_GRID]
         assert np.argmin(scan.scores(LAMBDA_GRID)) == np.argmin(V_ref)
 
@@ -932,7 +950,7 @@ def random_problem(n, d, q, seed):
     gen = np.random.default_rng(seed)
     data = dataset_from_unit_cube(gen.random((n, d)), gen.standard_normal(n))
     sel = ubs_select(data, SelectionConfig(q=q, method="ubs", seed=seed))
-    return data, sel, rescale_term_weights(data, default_spec(d), data.X[sel.indices])
+    return data, sel, rescale_term_weights(default_spec(d), data.X[sel.indices])
 
 
 class TestStreamedNormalEquations:
@@ -979,7 +997,7 @@ class TestStreamedNormalEquations:
         assert np.max(np.abs(sys_.G - G)) <= 1e-12 * np.max(np.abs(G))
         assert np.max(np.abs(sys_.b - b)) <= 1e-12 * np.max(np.abs(b))
         assert sys_.yty == float(data.y @ data.y)
-        assert (sys_.n, sys_.m, sys_.q) == (n, spec.m, 15)
+        assert (sys_.n, sys_.m, sys_.p) == (n, spec.m, spec.m + 15)
         # R** is copied out of the streamed R* rows, bit for bit.
         assert sys_.Rss.tobytes() == np.ascontiguousarray(Rss).tobytes()
 
@@ -1002,8 +1020,8 @@ class TestStreamedNormalEquations:
         calls = []
         monkeypatch.setattr(solver, "_explicit_rss", lambda *a: calls.append(1))
         data, sel, spec = make_problem(n=n, q=20, seed=3, noise=0.3)
-        fit = _GcvScan(_normal_equations(data, sel.indices, spec)).solve(1e-4)
-        model = fit_fixed_lambda(data, sel, spec, 1e-4, rescale=False)
+        fit = _normal_equations(data, sel.indices, spec).solve(1e-4)
+        model = fit_fixed_lambda(data, sel, spec, 1e-4)
         theta = np.concatenate([model.alpha, model.beta])
         assert np.array_equal(fit.theta, theta)
         B, _ = design_matrices(data, sel, spec)
@@ -1027,7 +1045,7 @@ class TestStreamedNormalEquations:
             return real(*args)
 
         monkeypatch.setattr(solver, "_explicit_rss", counting)
-        model = fit_fixed_lambda(data, sel, spec, 1e-9, rescale=False)
+        model = fit_fixed_lambda(data, sel, spec, 1e-9)
         assert calls == [1]
         B, _ = design_matrices(data, sel, spec)
         resid = data.y - B @ np.concatenate([model.alpha, model.beta])
