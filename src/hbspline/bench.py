@@ -22,11 +22,10 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, SingularSystemError
+from .errors import InvalidConfigError, InvalidInputError, SingularSystemError, as_int, as_real
 from .kernels import default_spec
 from .selection import (
     METHODS,
@@ -89,8 +88,9 @@ def gen_design(dist: str, n: int, d: int, seed, d2_variant: str = "mixture") -> 
     """
     if dist not in DISTRIBUTIONS:
         raise InvalidConfigError(f"unknown distribution {dist!r}")
-    if d < 1:
-        raise InvalidConfigError(f"dimension {d} must be >= 1")
+    n, d = as_int("n", n), as_int("d", d)
+    if n < 0 or d < 1:
+        raise InvalidConfigError(f"n={n} must be >= 0 and dimension d={d} >= 1")
     if dist == "d4" and d < 2:
         raise InvalidConfigError("banana design needs d >= 2")
     if isinstance(seed, np.random.SeedSequence):
@@ -194,6 +194,7 @@ def calibrate_noise(
     InvalidConfigError
         If snr <= 0 or the surface is constant on the design.
     """
+    snr = as_real("snr", snr)
     if snr <= 0:
         raise InvalidConfigError(f"snr must be positive, got {snr}")
     d = FUNCTION_DIMS[fn]
@@ -227,36 +228,29 @@ class ExperimentConfig:
     d2_variant: str = "mixture"
 
     def __post_init__(self):
-        for names, kind, what in (
-            (("n", "replicates", "seed", "full_cap"), Integral, "an integer"),
-            (("snr",), Real, "a number"),
-            (("q_grid", "methods"), (list, tuple), "a list"),
-        ):
-            for name in names:
-                v = getattr(self, name)
-                if not isinstance(v, kind) or isinstance(v, bool):
-                    raise InvalidConfigError(f"{name} must be {what}, not {v!r}")
+        for name, low in (("n", 2), ("replicates", 1), ("seed", 0), ("full_cap", 0)):
+            object.__setattr__(self, name, v := as_int(name, getattr(self, name)))
+            if v < low:
+                raise InvalidConfigError(f"{name} must be >= {low}")
+        object.__setattr__(self, "snr", as_real("snr", self.snr))
+        if self.snr <= 0:
+            raise InvalidConfigError("snr must be positive")
+        for name in ("q_grid", "methods"):
+            v = getattr(self, name)
+            if not isinstance(v, (list, tuple)):
+                raise InvalidConfigError(f"{name} must be a list, not {v!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise InvalidConfigError(f"unknown distribution {self.distribution!r}")
         if self.function not in FUNCTIONS:
             raise InvalidConfigError(f"unknown function {self.function!r}")
-        if self.n < 2:
-            raise InvalidConfigError("n must be >= 2")
-        if self.replicates < 1:
-            raise InvalidConfigError("replicates must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfigError("seed must be >= 0")
-        if self.snr <= 0:
-            raise InvalidConfigError("snr must be positive")
         # An integral float such as 10.0 counts as an integer; 2.5, "40"
         # and true do not.
-        if not all(
-            not isinstance(q, bool)
-            and (isinstance(q, Integral) or isinstance(q, Real) and float(q).is_integer())
-            for q in self.q_grid
-        ):
-            raise InvalidConfigError(f"q_grid must be a list of integers, not {self.q_grid!r}")
-        object.__setattr__(self, "q_grid", tuple(int(q) for q in self.q_grid))
+        whole = [int(q) if isinstance(q, (float, np.floating)) and q.is_integer() else q
+                 for q in self.q_grid]
+        try:
+            object.__setattr__(self, "q_grid", tuple(as_int("q_grid", q) for q in whole))
+        except InvalidConfigError:
+            raise InvalidConfigError(f"q_grid must be a list of integers, not {self.q_grid!r}") from None
         object.__setattr__(
             self, "methods", tuple(str(m).lower() for m in self.methods)
         )

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bench import DISTRIBUTIONS, ExperimentConfig, run_experiment
-from .errors import HbsplineError, IngestionError, InvalidConfigError, InvalidInputError
+from .errors import HbsplineError, IngestionError, InvalidConfigError, InvalidInputError, as_int
 from .hilbert import CurveOrder, decode, encode, point_to_index
 from .ingest import (
     append_prediction_csv,
@@ -152,7 +152,10 @@ def _load_spec(path, d: int) -> AnovaSpec:
     not_lists = [k for k in lists if not isinstance(obj.get(k, []), (list, type(None)))]
     if not_lists:
         raise InvalidConfigError(f"{path}: spec keys must be lists: {not_lists}")
-    if obj.get("d", d) != d:
+    spec_d = None  # a 'd' that is not an integer never matches
+    with contextlib.suppress(InvalidConfigError):
+        spec_d = as_int("d", obj.get("d", d))
+    if spec_d != d:
         raise InvalidConfigError(
             f"{path}: spec key 'd' is {obj['d']!r}, but the data has {d} predictors"
         )
@@ -162,7 +165,7 @@ def _load_spec(path, d: int) -> AnovaSpec:
             main_effects=tuple(obj.get("main_effects", range(d))),
             interactions=tuple(tuple(p) for p in obj.get("interactions", ())),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidConfigError) as exc:
         raise InvalidConfigError(f"{path}: malformed spec: {exc}") from None
 
 

@@ -2,8 +2,10 @@
 
 Each class maps onto one process exit code used by the command-line
 interface: configuration problems exit 1, data problems exit 2, and
-numeric failures exit 3.
+numeric failures exit 3.  as_int and as_real say what counts as an integer or a number.
 """
+
+from numbers import Integral, Real
 
 
 class HbsplineError(Exception):
@@ -39,3 +41,17 @@ class SingularSystemError(HbsplineError):
     """
 
     exit_code = 3
+
+
+def as_int(name, value, error=InvalidConfigError) -> int:
+    """value as a plain int: Python and numpy integers, never bools or truncated."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"{name} must be an integer, not {value!r}")
+
+
+def as_real(name, value, error=InvalidConfigError) -> float:
+    """value as a float: Python and numpy ints and floats; no bool, string or NaN."""
+    if isinstance(value, Real) and not isinstance(value, bool) and value == value:
+        return float(value)
+    raise error(f"{name} must be a number, not {value!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, as_int
 
 __all__ = [
     "CurveOrder",
@@ -57,6 +57,8 @@ class CurveOrder:
     d: int
 
     def __post_init__(self):
+        for name in ("d", "k"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if not (1 <= self.d <= 16):
             raise InvalidConfigError(f"dimension d={self.d} outside [1, 16]")
         if self.k < 1:
@@ -75,19 +77,24 @@ class CurveOrder:
         return 1 << (self.d * self.k)
 
 
+def _as_int64(value, what: str) -> np.ndarray:
+    """value as an int64 array: integers or integral floats, never bools or strings."""
+    arr = np.asarray(value)
+    kind = arr.dtype.kind
+    if kind not in "iuf" or kind == "f" and not np.all(arr == np.floor(arr)):
+        raise InvalidInputError(f"{what} must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def _as_cells(cell, order: CurveOrder) -> tuple[np.ndarray, bool]:
     """Coerce cell input to an (m, d) int64 array; flag scalar usage."""
-    arr = np.asarray(cell)
+    arr = _as_int64(cell, "cell coordinates")
     scalar = arr.ndim == 1
     arr = np.atleast_2d(arr)
     if arr.shape[1] != order.d:
         raise InvalidInputError(
             f"cell has {arr.shape[1]} coordinates, expected d={order.d}"
         )
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise InvalidInputError("cell coordinates must be integers")
-    arr = arr.astype(np.int64, copy=False)
     top = order.cells_per_dim
     if arr.min(initial=0) < 0 or arr.max(initial=0) >= top:
         bad = np.argwhere((arr < 0) | (arr >= top))[0]
@@ -99,13 +106,9 @@ def _as_cells(cell, order: CurveOrder) -> tuple[np.ndarray, bool]:
 
 
 def _as_indices(index, order: CurveOrder) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(index)
+    arr = _as_int64(index, "curve indices")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise InvalidInputError("curve index must be an integer")
-    arr = arr.astype(np.int64, copy=False)
     if arr.min(initial=0) < 0 or int(arr.max(initial=0)) >= order.total_cells:
         bad = arr[(arr < 0) | (arr >= order.total_cells)][0]
         raise InvalidInputError(

@@ -40,12 +40,11 @@ the single smoothing parameter comparable across terms.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, as_int, as_real
 
 # Kernel matrices are built in row chunks of about this many entries
 # (128 KiB of float64 per buffer), so the per-dimension factors of a
@@ -88,14 +87,6 @@ def _k4(t):
     return (a2 * a2 - a2 / 2.0 + 7.0 / 240.0) / 24.0
 
 
-def _spec_index(v) -> int:
-    """A spec entry as an int; integers (numpy's too) only, never truncated."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise InvalidConfigError(f"spec entry {v!r} is not an integer") from None
-
-
 @dataclass(frozen=True)
 class AnovaSpec:
     """Term structure of the ANOVA decomposition.
@@ -120,9 +111,9 @@ class AnovaSpec:
     term_scales: tuple | None = None
 
     def __post_init__(self):
-        mains = tuple(_spec_index(j) for j in self.main_effects)
-        inters = tuple((_spec_index(a), _spec_index(b)) for a, b in self.interactions)
-        object.__setattr__(self, "d", _spec_index(self.d))
+        mains = tuple(as_int("spec entry", j) for j in self.main_effects)
+        inters = tuple(tuple(as_int("spec entry", v) for v in p) for p in self.interactions)
+        object.__setattr__(self, "d", as_int("spec d", self.d))
         object.__setattr__(self, "main_effects", mains)
         object.__setattr__(self, "interactions", inters)
         if not mains:
@@ -148,12 +139,12 @@ class AnovaSpec:
                 self, "term_scales", tuple(1.0 for _ in range(self.n_terms))
             )
         else:
-            scales = tuple(float(s) for s in self.term_scales)
+            scales = tuple(as_real("term scales", s) for s in self.term_scales)
             if len(scales) != self.n_terms:
                 raise InvalidConfigError(
                     f"{len(scales)} term scales for {self.n_terms} terms"
                 )
-            if any(not np.isfinite(s) or s <= 0 for s in scales):
+            if any(not 0 < s < np.inf for s in scales):
                 raise InvalidConfigError("term scales must be finite and > 0")
             object.__setattr__(self, "term_scales", scales)
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, as_int
 from .hilbert import CurveOrder, index_to_center, point_to_index
 
 __all__ = [
@@ -209,27 +208,17 @@ class SelectionConfig:
             raise InvalidConfigError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        for name in ("q", "seed", "C", "k"):
+        for name, low in (("q", 1), ("seed", 0), ("C", 1), ("k", 1)):
             v = getattr(self, name)
-            if v is None and name in ("C", "k"):
-                continue
-            try:
-                object.__setattr__(self, name, operator.index(v))
-            except TypeError:
-                raise InvalidConfigError(f"{name}={v!r} is not an integer") from None
+            if v is not None or name in ("q", "seed"):
+                object.__setattr__(self, name, v := as_int(name, v))
+                if v < low:
+                    raise InvalidConfigError(f"{name}={v} must be >= {low}")
         unused = [name for name in ("C", "k") if getattr(self, name) is not None]
         if unused and self.method != "hbs":
             raise InvalidConfigError(
                 f"method {self.method!r} takes no {' or '.join(unused)}; only 'hbs' does"
             )
-        if self.q < 1:
-            raise InvalidConfigError(f"q={self.q} must be >= 1")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed={self.seed} must be >= 0")
-        if self.C is not None and self.C < 1:
-            raise InvalidConfigError(f"C={self.C} must be >= 1")
-        if self.k is not None and self.k < 1:
-            raise InvalidConfigError(f"k={self.k} must be >= 1")
 
     def resolved_C(self) -> int:
         return self.q if self.C is None else self.C
@@ -473,7 +462,7 @@ def sbs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:
     # needs it.
     from scipy.stats import qmc
 
-    sob = qmc.Sobol(d=data.d, scramble=True, seed=int(cfg.seed) & (2**63 - 1))
+    sob = qmc.Sobol(d=data.d, scramble=True, seed=cfg.seed & (2**63 - 1))
     m = max(1, math.ceil(math.log2(cfg.q))) if cfg.q > 1 else 0
     targets = sob.random_base2(m)[: cfg.q]
     X = data.X

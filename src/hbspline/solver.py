@@ -37,11 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigError,
-    InvalidInputError,
-    SingularSystemError,
-)
+from .errors import InvalidConfigError, InvalidInputError, SingularSystemError, as_real
 from .kernels import (
     AnovaSpec,
     gram_matrix,
@@ -451,7 +447,9 @@ def gcv_select(data, sel, spec: AnovaSpec) -> FittedModel:
     """Fit on a basis selection, choosing lambda by GCV (_gcv_search).
 
     One decomposition (_GcvScan) scores every lambda and solves the
-    chosen one, so gcv_score is the scan's own V at that lambda.
+    chosen one.  gcv_score is the scan's own V at that lambda, unless
+    the fit's RSS falls below sqrt(eps) * y'y (_CANCELLATION): then it
+    is V from the explicit residuals of a second pass over the data.
 
     Parameters
     ----------
@@ -472,11 +470,18 @@ def gcv_select(data, sel, spec: AnovaSpec) -> FittedModel:
     return _fit(data, sel, spec)
 
 
+def _as_lambda(name, value, error=InvalidConfigError) -> float:
+    """A smoothing parameter: a finite number > 0."""
+    lam = as_real(name, value, error)
+    if not 0 < lam < np.inf:
+        raise error(f"{name} must be finite and > 0, got {lam!r}")
+    return lam
+
+
 def fit_fixed_lambda(data, sel, spec: AnovaSpec, lam: float) -> FittedModel:
-    """Fit on a basis selection at a caller-chosen lambda, scaled as gcv_select."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise InvalidConfigError(f"lambda must be positive, got {lam!r}")
-    return _fit(data, sel, spec, lam=lam)
+    """Fit at a caller-chosen lambda (a finite number > 0), scaled as
+    gcv_select, whose rule gives gcv_score (V at lam)."""
+    return _fit(data, sel, spec, lam=_as_lambda("lambda", lam))
 
 
 def predict(model: FittedModel, Xnew) -> np.ndarray:
@@ -562,10 +567,11 @@ def save_model(model: FittedModel, path, predictors=None):
         fh.write("\n")
 
 
-def _model_field(obj, key):
+def _model_field(obj, key, check=None):
+    """obj[key], passed through check(name, value, InvalidInputError) if given."""
     if key not in obj:
         raise InvalidInputError(f"model file lacks the {key!r} field")
-    return obj[key]
+    return obj[key] if check is None else check(f"model field {key!r}", obj[key], InvalidInputError)
 
 
 def _model_array(obj, key, shape) -> np.ndarray:
@@ -594,7 +600,9 @@ def load_model(path) -> FittedModel:
         Naming the field, when the file is not a JSON object, a field
         is missing, or an array has the wrong shape for the spec
         (alpha: m; beta: one entry per basis point; basis points and
-        scaler: d columns) or a non-finite entry.
+        scaler: d columns) or a non-finite entry, a basis point lies
+        outside [0, 1]^d, a scaler minimum exceeds its maximum, lambda
+        is not a finite number > 0, or gcv_score is not a number >= 0.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -623,22 +631,27 @@ def load_model(path) -> FittedModel:
     if not isinstance(basis_points, list):
         raise InvalidInputError("model field 'basis_points' is not a list")
     q = len(basis_points)
-    try:
-        lam = float(_model_field(obj, "lambda"))
-        gcv_score = float(_model_field(obj, "gcv_score"))
-    except (TypeError, ValueError):
-        raise InvalidInputError("model fields 'lambda' and 'gcv_score' must be numbers") from None
+    lam = _model_field(obj, "lambda", _as_lambda)
+    gcv_score = _model_field(obj, "gcv_score", as_real)
+    if gcv_score < 0:  # inf is a valid V: trace(A) may reach n
+        raise InvalidInputError(f"model field 'gcv_score' must be >= 0, got {gcv_score!r}")
     diagnostics = obj.get("diagnostics", {})
     if not isinstance(diagnostics, dict):
         raise InvalidInputError("model field 'diagnostics' is not a JSON object")
+    basis_points = _model_array(obj, "basis_points", (q, spec.d))
+    if basis_points.min(initial=0.0) < 0.0 or basis_points.max(initial=0.0) > 1.0:
+        raise InvalidInputError("model field 'basis_points' has a point outside [0, 1]^d")
+    scaler = _model_array(obj, "scaler", (2, spec.d))
+    if np.any(scaler[0] > scaler[1]):
+        raise InvalidInputError("model field 'scaler' has a minimum above its maximum")
     return FittedModel(
         spec=spec,
-        basis_points=_model_array(obj, "basis_points", (q, spec.d)),
+        basis_points=basis_points,
         alpha=_model_array(obj, "alpha", (spec.m,)),
         beta=_model_array(obj, "beta", (q,)),
         lam=lam,
         gcv_score=gcv_score,
-        scaler=_model_array(obj, "scaler", (2, spec.d)),
+        scaler=scaler,
         diagnostics=diagnostics,
     )
 

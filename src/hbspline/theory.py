@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import selection
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, as_int
 from .selection import (
     BasisSelection,
     Dataset,
@@ -76,7 +76,7 @@ class EigenSurrogate:
     nu: tuple
 
     def __post_init__(self):
-        nu = tuple(int(v) for v in self.nu)
+        nu = tuple(as_int("multi-index entry", v) for v in self.nu)
         if any(v < 0 for v in nu):
             raise InvalidConfigError("multi-index entries must be >= 0")
         object.__setattr__(self, "nu", nu)
@@ -239,7 +239,7 @@ def reference_integral(
             for w in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         design, scaler = _qmc_design(
-            dist, d, log2_points, int(seed) & (2**63 - 1), keep, runs, pool
+            dist, d, log2_points, as_int("seed", seed) & (2**63 - 1), keep, runs, pool
         )
         kept_scaler = scaler[:, keep]
 
@@ -359,6 +359,9 @@ def variance_scaling_study(
     q_list : tuple
         Strictly increasing bin counts.
     """
+    d, n = as_int("d", d), as_int("n", n)
+    replicates, seed = as_int("replicates", replicates), as_int("seed", seed)
+    q_list = tuple(as_int("q_list entry", q) for q in q_list)
     if d < 2:
         raise InvalidConfigError("the scaling study needs d >= 2")
     if replicates < 2:
@@ -409,7 +412,7 @@ def variance_scaling_study(
     return ScalingReport(
         dist=dist,
         d=d,
-        q_list=tuple(q_list),
+        q_list=q_list,
         mse_strat=tuple(float(v) for v in mse_strat),
         mse_rand=tuple(float(v) for v in mse_rand),
         mean_strat=tuple(float(v) for v in est_strat.mean(axis=0)),

@@ -84,6 +84,17 @@ class TestGenDesign:
         with pytest.raises(InvalidConfigError):
             gen_design("d2", 10, 2, seed=0, d2_variant="median")
 
+    @pytest.mark.parametrize(
+        "n, d", [(10.5, 2), (10, 2.0), (-1, 2), (True, 2), (10, np.True_), ("10", 2)]
+    )
+    def test_rejects_counts_that_are_not_integers_or_negative(self, n, d):
+        with pytest.raises(InvalidConfigError):
+            gen_design("d1", n, d, seed=0)
+
+    def test_numpy_integer_counts(self):
+        got = gen_design("d3", np.int64(40), np.uint8(3), seed=2)
+        assert np.array_equal(got, gen_design("d3", 40, 3, seed=2))
+
 
 class TestEvalFunction:
     # hand-checked: sin(10/0.15) with 10/0.15 = 66.666; 66.666 - 10*2pi
@@ -156,8 +167,9 @@ class TestCalibrateNoise:
         assert a != c
 
     def test_rejects_bad_snr_and_flat_surface(self, monkeypatch):
-        with pytest.raises(InvalidConfigError):
-            calibrate_noise("f1", "d1", snr=0.0, seed=0)
+        for snr in (0.0, float("nan"), True, "2"):
+            with pytest.raises(InvalidConfigError, match="snr"):
+                calibrate_noise("f1", "d1", snr=snr, seed=0)
         import hbspline.bench as bench
 
         monkeypatch.setattr(bench, "eval_function", lambda fn, x: np.zeros(len(x)))
@@ -173,7 +185,18 @@ class TestExperimentConfig:
     def test_normalizes_types(self):
         cfg = ExperimentConfig("d1", "f1", n=100, q_grid=[10.0, 20], methods=["HBS"])
         assert cfg.q_grid == (10, 20)
+        assert all(type(q) is int for q in cfg.q_grid)
         assert cfg.methods == ("hbs",)
+
+    def test_numpy_numbers_are_plain(self):
+        cfg = ExperimentConfig(
+            "d1", "f1", n=np.int64(100), q_grid=[np.int32(10), np.float64(20.0)],
+            replicates=np.uint8(3), seed=2**64 - 1, full_cap=np.int16(0), snr=np.float32(2),
+        )
+        assert (cfg.n, cfg.q_grid, cfg.replicates, cfg.seed) == (100, (10, 20), 3, 2**64 - 1)
+        values = (cfg.n, *cfg.q_grid, cfg.replicates, cfg.seed, cfg.full_cap)
+        assert all(type(v) is int for v in values)
+        assert type(cfg.snr) is float and cfg.snr == 2.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -200,6 +223,17 @@ class TestExperimentConfig:
             {"replicates": True},
             {"seed": 1.0},
             {"snr": True},
+            # Booleans (numpy's too), strings and NaN, key by key.
+            {"n": True},
+            {"n": np.True_},
+            {"seed": "2"},
+            {"full_cap": np.True_},
+            {"full_cap": -1},
+            {"snr": np.True_},
+            {"snr": "2"},
+            {"snr": float("nan")},
+            {"q_grid": [np.True_]},
+            {"q_grid": [np.float64(2.5)]},
         ],
     )
     def test_rejects_invalid(self, kwargs):

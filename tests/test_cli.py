@@ -200,9 +200,12 @@ class TestFit:
             {"main_effects": 5}, {"main_effects": "01"}, {"interactions": [[0]]}, ["d"],
             {"d": 2, "main_effects": [0.5]}, {"interactions": [[0, 1.7]]},
             {"main_effects": [], "interactions": []},
+            {"main_effects": [True, False], "interactions": [[False, True]]},
+            {"main_effects": ["0", 1]}, {"main_effects": [0, float("nan")]},
         ],
         ids=["int-mains", "string-mains", "short-pair", "not-an-object",
-             "fractional-main", "fractional-pair", "no-mains"],
+             "fractional-main", "fractional-pair", "no-mains", "boolean-entries",
+             "string-entry", "nan-entry"],
     )
     def test_malformed_spec_exits_1(self, tmp_path, capsys, spec):
         data, _, _ = training_csv(tmp_path / "train.csv", seed=5, n=60)
@@ -213,7 +216,22 @@ class TestFit:
             "fit", "--data", data, "--response", "y", "--q", "10",
             "--spec", str(spec_path), "--out", str(out),
         ]) == 1
-        assert "spec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "spec" in err and str(spec_path) in err
+        assert not out.exists()
+
+    def test_spec_d_true_does_not_match_one_predictor(self, tmp_path, capsys):
+        # true == 1 in Python, but a JSON boolean is not a dimension.
+        data, _, _ = training_csv(tmp_path / "train.csv", seed=5, n=60)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"d": True}))
+        out = tmp_path / "model.json"
+        assert main([
+            "fit", "--data", data, "--response", "y", "--predictors", "u", "--q", "10",
+            "--spec", str(spec_path), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert str(spec_path) in err and "'d'" in err and "1 predictors" in err
         assert not out.exists()
 
     def test_spec_term_scales_is_an_unknown_key(self, tmp_path, capsys):
@@ -501,11 +519,21 @@ class TestPredict:
             ("spec", lambda obj: obj["spec"].update(main_effects=[], interactions=[])),
             ("basis_points", lambda obj: obj.update(basis_points=5)),
             ("lambda", lambda obj: obj.update({"lambda": "small"})),
+            ("lambda", lambda obj: obj.update({"lambda": "nan"})),
+            ("lambda", lambda obj: obj.update({"lambda": True})),
+            ("lambda", lambda obj: obj.update({"lambda": -5.0})),
+            ("gcv_score", lambda obj: obj.update(gcv_score="1e-3")),
+            ("gcv_score", lambda obj: obj.update(gcv_score=-1.0)),
+            ("spec", lambda obj: obj["spec"].update(main_effects=[True, 1])),
+            ("basis_points", lambda obj: obj["basis_points"][0].__setitem__(1, 1.5)),
+            ("scaler", lambda obj: obj["scaler"].reverse()),
         ],
         ids=["truncated-beta", "missing-alpha", "nan-beta", "int-predictors",
              "string-predictors", "repeated-predictors", "int-diagnostics",
              "list-diagnostics", "fractional-main", "fractional-pair", "fractional-d",
-             "no-mains", "int-basis-points", "string-lambda"],
+             "no-mains", "int-basis-points", "string-lambda", "nan-string-lambda",
+             "boolean-lambda", "negative-lambda", "string-gcv-score", "negative-gcv-score",
+             "boolean-main", "basis-point-outside-cube", "inverted-scaler"],
     )
     def test_malformed_model_exits_2(self, fitted, tmp_path, capsys, field, damage):
         obj = json.loads(fitted.read_text())
@@ -622,13 +650,17 @@ class TestBench:
     @pytest.mark.parametrize(
         "field, value",
         [("q_grid", 5), ("n", "abc"), ("methods", "hbs"), ("q_grid", [2.5, 10]),
-         ("q_grid", ["40"]), ("q_grid", [True, 5]), ("replicates", True)],
+         ("q_grid", ["40"]), ("q_grid", [True, 5]), ("replicates", True),
+         ("n", True), ("seed", "2"), ("snr", True), ("snr", "2"), ("snr", float("nan")),
+         ("q_grid", [float("nan")])],
     )
     def test_malformed_field_exits_1(self, tmp_path, capsys, field, value):
+        # json writes NaN as the bare token NaN, which Python's reader takes.
         cfg = self.bench_config(tmp_path, **{field: value})
-        assert main(["bench", "--config", cfg, "--out",
-                     str(tmp_path / "o.csv")]) == 1
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
         assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_array_config_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "bench.json"

@@ -78,10 +78,20 @@ class TestCurveOrder:
         assert order.cells_per_dim == 8
         assert order.total_cells == 64
 
-    @pytest.mark.parametrize("k,d", [(3, 0), (3, 17), (0, 2), (-1, 2), (32, 2)])
+    @pytest.mark.parametrize(
+        "k,d",
+        [(3, 0), (3, 17), (0, 2), (-1, 2), (32, 2),
+         # Non-integers that int() would truncate or convert.
+         (2.5, 2), (3, 2.0), (True, 2), (3, np.True_), ("3", 2), (float("nan"), 2)],
+    )
     def test_rejects_bad_orders(self, k, d):
         with pytest.raises(InvalidConfigError):
             CurveOrder(k=k, d=d)
+
+    def test_numpy_integers_are_plain_ints(self):
+        order = CurveOrder(k=np.int64(3), d=np.uint8(2))
+        assert order == CurveOrder(k=3, d=2)
+        assert type(order.k) is int and type(order.d) is int
 
     def test_boundary_orders_accepted(self):
         CurveOrder(k=62, d=1)
@@ -142,6 +152,20 @@ class TestEncodeDecode:
             encode(np.array([0, -1]), order)
         with pytest.raises(InvalidInputError):
             encode(np.array([0.5, 0.0]), order)
+
+    @pytest.mark.parametrize(
+        "convert, value",
+        [(encode, ["1", "2"]), (encode, [True, False]), (encode, [1.5, 2.0]),
+         (encode, [None, 1]), (decode, "3"), (decode, True), (decode, [2.5])],
+    )
+    def test_rejects_non_integer_input(self, convert, value):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            convert(value, CurveOrder(k=2, d=2))
+
+    def test_integral_floats_are_accepted(self):
+        order = CurveOrder(k=2, d=2)
+        assert encode([1.0, 2.0], order) == encode([1, 2], order)
+        assert np.array_equal(decode(np.array([3.0, 5.0]), order), decode([3, 5], order))
 
     def test_decode_rejects_out_of_range(self):
         order = CurveOrder(k=2, d=2)

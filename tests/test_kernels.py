@@ -159,6 +159,17 @@ class TestAnovaSpec:
             dict(d=2, main_effects=("0",)),
             dict(d=2.5, main_effects=(0, 1)),
             dict(d=2, main_effects=()),
+            # Booleans, strings and NaN are not spec entries or scales.
+            dict(d=2, main_effects=(True, False)),
+            dict(d=2, main_effects=(np.True_, 0)),
+            dict(d=2, main_effects=(0, 1), interactions=((False, True),)),
+            dict(d=True, main_effects=(0,)),
+            dict(d=2, main_effects=("2",)),
+            dict(d=2, main_effects=(float("nan"),)),
+            dict(d=2, main_effects=(0, 1), term_scales=(1.0, float("nan"))),
+            dict(d=2, main_effects=(0, 1), term_scales=(1.0, "2")),
+            dict(d=2, main_effects=(0, 1), term_scales=(1.0, True)),
+            dict(d=2, main_effects=(0, 1), term_scales=(1.0, np.inf)),
         ],
     )
     def test_rejects_inconsistent_specs(self, kwargs):
@@ -171,6 +182,9 @@ class TestAnovaSpec:
         )
         assert spec == AnovaSpec(d=2, main_effects=(0, 1), interactions=((0, 1),))
         assert all(type(j) is int for j in spec.main_effects + spec.interactions[0])
+        scaled = AnovaSpec(d=2, main_effects=(0, 1), term_scales=(np.float32(0.5), 2))
+        assert scaled.term_scales == (0.5, 2.0)
+        assert all(type(s) is float for s in scaled.term_scales)
 
 
 class TestKernelTerm:

@@ -100,10 +100,12 @@ class TestSelectionConfig:
     @pytest.mark.parametrize(
         "kwargs, name",
         [({"q": 2.5}, "q"), ({"q": 5, "C": 2.5}, "C"), ({"q": 5, "k": 3.0}, "k"),
-         ({"q": 5, "seed": 1.5}, "seed"), ({"q": "5"}, "q"), ({"q": None}, "q")],
+         ({"q": 5, "seed": 1.5}, "seed"), ({"q": "5"}, "q"), ({"q": None}, "q"),
+         ({"q": True}, "q"), ({"q": np.True_}, "q"), ({"q": 5, "C": "2"}, "C"),
+         ({"q": 5, "seed": False}, "seed"), ({"q": float("nan")}, "q")],
     )
     def test_rejects_non_integers(self, kwargs, name):
-        with pytest.raises(InvalidConfigError, match=f"{name}=.* is not an integer"):
+        with pytest.raises(InvalidConfigError, match=f"{name} must be an integer"):
             SelectionConfig(**kwargs)
 
     def test_numpy_integers_are_plain_ints(self):

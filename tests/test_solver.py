@@ -192,6 +192,12 @@ class TestSolveCoefficients:
             coefficients(data, sel, spec, 0.0)
         with pytest.raises(InvalidConfigError):
             coefficients(data, sel, spec, -1.0)
+        for lam in ("1e-3", float("nan"), np.inf, True, np.True_, None):
+            with pytest.raises(InvalidConfigError, match="lambda"):
+                fit_fixed_lambda(data, sel, spec, lam)
+        # numpy scalars are numbers: the same fit as the plain float.
+        got = fit_fixed_lambda(data, sel, spec, np.float32(0.5))
+        assert type(got.lam) is float and got.lam == 0.5
 
     def test_failed_eigendecomposition_raises_singular_system_error(self, monkeypatch):
         def always_fail(*args, **kwargs):
@@ -1099,6 +1105,23 @@ class TestPersistence:
         assert back.lam == model.lam
         assert back.gcv_score == model.gcv_score
         assert back.spec.term_scales == model.spec.term_scales
+
+    def test_infinite_gcv_score_and_constant_scaler_column_load(self, tmp_path, banana_data):
+        # V is inf where trace(A) reaches n, and a constant training column
+        # has min == max; neither makes a model file invalid.
+        data = banana_data(n=100, seed=30)
+        sel = hbs_select(data, SelectionConfig(q=10, method="hbs", seed=13))
+        model = fit_fixed_lambda(data, sel, default_spec(2), 1e-3)
+        scaler = model.scaler.copy()
+        scaler[1, 0] = scaler[0, 0]
+        edited = replace(model, gcv_score=float("inf"), scaler=scaler)
+        path = tmp_path / "model.json"
+        save_model(edited, path)
+        back = load_model(path)
+        assert back.gcv_score == float("inf")
+        assert np.array_equal(back.scaler, scaler)
+        grid = np.array([[0.0, 0.5], [2.0, -1.0]])
+        assert np.array_equal(predict(back, grid), predict(edited, grid))
 
     def test_predictor_names_stored(self, tmp_path, banana_data):
         from hbspline.solver import model_predictor_names

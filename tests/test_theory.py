@@ -66,6 +66,9 @@ class TestEigenSurrogate:
     def test_rejects_bad_index_and_width(self):
         with pytest.raises(InvalidConfigError):
             EigenSurrogate((1, -1))
+        for entry in (1.5, "2", True, float("nan")):
+            with pytest.raises(InvalidConfigError, match="multi-index entry"):
+                EigenSurrogate((entry, 0))
         with pytest.raises(InvalidInputError):
             EigenSurrogate((1, 0))(np.zeros((3, 3)))
 
@@ -127,6 +130,11 @@ class TestReferenceIntegral:
             variance_scaling_study("d1", 2, seed=-1)
         with pytest.raises(InvalidConfigError, match="q=0 must be >= 1"):
             variance_scaling_study("d1", 2, q_list=(0, 8), n=2000)
+        for kwargs in ({"d": 2.5}, {"replicates": 2.5}, {"n": 1000.5}, {"seed": True},
+                       {"q_list": (8, 16.5)}, {"d": "2"}):
+            name = next(iter(kwargs))
+            with pytest.raises(InvalidConfigError, match=f"{name}.* must be an integer"):
+                variance_scaling_study("d1", **{"d": 2, **kwargs})
 
 
 def _one_shot_reference(dist, d, phi_pair, seed, log2_points):
