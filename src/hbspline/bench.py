@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, SingularSystemError, as_int, as_real
+from .errors import InvalidConfigError, SingularSystemError, as_int, as_points, as_real
 from .kernels import default_spec
 from .selection import (
     METHODS,
@@ -141,10 +141,7 @@ def eval_function(fn: str, x) -> np.ndarray:
     """
     if fn not in FUNCTIONS:
         raise InvalidConfigError(f"unknown function {fn!r}")
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    d = FUNCTION_DIMS[fn]
-    if X.shape[1] != d:
-        raise InvalidInputError(f"{fn} expects d={d}, got {X.shape[1]} columns")
+    X = as_points("x", x, FUNCTION_DIMS[fn])
     if fn == "f1":
         out = np.sin(10.0 / (X[:, 0] + X[:, 1] + 0.15))
     elif fn == "f2":
@@ -388,7 +385,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, timings: bool = False) 
         One row per cell; failed fits carry NaN markers instead of
         aborting the run.
     """
-    if jobs < 1:
+    if (jobs := as_int("jobs", jobs)) < 1:
         raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
     sigma = calibrate_noise(
         cfg.function, cfg.distribution, cfg.snr,

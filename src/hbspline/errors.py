@@ -2,10 +2,13 @@
 
 Each class maps onto one process exit code used by the command-line
 interface: configuration problems exit 1, data problems exit 2, and
-numeric failures exit 3.  as_int and as_real say what counts as an integer or a number.
+numeric failures exit 3.  as_int and as_real say what counts as an integer or a
+number, and as_points what counts as an array of points.
 """
 
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class HbsplineError(Exception):
@@ -55,3 +58,33 @@ def as_real(name, value, error=InvalidConfigError) -> float:
     if isinstance(value, Real) and not isinstance(value, bool) and value == value:
         return float(value)
     raise error(f"{name} must be a number, not {value!r}")
+
+
+def as_points(name, x, d=None, cube=False, column=False) -> np.ndarray:
+    """x as a float64 (n, d) array of points, never a copy of a float64 array.
+
+    Only integer and float dtypes: no bool, string, object or ragged input.
+    At most two axes; a 1-D input is one point, or one column when column
+    is set.  d columns (any number when d is None).  Every entry finite, or
+    in [0, 1] when cube is set; the first bad cell is named by row and column.
+    """
+    try:
+        X = np.asarray(x)
+    except ValueError:
+        raise InvalidInputError(f"{name} must be a rectangular array, not ragged") from None
+    if X.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must hold integers or floats, not {X.dtype}")
+    if X.ndim > 2:
+        raise InvalidInputError(f"{name} has {X.ndim} axes, not 1 or 2")
+    X = X.reshape(-1, 1) if column and X.ndim < 2 else np.atleast_2d(X)
+    X = X.astype(np.float64, copy=False)
+    if d is not None and X.shape[1] != d:
+        raise InvalidInputError(f"{name} has {X.shape[1]} columns, expected {d}")
+    ok = (X >= 0.0) & (X <= 1.0) if cube else np.isfinite(X)
+    if not ok.all():
+        r, c = np.argwhere(~ok)[0]
+        v = float(X[r, c])
+        if np.isfinite(v):
+            raise InvalidInputError(f"{name} at row {r}, column {c} is {v}, outside [0, 1]")
+        raise InvalidInputError(f"non-finite {name} at row {r}, column {c}")
+    return X

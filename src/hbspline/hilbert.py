@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, as_int
+from .errors import InvalidConfigError, InvalidInputError, as_int, as_points
 
 __all__ = [
     "CurveOrder",
@@ -255,29 +255,15 @@ def point_to_index(x, order: CurveOrder):
     Raises
     ------
     InvalidInputError
-        If any coordinate falls outside [0, 1]; inputs must be scaled
-        to the unit cube first.
+        Unless x holds points with d coordinates in [0, 1] (errors.as_points);
+        inputs must be scaled to the unit cube first.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if arr.shape[1] != order.d:
-        raise InvalidInputError(
-            f"point has {arr.shape[1]} coordinates, expected d={order.d}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("point coordinates must be finite")
-    if arr.min(initial=0.0) < 0.0 or arr.max(initial=0.0) > 1.0:
-        bad = np.argwhere((arr < 0.0) | (arr > 1.0))[0]
-        raise InvalidInputError(
-            f"coordinate {arr[bad[0], bad[1]]} at axis {bad[1]} outside "
-            "[0, 1]; scale data to the unit cube first"
-        )
+    arr = as_points("x", x, order.d, cube=True)
     top = order.cells_per_dim
     cells = (arr * top).astype(np.int64)
     np.minimum(cells, top - 1, out=cells)
     idx = encode(cells, order)
-    return idx if not scalar else int(np.atleast_1d(idx)[0])
+    return int(idx[0]) if np.ndim(x) == 1 else idx
 
 
 def index_to_center(index, order: CurveOrder):

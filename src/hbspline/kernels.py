@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, as_int, as_real
+from .errors import InvalidConfigError, InvalidInputError, as_int, as_points, as_real
 
 # Kernel matrices are built in row chunks of about this many entries
 # (128 KiB of float64 per buffer), so the per-dimension factors of a
@@ -180,7 +180,7 @@ def null_space_eval(x, spec: AnovaSpec):
     Parameters
     ----------
     x : array_like
-        A point (d,) or matrix (n, d) inside the unit cube.
+        A point (d,) or matrix (n, d) in [0, 1]^d (errors.as_points).
     spec : AnovaSpec
 
     Returns
@@ -188,18 +188,12 @@ def null_space_eval(x, spec: AnovaSpec):
     ndarray
         Shape (m,) for a single point, else (n, m).
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise InvalidInputError("x outside [0, 1]")
-    single = arr.ndim == 1
-    X = np.atleast_2d(arr)
-    if X.shape[1] != spec.d:
-        raise InvalidInputError(f"point has {X.shape[1]} coordinates, expected {spec.d}")
+    X = as_points("x", x, spec.d, cube=True)
     S = np.empty((X.shape[0], spec.m))
     S[:, 0] = 1.0
     for i, j in enumerate(spec.main_effects):
         S[:, 1 + i] = _k1(X[:, j])
-    return S[0] if single else S
+    return S[0] if np.ndim(x) == 1 else S
 
 
 def chunk_rows(q: int) -> int:
@@ -236,7 +230,8 @@ def gram_matrix(Xa, Xb, spec: AnovaSpec, out=None) -> np.ndarray:
     Parameters
     ----------
     Xa, Xb : array_like
-        Point sets, (n, d) and (q, d), d = spec.d.
+        Point sets in [0, 1]^d, (n, d) and (q, d), d = spec.d; a (d,)
+        array is one point (errors.as_points).
     spec : AnovaSpec
     out : ndarray, optional
         (n, q) float64 array, possibly a strided view (such as the R*
@@ -247,11 +242,7 @@ def gram_matrix(Xa, Xb, spec: AnovaSpec, out=None) -> np.ndarray:
     ndarray
         out, or a new (n, q) array.
     """
-    Xa = np.atleast_2d(np.asarray(Xa, dtype=np.float64))
-    Xb = np.atleast_2d(np.asarray(Xb, dtype=np.float64))
-    for name, X in (("Xa", Xa), ("Xb", Xb)):
-        if X.shape[1] != spec.d:
-            raise InvalidInputError(f"{name} has {X.shape[1]} columns, expected {spec.d}")
+    Xa, Xb = as_points("Xa", Xa, spec.d, cube=True), as_points("Xb", Xb, spec.d, cube=True)
     n, q = Xa.shape[0], Xb.shape[0]
     if out is None:
         out = np.empty((n, q))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, as_int
+from .errors import InvalidConfigError, InvalidInputError, as_int, as_points
 from .hilbert import CurveOrder, index_to_center, point_to_index
 
 __all__ = [
@@ -94,26 +94,16 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _rows(raw, y):
+def _rows(raw, y, cube=False):
     """Predictors as a new (n, d) float64 array, a 1-D input read as one
-    column, and y as a float64 vector (zeros when None).  Rejects an X of over
-    two axes, an empty X, a wrong-length y, then non-finite entries, naming the first."""
-    X = np.array(raw, dtype=np.float64)
-    if X.ndim > 2:
-        raise InvalidInputError(f"predictors have {X.ndim} axes, not 2")
-    X = X.reshape(-1, 1) if X.ndim < 2 else X
-    yv = np.zeros(X.shape[0]) if y is None else np.asarray(y, dtype=np.float64).ravel()
+    column, and y as a float64 vector (zeros when None), both by as_points'
+    rule; rejects an empty X and a wrong-length y."""
+    X = np.array(as_points("predictor", raw, cube=cube, column=True))
+    yv = np.zeros(len(X)) if y is None else as_points("response", y, column=True).ravel()
     if X.shape[0] < 1:
         raise InvalidInputError("empty dataset")
     if yv.shape[0] != X.shape[0]:
         raise InvalidInputError(f"{X.shape[0]} predictor rows but {yv.shape[0]} responses")
-    bad = np.argwhere(~np.isfinite(X))
-    if bad.size:
-        r, c = bad[0]
-        raise InvalidInputError(f"non-finite predictor at row {r}, column {c}")
-    if not np.all(np.isfinite(yv)):
-        r = int(np.flatnonzero(~np.isfinite(yv))[0])
-        raise InvalidInputError(f"non-finite response at row {r}")
     return X, yv
 
 
@@ -147,12 +137,13 @@ def scale_to_unit_cube(raw, y) -> Dataset:
 
 
 def apply_scaler(raw, scaler) -> tuple[np.ndarray, int]:
-    """Apply a stored (min, max) scaler; clamp out-of-range results.
+    """Apply a stored (min, max) scaler to finite points with its number of
+    columns (as_points); clamp out-of-range results.
 
     Returns the scaled matrix and how many entries had to be clamped
     into [0, 1].  Constant columns (min == max) map to 0.5.
     """
-    X = np.atleast_2d(np.asarray(raw, dtype=np.float64))
+    X = as_points("raw", raw, np.shape(scaler)[1])
     lo, hi = scaler[0], scaler[1]
     span = hi - lo
     const = span <= 0
@@ -168,9 +159,7 @@ def apply_scaler(raw, scaler) -> tuple[np.ndarray, int]:
 def dataset_from_unit_cube(X, y=None) -> Dataset:
     """Wrap already-scaled predictors as a Dataset (identity scaler);
     rejects input as scale_to_unit_cube does, and points outside [0,1]^d."""
-    X, yv = _rows(X, y)
-    if X.min(initial=0.0) < 0.0 or X.max(initial=0.0) > 1.0:
-        raise InvalidInputError("predictors not inside the unit cube")
+    X, yv = _rows(X, y, cube=True)
     scaler = np.vstack([np.zeros(X.shape[1]), np.ones(X.shape[1])])
     return Dataset(X=X, y=yv.copy(), scaler=scaler)
 

@@ -37,7 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, SingularSystemError, as_real
+from .errors import (InvalidConfigError, InvalidInputError, SingularSystemError, as_points,
+                     as_real)
+from .hilbert import _as_int64
 from .kernels import (
     AnovaSpec,
     gram_matrix,
@@ -315,9 +317,15 @@ def _condition_estimate(M: np.ndarray, c) -> float:
     return kappa if np.isfinite(kappa) else float("inf")
 
 
-def _check_indices(data, sel):
-    if sel.indices.max(initial=-1) >= data.n or sel.indices.min(initial=0) < 0:
-        raise InvalidInputError("selection indices out of range for dataset")
+def _basis_indices(data, sel, spec: AnovaSpec) -> np.ndarray:
+    """sel's indices as int64 (hilbert's integer rule), each a row of data,
+    whose width must be spec's."""
+    if spec.d != data.d:
+        raise InvalidInputError(f"spec has d={spec.d}, but the data has {data.d} columns")
+    indices = _as_int64(sel.indices, "selection indices")
+    if indices.ndim != 1 or indices.max(initial=-1) >= data.n or indices.min(initial=0) < 0:
+        raise InvalidInputError(f"selection indices must be a vector in [0, {data.n})")
+    return indices
 
 
 def _design_blocks(X, basis_points, spec: AnovaSpec):
@@ -409,10 +417,10 @@ def _fit(data, sel, spec: AnovaSpec, lam=None) -> FittedModel:
 
     The term scales of spec are set on the basis points first.
     """
-    _check_indices(data, sel)
-    basis_points = np.array(data.X[sel.indices], dtype=np.float64)
+    indices = _basis_indices(data, sel, spec)
+    basis_points = np.array(data.X[indices], dtype=np.float64)
     spec = rescale_term_weights(spec, basis_points)
-    scan = _normal_equations(data, sel.indices, spec)
+    scan = _normal_equations(data, indices, spec)
     diagnostics = {}
     if lam is None:
         lam, diagnostics["grid_failures"] = _gcv_search(scan)
@@ -428,7 +436,7 @@ def _fit(data, sel, spec: AnovaSpec, lam=None) -> FittedModel:
         "rank": scan.rank,
         "dropped_directions": scan.p - scan.rank,
         "n": scan.n,
-        "q": sel.indices.shape[0],
+        "q": indices.shape[0],
         "m": spec.m,
     })
     return FittedModel(
@@ -495,21 +503,9 @@ def predict(model: FittedModel, Xnew) -> np.ndarray:
 
 def predict_with_diagnostics(model: FittedModel, Xnew) -> tuple[np.ndarray, int]:
     """Predictions plus the number of clamped out-of-range coordinates."""
-    X = np.asarray(Xnew, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    d = model.scaler.shape[1]
-    if X.shape[0] and X.shape[1] != d:
-        raise InvalidInputError(
-            f"prediction input has {X.shape[1]} columns, model expects {d}"
-        )
+    X = as_points("Xnew", Xnew, model.scaler.shape[1])
     if X.shape[0] == 0:
         return np.empty(0), 0
-    if not np.all(np.isfinite(X)):
-        bad = np.argwhere(~np.isfinite(X))[0]
-        raise InvalidInputError(
-            f"non-finite prediction input at row {bad[0]}, column {bad[1]}"
-        )
     scaled, clamped = apply_scaler(X, model.scaler)
     if clamped:
         logger.debug("%d coordinates clamped into the unit cube", clamped)

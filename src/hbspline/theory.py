@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import selection
-from .errors import InvalidConfigError, InvalidInputError, as_int
+from .errors import InvalidConfigError, InvalidInputError, as_int, as_points
 from .selection import (
     BasisSelection,
     Dataset,
@@ -82,11 +82,7 @@ class EigenSurrogate:
         object.__setattr__(self, "nu", nu)
 
     def __call__(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != len(self.nu):
-            raise InvalidInputError(
-                f"points have {X.shape[1]} coordinates, multi-index has {len(self.nu)}"
-            )
+        X = as_points("X", X, len(self.nu))
         out = None
         for j, nj in enumerate(self.nu):
             if nj:
@@ -219,6 +215,9 @@ def reference_integral(
     """
     if dist not in DISTRIBUTIONS:
         raise InvalidConfigError(f"unknown distribution {dist!r}")
+    d, log2_points = as_int("d", d), as_int("log2_points", log2_points)
+    if d < 1 or log2_points < 1:
+        raise InvalidConfigError(f"d={d} and log2_points={log2_points} must be >= 1")
     for phi in phi_pair:
         if len(phi.nu) != d:
             raise InvalidInputError(

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from hbspline.kernels import AnovaSpec, gram_matrix, null_space_eval
-from hbspline.solver import _check_indices
+from hbspline.solver import _basis_indices
 
 
 def design_matrices(data, sel, spec: AnovaSpec):
@@ -21,12 +21,11 @@ def design_matrices(data, sel, spec: AnovaSpec):
     the same rows in blocks (solver._design_blocks); this is the
     reference.
     """
-    _check_indices(data, sel)
-    m = spec.m
-    B = np.empty((data.n, m + sel.indices.shape[0]))
+    indices, m = _basis_indices(data, sel, spec), spec.m
+    B = np.empty((data.n, m + indices.shape[0]))
     B[:, :m] = null_space_eval(data.X, spec)
-    gram_matrix(data.X, data.X[sel.indices], spec, out=B[:, m:])
-    return B, B[sel.indices, m:]
+    gram_matrix(data.X, data.X[indices], spec, out=B[:, m:])
+    return B, B[indices, m:]
 
 
 class SvdFit(NamedTuple):

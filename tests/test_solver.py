@@ -434,7 +434,7 @@ class TestPredict:
             predict(model, np.zeros((3, 5)))
         with pytest.raises(InvalidInputError):
             predict(model, np.array([[np.nan, 0.5]]))
-        with pytest.raises(InvalidInputError, match="3 columns, model expects 2"):
+        with pytest.raises(InvalidInputError, match="Xnew has 3 columns, expected 2"):
             predict(model, np.array([0.1, 0.2, 0.3]))
 
     def test_one_dimensional_point_is_one_row(self, banana_data):
