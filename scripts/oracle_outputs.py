@@ -3,13 +3,14 @@
 
     python scripts/oracle_outputs.py OUT_DIR
 
-Writes four files into OUT_DIR, each through the command line:
+Writes five files into OUT_DIR, each through the command line:
 
-    bench.csv   hbspline bench --config configs/default_bench.json
-    theory.csv  hbspline theory --dist d4 --dim 2 --replicates 20 --n 20000
-    model.json  hbspline fit --method hbs --q 200 on the benchmark's fit-large
-                data (20 000 d4/f4 rows, seed 60)
-    scored.csv  hbspline predict of that model on the fit-large test rows
+    bench.csv       hbspline bench --config configs/default_bench.json
+    theory.csv      hbspline theory --dist d4 --dim 2 --replicates 20 --n 20000
+    model.json      hbspline fit --method hbs --q 200 on the benchmark's
+                    fit-large data (20 000 d4/f4 rows, seed 60)
+    scored.csv      hbspline predict of that model on the fit-large test rows
+    sbs_model.json  hbspline fit --method sbs --q 200 on the same data
 
 The manifests carry timestamps, so they stay out of OUT_DIR: run the script
 on two checkouts and ``diff -r parent_out change_out`` is the check.  BLAS
@@ -46,6 +47,8 @@ def oracle_commands(work):
         ("model.json", ["fit", "--data", fit_large.train_csv, "--response", "y",
                         "--method", "hbs", "--q", str(FitLarge.Q), "--seed", str(SEED)]),
         ("scored.csv", ["predict", "--model", model, "--data", fit_large.test_csv]),
+        ("sbs_model.json", ["fit", "--data", fit_large.train_csv, "--response", "y",
+                            "--method", "sbs", "--q", str(FitLarge.Q), "--seed", str(SEED)]),
     ]
 
 

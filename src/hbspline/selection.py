@@ -21,8 +21,11 @@ draws come from a counter-based generator seeded with the config seed.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +57,10 @@ METHODS = ("hbs", "ubs", "abs", "sbs")
 # Above this bin-balance value the stratification guarantee degrades;
 # see condition5_diagnostic.
 BALANCE_WARN_THRESHOLD = 10.0
+
+# Bits per coordinate of a Sobol point (scipy.stats.qmc.Sobol's default), so
+# one sequence holds 2**SOBOL_BITS points.
+SOBOL_BITS = 30
 
 
 @dataclass(frozen=True)
@@ -437,6 +444,101 @@ def abs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(d: int) -> np.ndarray:
+    """The (d, SOBOL_BITS) int64 Sobol direction numbers of dimensions 0..d-1.
+
+    Built from the Joe & Kuo (2008) primitive polynomials and initial
+    numbers in the table that ships with scipy, found without importing
+    scipy: importing scipy.stats would add about 65 MiB to the process.
+    Entry (i, j) is bit column j of dimension i, left-aligned in
+    SOBOL_BITS bits.  Cached, so the table is read once per process and d.
+    """
+    spec = importlib.util.find_spec("scipy")
+    path = os.path.join(os.path.dirname(spec.origin), "stats", "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        if d > len(table["poly"]):
+            raise InvalidConfigError(
+                f"d={d} exceeds the {len(table['poly'])} dimensions of the Sobol table"
+            )
+        poly, vinit = table["poly"][:d].tolist(), table["vinit"][:d].tolist()
+    rows = [[1] * SOBOL_BITS]
+    for p, v in zip(poly[1:], vinit[1:]):
+        m = p.bit_length() - 1
+        v = v[:m]
+        for j in range(m, SOBOL_BITS):
+            new = v[j - m]
+            for k in range(m):
+                if p >> (m - 1 - k) & 1:
+                    new ^= v[j - k - 1] << (k + 1)
+            v.append(new)
+        rows.append(v)
+    out = np.array(rows, dtype=np.int64) << np.arange(SOBOL_BITS - 1, -1, -1)
+    out.setflags(write=False)
+    return out
+
+
+def _sobol(d: int, seed: int, rows: int):
+    """A scrambled Sobol sequence in [0, 1)^d as points(start, n).
+
+    points(start, n) returns points start .. start+n-1 as a Fortran-
+    ordered (n, d) float64 array (1 <= n <= rows and start + n <=
+    2**SOBOL_BITS, which callers check), bitwise those of
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed)`` after
+    ``fast_forward(start)``: Matousek's linear matrix scrambling plus a
+    digital shift, drawn from numpy.random.default_rng(seed) in scipy's
+    order.  Point k is the shift XOR the scrambled direction columns
+    selected by the bits of gray(k) = k ^ (k >> 1), so any run starts
+    directly at its first index.  points only reads the engine's arrays,
+    so threads may share one engine.
+    """
+    rng = np.random.default_rng(seed)
+    shift_bits = rng.integers(0, 2, (d, SOBOL_BITS), np.uint32)
+    ltm = np.tril(rng.integers(0, 2, (d, SOBOL_BITS, SOBOL_BITS), np.uint32))
+    ltm[:, np.arange(SOBOL_BITS), np.arange(SOBOL_BITS)] = 1
+    msb_first = np.arange(SOBOL_BITS - 1, -1, -1)
+    # Bit SOBOL_BITS-1-p of a scrambled column is the parity of row p of
+    # the lower-triangular matrix against the column's bits, MSB first.
+    v_bits = _sobol_directions(d)[:, :, None] >> msb_first & 1
+    parity = np.einsum("ipk,ijk->ijp", ltm.astype(np.int64), v_bits) & 1
+    # int32 holds the SOBOL_BITS = 30 bits, and numpy converts it to
+    # float64 faster than uint32.
+    columns = (parity << msb_first).sum(axis=2).astype(np.int32)  # (dim, bit)
+    shift = (shift_bits.astype(np.int64) << np.arange(SOBOL_BITS)).sum(axis=1).astype(np.int32)
+    # For a multiple a of 2**m and i < 2**m, gray(a + i) is gray(a) XOR
+    # gray(i), so point a + i is point a XOR table[:, i], the XOR of the
+    # columns that gray(i) selects.  The Gray code's reflection doubles the
+    # table: gray(h + i) = h XOR gray(h - 1 - i) for i < h = 2**b.  It is
+    # stored (d, 2**m) so that every XOR runs along contiguous rows.
+    m = (rows - 1).bit_length()
+    table = np.zeros((d, 1 << m), dtype=np.int32)
+    for b in range(m):
+        h = 1 << b
+        np.bitwise_xor(table[:, h - 1 :: -1], columns[:, b, None], out=table[:, h : 2 * h])
+
+    def first(a: int) -> np.ndarray:
+        """Point a as a (d, 1) int32 column of its bits."""
+        out = shift.copy()
+        gray = a ^ a >> 1
+        for b in range(gray.bit_length()):
+            if gray >> b & 1:
+                out ^= columns[:, b]
+        return out[:, None]
+
+    def points(start: int, n: int) -> np.ndarray:
+        # The run spans at most two blocks of 2**m: the one holding start,
+        # and the next.
+        r = start % (1 << m)
+        head = min(n, (1 << m) - r)
+        out = np.empty((d, n), dtype=np.int32)
+        np.bitwise_xor(table[:, r : r + head], first(start - r), out=out[:, :head])
+        if head < n:
+            np.bitwise_xor(table[:, : n - head], first(start - r + (1 << m)), out=out[:, head:])
+        return (out * 2.0**-SOBOL_BITS).T
+
+    return points
+
+
 def sbs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:
     """Select the q data points greedily nearest a low-discrepancy set.
 
@@ -447,13 +549,7 @@ def sbs_select(data: Dataset, cfg: SelectionConfig) -> BasisSelection:
     if cfg.method != "sbs":
         raise InvalidConfigError(f"sbs_select got method {cfg.method!r}")
     _check_q(data, cfg)
-    # Imported here: scipy.stats is slow to import and no other selector
-    # needs it.
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d=data.d, scramble=True, seed=cfg.seed & (2**63 - 1))
-    m = max(1, math.ceil(math.log2(cfg.q))) if cfg.q > 1 else 0
-    targets = sob.random_base2(m)[: cfg.q]
+    targets = _sobol(data.d, cfg.seed & (2**63 - 1), cfg.q)(0, cfg.q)
     X = data.X
     taken = np.zeros(data.n, dtype=bool)
     picked = np.empty(cfg.q, dtype=np.int64)

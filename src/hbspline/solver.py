@@ -570,20 +570,30 @@ def _model_field(obj, key, check=None):
     return obj[key] if check is None else check(f"model field {key!r}", obj[key], InvalidInputError)
 
 
-def _model_array(obj, key, shape) -> np.ndarray:
-    """A numeric model field of the given shape with finite entries."""
+def _numbers_only(value) -> bool:
+    """True for a JSON number or nested lists of them: no string or boolean."""
+    if isinstance(value, list):
+        return all(_numbers_only(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _model_array(obj, key, shape, cube=False) -> np.ndarray:
+    """A model field of the given shape whose entries are all JSON numbers
+    (numpy alone would read [0.5, true] as [0.5, 1.0]), each finite, or in
+    [0, 1] when cube is set (as_points)."""
+    name = f"model field {key!r}"
+    value = _model_field(obj, key)
     try:
-        arr = np.asarray(_model_field(obj, key), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"model field {key!r} is not numeric") from None
+        arr = np.asarray(value, dtype=np.float64) if _numbers_only(value) else None
+    except (ValueError, OverflowError):  # ragged, or an integer past float range
+        arr = None
+    if arr is None:
+        raise InvalidInputError(f"{name} is not numeric")
     if arr.size == 0 and 0 in shape:
         arr = arr.reshape(shape)  # JSON stores an empty (0, d) array as []
     if arr.shape != shape:
-        raise InvalidInputError(
-            f"model field {key!r} has shape {arr.shape}, expected {shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"model field {key!r} holds non-finite values")
+        raise InvalidInputError(f"{name} has shape {arr.shape}, expected {shape}")
+    as_points(name, arr, cube=cube, column=True)
     return arr
 
 
@@ -596,9 +606,10 @@ def load_model(path) -> FittedModel:
         Naming the field, when the file is not a JSON object, a field
         is missing, or an array has the wrong shape for the spec
         (alpha: m; beta: one entry per basis point; basis points and
-        scaler: d columns) or a non-finite entry, a basis point lies
-        outside [0, 1]^d, a scaler minimum exceeds its maximum, lambda
-        is not a finite number > 0, or gcv_score is not a number >= 0.
+        scaler: d columns), a string, boolean or non-finite entry, a
+        basis point lies outside [0, 1]^d, a scaler minimum exceeds its
+        maximum, lambda is not a finite number > 0, or gcv_score is not
+        a number >= 0.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -634,9 +645,7 @@ def load_model(path) -> FittedModel:
     diagnostics = obj.get("diagnostics", {})
     if not isinstance(diagnostics, dict):
         raise InvalidInputError("model field 'diagnostics' is not a JSON object")
-    basis_points = _model_array(obj, "basis_points", (q, spec.d))
-    if basis_points.min(initial=0.0) < 0.0 or basis_points.max(initial=0.0) > 1.0:
-        raise InvalidInputError("model field 'basis_points' has a point outside [0, 1]^d")
+    basis_points = _model_array(obj, "basis_points", (q, spec.d), cube=True)
     scaler = _model_array(obj, "scaler", (2, spec.d))
     if np.any(scaler[0] > scaler[1]):
         raise InvalidInputError("model field 'scaler' has a minimum above its maximum")

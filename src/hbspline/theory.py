@@ -32,6 +32,7 @@ import numpy as np
 from . import selection
 from .errors import InvalidConfigError, InvalidInputError, as_int, as_points
 from .selection import (
+    SOBOL_BITS,
     BasisSelection,
     Dataset,
     SelectionConfig,
@@ -139,21 +140,21 @@ def _usable_cores() -> int:
 def _qmc_design(
     dist: str, d: int, log2_points: int, seed: int, keep: list, runs: list, pool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw design draws via a scrambled Sobol stream (inverse transforms).
+    """Raw design draws via a scrambled Sobol sequence (inverse transforms).
 
     Returns the columns `keep` of the (n, d) design, as one Fortran-
     ordered (n, len(keep)) array, and the (2, d) min-max scaler of all
-    d columns.  `pool` takes each of the contiguous `runs` of chunk
-    starts as one task, which starts its own engine at the run's first
-    point (a Sobol point depends only on its index) and draws, transforms
-    and stores one chunk at a time.  Rows depend only on their own points
-    and extremes are exact, so the result is bitwise that of transforming
-    a single random_base2(log2_points) draw (checked in the tests).
+    d columns.  One engine, built here, serves every thread: `pool` takes
+    each of the contiguous `runs` of chunk starts as one task, which
+    draws, transforms and stores one chunk at a time from the run's first
+    index (a Sobol point depends only on its index).  Rows depend only on
+    their own points and extremes are exact, so the result is bitwise that
+    of transforming one draw of all 2**log2_points points (checked in the
+    tests).
     """
     # Imported here so that importing the CLI does not load scipy, which
     # is slow to import and which predict never needs.
     from scipy.special import ndtri
-    from scipy.stats import qmc
 
     n = 1 << log2_points
     step = min(n, _chunk_rows(d))
@@ -177,11 +178,10 @@ def _qmc_design(
         cols = [U[:, j] for j in range(d)]
         return [c.min() for c in cols], [c.max() for c in cols]
 
+    points = selection._sobol(d, seed, step)
+
     def draw(run):
-        sob = qmc.Sobol(d=d, scramble=True, seed=seed)
-        if run[0]:  # scipy rejects fast_forward(0) on a fresh engine
-            sob.fast_forward(run[0])
-        return [transform(sob.random(step), start) for start in run]
+        return [transform(points(start, step), start) for start in run]
 
     extremes = np.concatenate(list(pool.map(draw, runs)))
     return design, np.vstack([extremes[:, 0].min(axis=0), extremes[:, 1].max(axis=0)])
@@ -216,8 +216,13 @@ def reference_integral(
     if dist not in DISTRIBUTIONS:
         raise InvalidConfigError(f"unknown distribution {dist!r}")
     d, log2_points = as_int("d", d), as_int("log2_points", log2_points)
-    if d < 1 or log2_points < 1:
-        raise InvalidConfigError(f"d={d} and log2_points={log2_points} must be >= 1")
+    if d < 1:
+        raise InvalidConfigError(f"d={d} must be >= 1")
+    if not 1 <= log2_points <= SOBOL_BITS:
+        raise InvalidConfigError(
+            f"log2_points={log2_points} must be in [1, {SOBOL_BITS}]: the Sobol "
+            f"sequence holds 2**{SOBOL_BITS} points"
+        )
     for phi in phi_pair:
         if len(phi.nu) != d:
             raise InvalidInputError(

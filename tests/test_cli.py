@@ -527,13 +527,20 @@ class TestPredict:
             ("spec", lambda obj: obj["spec"].update(main_effects=[True, 1])),
             ("basis_points", lambda obj: obj["basis_points"][0].__setitem__(1, 1.5)),
             ("scaler", lambda obj: obj["scaler"].reverse()),
+            ("basis_points", lambda obj: obj["basis_points"][0].__setitem__(0, "0.5")),
+            ("basis_points", lambda obj: obj["basis_points"][0].__setitem__(1, True)),
+            ("alpha", lambda obj: obj["alpha"].__setitem__(0, False)),
+            ("scaler", lambda obj: obj["scaler"][0].__setitem__(0, [0.0])),
+            ("beta", lambda obj: obj["beta"].__setitem__(0, 10**400)),
         ],
         ids=["truncated-beta", "missing-alpha", "nan-beta", "int-predictors",
              "string-predictors", "repeated-predictors", "int-diagnostics",
              "list-diagnostics", "fractional-main", "fractional-pair", "fractional-d",
              "no-mains", "int-basis-points", "string-lambda", "nan-string-lambda",
              "boolean-lambda", "negative-lambda", "string-gcv-score", "negative-gcv-score",
-             "boolean-main", "basis-point-outside-cube", "inverted-scaler"],
+             "boolean-main", "basis-point-outside-cube", "inverted-scaler",
+             "string-basis-point", "boolean-basis-point", "boolean-alpha", "ragged-scaler",
+             "beta-past-float-range"],
     )
     def test_malformed_model_exits_2(self, fitted, tmp_path, capsys, field, damage):
         obj = json.loads(fitted.read_text())
@@ -719,12 +726,12 @@ class TestTheory:
     ):
         # At d >= 63 the study's curve order min(12, 62 // d) is 0; the
         # error names d, not a k that the command has no flag for.
-        from scipy.stats import qmc
+        from hbspline import selection
 
         def no_draw(*args, **kwargs):
-            raise AssertionError("Sobol stream reached before validation")
+            raise AssertionError("Sobol sequence reached before validation")
 
-        monkeypatch.setattr(qmc, "Sobol", no_draw)
+        monkeypatch.setattr(selection, "_sobol", no_draw)
         out = tmp_path / "o.csv"
         assert main(["theory", "--dist", "d1", "--dim", dim, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -894,17 +901,22 @@ def test_predict_loads_no_scipy(tmp_path):
     assert (tmp_path / "scored.csv").exists()
 
 
-def test_fit_loads_no_scipy(tmp_path):
-    # The solver runs on numpy.linalg; scipy.linalg alone costs ~0.3 s and 21 MiB.
+@pytest.mark.parametrize("method", ["hbs", "sbs"])
+def test_fit_loads_no_scipy(tmp_path, method):
+    # The solver runs on numpy.linalg; scipy.linalg alone costs ~0.3 s and
+    # 21 MiB.  sbs's Sobol points come from numpy too.
     data, _, _ = training_csv(tmp_path / "train.csv", n=60)
     model = str(tmp_path / "model.json")
     code = (
         "import sys, hbspline.cli\n"
         f"rc = hbspline.cli.main(['fit', '--data', {data!r}, '--response', 'y',"
-        f" '--q', '8', '--out', {model!r}])\n"
+        f" '--method', {method!r}, '--q', '8', '--out', {model!r}])\n"
         f"print(rc, {SCIPY_MODULES})"
     )
     assert run_fresh(code).splitlines()[-1] == "0 []"
+
+
+def test_library_fit_loads_no_scipy():
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -918,6 +930,18 @@ def test_fit_loads_no_scipy(tmp_path):
         f"print({SCIPY_MODULES})"
     )
     assert run_fresh(code).strip() == "[]"
+
+
+def test_theory_leaves_scipy_stats_unloaded(tmp_path):
+    # The study's Sobol points come from numpy; scipy.stats alone costs ~65 MiB.
+    args = ["theory", "--dist", "d4", "--dim", "2", "--q-list", "8,16",
+            "--replicates", "2", "--n", "600", "--out", str(tmp_path / "out")]
+    code = (
+        "import sys, hbspline.cli\n"
+        f"rc = hbspline.cli.main({args!r})\n"
+        f"print(rc, [m for m in {SCIPY_MODULES} if m.startswith('scipy.stats')])"
+    )
+    assert run_fresh(code).splitlines()[-1] == "0 []"
 
 
 def test_package_exports_resolve():

@@ -20,7 +20,7 @@ from hbspline import (
     ubs_select,
 )
 from hbspline.errors import InvalidConfigError, InvalidInputError
-from hbspline.selection import _allocate_quotas, _rng, _stratified_draw, _subseed
+from hbspline.selection import _allocate_quotas, _rng, _sobol, _stratified_draw, _subseed
 
 
 class TestScaleToUnitCube:
@@ -388,18 +388,6 @@ class TestSbsSelect:
         sel = sbs_select(data, SelectionConfig(q=16, method="sbs", seed=9))
         assert sorted(sel.indices.tolist()) == list(range(16))
 
-    def test_q1_picks_nearest_to_first_target(self):
-        from scipy.stats import qmc
-
-        sob = qmc.Sobol(d=2, scramble=True, seed=21)
-        target = sob.random_base2(0)[0]
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
-        X = gen.random((200, 2))
-        data = dataset_from_unit_cube(X)
-        sel = sbs_select(data, SelectionConfig(q=1, method="sbs", seed=21))
-        nearest = int(np.argmin(((X - target) ** 2).sum(axis=1)))
-        assert sel.indices.tolist() == [nearest]
-
     def test_spreads_more_than_random(self):
         def min_pairwise(X):
             diff = X[:, None, :] - X[None, :, :]
@@ -417,6 +405,51 @@ class TestSbsSelect:
             if min_pairwise(data.X[s.indices]) > min_pairwise(data.X[u.indices]):
                 wins += 1
         assert wins >= 80
+
+    @pytest.mark.parametrize(
+        "d, q, seed", [(2, 37, 5), (3, 64, 2**63 - 1), (5, 1, 0), (2, 1, 21)]
+    )
+    def test_picks_the_rows_nearest_scipys_targets(self, d, q, seed):
+        # The targets are scipy's random_base2(m)[:q], matched greedily.
+        from scipy.stats import qmc
+
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(d)))
+        X = gen.random((300, d))
+        m = (q - 1).bit_length()
+        targets = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(m)[:q]
+        taken = np.zeros(len(X), dtype=bool)
+        want = []
+        for t in targets:
+            dist = ((X - t) ** 2).sum(axis=1)
+            dist[taken] = np.inf
+            want.append(int(np.argmin(dist)))
+            taken[want[-1]] = True
+        sel = sbs_select(dataset_from_unit_cube(X), SelectionConfig(q=q, method="sbs", seed=seed))
+        assert sel.indices.tolist() == sorted(want)
+
+
+class TestSobolEngine:
+    """selection._sobol against scipy.stats.qmc.Sobol, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**63 - 1])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 40])
+    def test_bitwise_equal_to_scipy(self, d, seed):
+        import warnings
+
+        from scipy.stats import qmc
+
+        points = _sobol(d, seed, 2**12)
+        for start in (0, 1, 5000, 2**15):
+            for n in (1, 777, 2**12):
+                sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+                if start:
+                    sob.fast_forward(start)
+                with warnings.catch_warnings():  # n need not be a power of 2 here
+                    warnings.simplefilter("ignore", UserWarning)
+                    want = sob.random(n)
+                got = points(start, n)
+                assert got.dtype == np.float64 and got.shape == (n, d)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (start, n)
 
 
 class TestSelectorContracts:

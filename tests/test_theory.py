@@ -110,18 +110,24 @@ class TestReferenceIntegral:
         assert v1 == v2 and np.array_equal(s1, s2)
 
     def test_rejects_bad_arguments_before_any_draw(self, monkeypatch):
-        from scipy.stats import qmc
+        from hbspline import selection
 
         def no_draw(*args, **kwargs):
-            raise AssertionError("Sobol stream reached before validation")
+            raise AssertionError("Sobol sequence reached before validation")
 
-        monkeypatch.setattr(qmc, "Sobol", no_draw)
+        monkeypatch.setattr(selection, "_sobol", no_draw)
         pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
         wide = (EigenSurrogate((1, 0, 0)), EigenSurrogate((0, 1, 0)))
         with pytest.raises(InvalidConfigError, match="d9"):
             reference_integral("d9", 2, pair)
         with pytest.raises(InvalidInputError):
             reference_integral("d1", 2, wide)
+        # The sequence holds 2**30 points; 2**31 would first reserve 16 GiB
+        # per stored column.
+        for log2_points in (31, 0):
+            bound = rf"log2_points={log2_points} must be in \[1, 30\]"
+            with pytest.raises(InvalidConfigError, match=bound):
+                reference_integral("d1", 2, pair, log2_points=log2_points)
         with pytest.raises(InvalidConfigError, match="d9"):
             variance_scaling_study("d9", 2)
         with pytest.raises(InvalidConfigError, match="replicates"):
@@ -206,8 +212,8 @@ class TestChunkedReferenceIntegral:
         import tracemalloc
 
         d = len(pair[0].nu)
-        # scipy loads its Sobol direction-number tables once per process;
-        # load them before tracing so that only this call is measured.
+        # The Sobol direction numbers are read once per process and d; read
+        # them before tracing so that only this call is measured.
         reference_integral("d4", d, pair, seed=5, log2_points=4)
         tracemalloc.start()
         try:
@@ -273,8 +279,8 @@ class TestChunkedReferenceIntegral:
         assert set().union(*callers.values()) == {threading.get_ident()}
 
     def test_fresh_process_with_concurrent_first_engines(self, workers):
-        # In a fresh interpreter scipy loads its Sobol direction-number
-        # tables inside the first engines, here built by three tasks at once.
+        # In a fresh interpreter the first call reads the Sobol direction
+        # numbers; then three tasks at once share its engine.
         import os
         import subprocess
         import sys
