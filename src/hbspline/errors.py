@@ -3,7 +3,8 @@
 Each class maps onto one process exit code used by the command-line
 interface: configuration problems exit 1, data problems exit 2, and
 numeric failures exit 3.  as_int and as_real say what counts as an integer or a
-number, and as_points what counts as an array of points.
+number, as_points what counts as an array of points, and as_indices what
+counts as an array of indices (or of curve cells).
 """
 
 from numbers import Integral, Real
@@ -60,6 +61,14 @@ def as_real(name, value, error=InvalidConfigError) -> float:
     raise error(f"{name} must be a number, not {value!r}")
 
 
+def as_array(name, x) -> np.ndarray:
+    """np.asarray(x), with a ragged input an InvalidInputError naming it."""
+    try:
+        return np.asarray(x)
+    except ValueError:
+        raise InvalidInputError(f"{name} must be a rectangular array, not ragged") from None
+
+
 def as_points(name, x, d=None, cube=False, column=False) -> np.ndarray:
     """x as a float64 (n, d) array of points, never a copy of a float64 array.
 
@@ -68,10 +77,7 @@ def as_points(name, x, d=None, cube=False, column=False) -> np.ndarray:
     is set.  d columns (any number when d is None).  Every entry finite, or
     in [0, 1] when cube is set; the first bad cell is named by row and column.
     """
-    try:
-        X = np.asarray(x)
-    except ValueError:
-        raise InvalidInputError(f"{name} must be a rectangular array, not ragged") from None
+    X = as_array(name, x)
     if X.dtype.kind not in "iuf":
         raise InvalidInputError(f"{name} must hold integers or floats, not {X.dtype}")
     if X.ndim > 2:
@@ -88,3 +94,36 @@ def as_points(name, x, d=None, cube=False, column=False) -> np.ndarray:
             raise InvalidInputError(f"{name} at row {r}, column {c} is {v}, outside [0, 1]")
         raise InvalidInputError(f"non-finite {name} at row {r}, column {c}")
     return X
+
+
+def as_indices(name, x, high, d=None) -> np.ndarray:
+    """x as an int64 array of indices in [0, high), never a copy of an int64 array.
+
+    Integer dtypes and whole finite floats: no bool, string, object or ragged
+    input.  Without d, at most one axis, a scalar being one index; with d, at
+    most two axes of d columns, a 1-D input being one row (a cell).  The first
+    bad entry is named by row (and column) and value, checked before any cast.
+    """
+    X = as_array(name, x)
+    if X.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must hold integers, not {X.dtype}")
+    axes = 1 if d is None else 2
+    if X.ndim > axes:
+        raise InvalidInputError(f"{name} has {X.ndim} axes, not {axes - 1} or {axes}")
+    X = np.atleast_1d(X) if d is None else np.atleast_2d(X)
+    if d is not None and X.shape[1] != d:
+        raise InvalidInputError(f"{name} has {X.shape[1]} columns, expected {d}")
+    # One pass over int64: read as uint64, a negative int64 is at least 2**63.
+    if X.dtype == np.int64 and X.view(np.uint64).max(initial=0) < high:
+        return X
+    ok = (X >= 0) & (X < high)
+    if X.dtype.kind == "f":
+        ok &= X == np.floor(X)
+    if ok.all():
+        return X.astype(np.int64)
+    first = np.argwhere(~ok)[0]
+    where = f"row {first[0]}" if d is None else f"row {first[0]}, column {first[1]}"
+    v = X[tuple(first)].item()
+    if isinstance(v, float) and not v.is_integer():
+        raise InvalidInputError(f"{name} must hold integers, not {v} at {where}")
+    raise InvalidInputError(f"{name} at {where} is {v}, outside [0, {high})")

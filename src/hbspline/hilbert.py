@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, as_int, as_points
+from .errors import InvalidConfigError, as_indices, as_int, as_points
 
 __all__ = [
     "CurveOrder",
@@ -77,46 +77,6 @@ class CurveOrder:
         return 1 << (self.d * self.k)
 
 
-def _as_int64(value, what: str) -> np.ndarray:
-    """value as an int64 array: integers or integral floats, never bools or strings."""
-    arr = np.asarray(value)
-    kind = arr.dtype.kind
-    if kind not in "iuf" or kind == "f" and not np.all(arr == np.floor(arr)):
-        raise InvalidInputError(f"{what} must be integers")
-    return arr.astype(np.int64, copy=False)
-
-
-def _as_cells(cell, order: CurveOrder) -> tuple[np.ndarray, bool]:
-    """Coerce cell input to an (m, d) int64 array; flag scalar usage."""
-    arr = _as_int64(cell, "cell coordinates")
-    scalar = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    if arr.shape[1] != order.d:
-        raise InvalidInputError(
-            f"cell has {arr.shape[1]} coordinates, expected d={order.d}"
-        )
-    top = order.cells_per_dim
-    if arr.min(initial=0) < 0 or arr.max(initial=0) >= top:
-        bad = np.argwhere((arr < 0) | (arr >= top))[0]
-        raise InvalidInputError(
-            f"cell coordinate {arr[bad[0], bad[1]]} at axis {bad[1]} "
-            f"outside [0, {top - 1}]"
-        )
-    return arr, scalar
-
-
-def _as_indices(index, order: CurveOrder) -> tuple[np.ndarray, bool]:
-    arr = _as_int64(index, "curve indices")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.min(initial=0) < 0 or int(arr.max(initial=0)) >= order.total_cells:
-        bad = arr[(arr < 0) | (arr >= order.total_cells)][0]
-        raise InvalidInputError(
-            f"curve index {bad} outside [0, {order.total_cells - 1}]"
-        )
-    return arr, scalar
-
-
 def encode(cell, order: CurveOrder):
     """Map cell coordinates to their position along the curve.
 
@@ -124,7 +84,7 @@ def encode(cell, order: CurveOrder):
     ----------
     cell : array_like
         Integer coordinates, shape (d,) for a single cell or (m, d)
-        for a batch; each coordinate in [0, 2**k - 1].
+        for a batch; each coordinate in [0, 2**k - 1] (errors.as_indices).
     order : CurveOrder
         Curve resolution.
 
@@ -133,13 +93,8 @@ def encode(cell, order: CurveOrder):
     int or ndarray
         Curve index in [0, 2**(d*k) - 1]; scalar for a single cell,
         int64 array of shape (m,) for a batch.
-
-    Raises
-    ------
-    InvalidInputError
-        If any coordinate is out of range or non-integral.
     """
-    cells, scalar = _as_cells(cell, order)
+    cells = as_indices("cell", cell, order.cells_per_dim, order.d)
     k, d = order.k, order.d
     # The narrowest signed type that holds a coordinate: every update
     # below is exact, stays in [0, 2**k) and runs in place on d + 2
@@ -186,7 +141,7 @@ def encode(cell, order: CurveOrder):
             m &= 1
             idx <<= 1
             idx |= m
-    return int(idx[0]) if scalar else idx
+    return int(idx[0]) if np.ndim(cell) == 1 else idx
 
 
 def decode(index, order: CurveOrder):
@@ -195,7 +150,8 @@ def decode(index, order: CurveOrder):
     Parameters
     ----------
     index : array_like
-        Curve index in [0, 2**(d*k) - 1]; scalar or shape (m,).
+        Curve index in [0, 2**(d*k) - 1]; scalar or shape (m,)
+        (errors.as_indices).
     order : CurveOrder
         Curve resolution.
 
@@ -204,7 +160,7 @@ def decode(index, order: CurveOrder):
     ndarray
         Cell coordinates, shape (d,) for scalar input else (m, d).
     """
-    idx, scalar = _as_indices(index, order)
+    idx = as_indices("index", index, order.total_cells)
     k, d = order.k, order.d
 
     # De-interleave the index into d transposed bit columns.
@@ -230,7 +186,7 @@ def decode(index, order: CurveOrder):
             X[i] ^= t
         Q <<= 1
     out = np.stack(X, axis=1)
-    return out[0] if scalar else out
+    return out[0] if np.ndim(index) == 0 else out
 
 
 def point_to_index(x, order: CurveOrder):
@@ -267,10 +223,10 @@ def point_to_index(x, order: CurveOrder):
 
 
 def index_to_center(index, order: CurveOrder):
-    """Center of the curve interval owning an index: (i + 0.5) / 2**(d*k)."""
-    idx, scalar = _as_indices(index, order)
+    """Center of the curve interval owning an index (as in decode): (i + 0.5) / 2**(d*k)."""
+    idx = as_indices("index", index, order.total_cells)
     centers = (idx + 0.5) / float(order.total_cells)
-    return float(centers[0]) if scalar else centers
+    return float(centers[0]) if np.ndim(index) == 0 else centers
 
 
 @dataclass(frozen=True)

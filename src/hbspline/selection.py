@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, as_int, as_points
+from .errors import InvalidConfigError, InvalidInputError, as_array, as_int, as_points
 from .hilbert import CurveOrder, index_to_center, point_to_index
 
 __all__ = [
@@ -235,7 +235,8 @@ class BasisSelection:
     point j: (points in j's bin) / (n * points selected from that bin)
     for the Hilbert selector, and 1/q for the baselines.  Weights of a
     selection sum to (points falling in non-empty bins)/n, which is 1
-    whenever every point is binned.
+    whenever every point is binned.  indices and bin_weight are read-only
+    copies, checked against the data where they are used.
     """
 
     indices: np.ndarray
@@ -244,8 +245,10 @@ class BasisSelection:
     shortfall_moved: int = 0
 
     def __post_init__(self):
-        self.indices.setflags(write=False)
-        self.bin_weight.setflags(write=False)
+        for name in ("indices", "bin_weight"):
+            frozen = as_array(name, getattr(self, name)).copy()
+            frozen.setflags(write=False)
+            object.__setattr__(self, name, frozen)
 
     @property
     def q(self) -> int:

@@ -37,9 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InvalidConfigError, InvalidInputError, SingularSystemError, as_points,
-                     as_real)
-from .hilbert import _as_int64
+from .errors import (InvalidConfigError, InvalidInputError, SingularSystemError, as_indices,
+                     as_points, as_real)
 from .kernels import (
     AnovaSpec,
     gram_matrix,
@@ -318,14 +317,10 @@ def _condition_estimate(M: np.ndarray, c) -> float:
 
 
 def _basis_indices(data, sel, spec: AnovaSpec) -> np.ndarray:
-    """sel's indices as int64 (hilbert's integer rule), each a row of data,
-    whose width must be spec's."""
+    """sel's indices as int64 rows of data (errors.as_indices); spec's d must be data's."""
     if spec.d != data.d:
         raise InvalidInputError(f"spec has d={spec.d}, but the data has {data.d} columns")
-    indices = _as_int64(sel.indices, "selection indices")
-    if indices.ndim != 1 or indices.max(initial=-1) >= data.n or indices.min(initial=0) < 0:
-        raise InvalidInputError(f"selection indices must be a vector in [0, {data.n})")
-    return indices
+    return as_indices("sel.indices", sel.indices, data.n)
 
 
 def _design_blocks(X, basis_points, spec: AnovaSpec):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import selection
-from .errors import InvalidConfigError, InvalidInputError, as_int, as_points
+from .errors import InvalidConfigError, InvalidInputError, as_indices, as_int, as_points
 from .selection import (
     SOBOL_BITS,
     BasisSelection,
@@ -210,14 +210,19 @@ def reference_integral(
     through their extremes.  The extremes and the mean are taken over the
     whole design, so the value and scaler are the same for any thread count.
 
-    Memory: 2**log2_points doubles per column that the pair reads, plus
-    one chunk per worker.
+    Memory: 2**log2_points doubles per column that the pair reads, plus one
+    chunk per worker.  Streaming two passes instead (extremes, then scale and
+    sum) draws every chunk twice: a study's peak RSS fell 194 -> 76 MiB but its
+    op time rose 0.52 -> 0.64 s (n = 10**5, d = 2), so the design is stored.
     """
     if dist not in DISTRIBUTIONS:
         raise InvalidConfigError(f"unknown distribution {dist!r}")
     d, log2_points = as_int("d", d), as_int("log2_points", log2_points)
+    seed = as_int("seed", seed)
     if d < 1:
         raise InvalidConfigError(f"d={d} must be >= 1")
+    if seed < 0:
+        raise InvalidConfigError(f"seed={seed} must be >= 0")
     if not 1 <= log2_points <= SOBOL_BITS:
         raise InvalidConfigError(
             f"log2_points={log2_points} must be in [1, {SOBOL_BITS}]: the Sobol "
@@ -243,7 +248,7 @@ def reference_integral(
             for w in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         design, scaler = _qmc_design(
-            dist, d, log2_points, as_int("seed", seed) & (2**63 - 1), keep, runs, pool
+            dist, d, log2_points, seed & (2**63 - 1), keep, runs, pool
         )
         kept_scaler = scaler[:, keep]
 
@@ -275,19 +280,20 @@ def stratified_integral_estimate(
     Raises
     ------
     InvalidInputError
-        If weights and indices disagree in length or are not positive
-        finite numbers (selection/weight mismatch).
+        If an index is not a row of data (errors.as_indices), or the
+        weights are not one positive finite number per index.
     """
     nu, mu = phi_pair
-    if sel.bin_weight.shape[0] != sel.indices.shape[0]:
+    indices = as_indices("sel.indices", sel.indices, data.n)
+    if sel.bin_weight.shape[0] != indices.shape[0]:
         raise InvalidInputError(
-            f"{sel.bin_weight.shape[0]} weights for {sel.indices.shape[0]} indices"
+            f"{sel.bin_weight.shape[0]} weights for {indices.shape[0]} indices"
         )
     if not np.all(np.isfinite(sel.bin_weight)) or np.any(sel.bin_weight <= 0):
         raise InvalidInputError("selection weights must be positive and finite")
     if float(sel.bin_weight.sum()) > 1.0 + 1e-9:
         raise InvalidInputError("selection weights sum above 1")
-    pts = data.X[sel.indices]
+    pts = data.X[indices]
     return float(np.sum(sel.bin_weight * nu(pts) * mu(pts)))
 
 

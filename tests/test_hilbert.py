@@ -159,7 +159,7 @@ class TestEncodeDecode:
          (encode, [None, 1]), (decode, "3"), (decode, True), (decode, [2.5])],
     )
     def test_rejects_non_integer_input(self, convert, value):
-        with pytest.raises(InvalidInputError, match="must be integers"):
+        with pytest.raises(InvalidInputError, match="(cell|index) must hold integers, not"):
             convert(value, CurveOrder(k=2, d=2))
 
     def test_integral_floats_are_accepted(self):

@@ -130,7 +130,8 @@ class TestFitInputs:
         sel = hbs_select(data, SelectionConfig(q=6, seed=2))
         weights = sel.bin_weight.copy()
         fractional = BasisSelection(sel.indices + 0.5, weights, sel.nonempty_bins)
-        with pytest.raises(InvalidInputError, match="selection indices must be integers"):
+        bad = r"sel\.indices must hold integers, not \d+\.5 at row 0"
+        with pytest.raises(InvalidInputError, match=bad):
             gcv_select(data, fractional, SPEC)
         integral = BasisSelection(sel.indices.astype(np.float64), weights, sel.nonempty_bins)
         a, b = gcv_select(data, sel, SPEC), gcv_select(data, integral, SPEC)

@@ -128,6 +128,8 @@ class TestReferenceIntegral:
             bound = rf"log2_points={log2_points} must be in \[1, 30\]"
             with pytest.raises(InvalidConfigError, match=bound):
                 reference_integral("d1", 2, pair, log2_points=log2_points)
+        with pytest.raises(InvalidConfigError, match="seed=-1 must be >= 0"):
+            reference_integral("d1", 2, pair, seed=-1, log2_points=10)
         with pytest.raises(InvalidConfigError, match="d9"):
             variance_scaling_study("d9", 2)
         with pytest.raises(InvalidConfigError, match="replicates"):
