@@ -3,7 +3,7 @@
 
     python scripts/oracle_outputs.py OUT_DIR
 
-Writes five files into OUT_DIR, each through the command line:
+Writes six files into OUT_DIR, the first five through the command line:
 
     bench.csv       hbspline bench --config configs/default_bench.json
     theory.csv      hbspline theory --dist d4 --dim 2 --replicates 20 --n 20000
@@ -11,6 +11,9 @@ Writes five files into OUT_DIR, each through the command line:
                     fit-large data (20 000 d4/f4 rows, seed 60)
     scored.csv      hbspline predict of that model on the fit-large test rows
     sbs_model.json  hbspline fit --method sbs --q 200 on the same data
+    sigma.csv       calibrate_noise's sigma, as repr, for every (function,
+                    distribution) pair and d2's "average" variant, at the
+                    default n_mc and seed 60, computed in this process
 
 The manifests carry timestamps, so they stay out of OUT_DIR: run the script
 on two checkouts and ``diff -r parent_out change_out`` is the check.  BLAS
@@ -29,6 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
+from hbspline.bench import DISTRIBUTIONS, FUNCTIONS, calibrate_noise  # noqa: E402
 from hbspline.cli import main as hbspline  # noqa: E402
 from perfbench.workloads import FitLarge  # noqa: E402
 
@@ -52,6 +56,17 @@ def oracle_commands(work):
     ]
 
 
+def sigma_csv() -> str:
+    """calibrate_noise's sigma at SNR 2 for every design, one row each."""
+    designs = [(f, d, "mixture") for f in FUNCTIONS for d in DISTRIBUTIONS]
+    designs += [(f, "d2", "average") for f in FUNCTIONS]
+    rows = ["function,distribution,d2_variant,sigma"]
+    for fn, dist, variant in designs:
+        sigma = calibrate_noise(fn, dist, 2.0, SEED, d2_variant=variant)
+        rows.append(f"{fn},{dist},{variant},{sigma!r}")
+    return "\n".join(rows) + "\n"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out_dir")
@@ -66,6 +81,10 @@ def main(argv=None) -> int:
                 return code
             shutil.copyfile(out, os.path.join(args.out_dir, name))
             print(f"wrote {os.path.join(args.out_dir, name)}")
+    path = os.path.join(args.out_dir, "sigma.csv")
+    with open(path, "w") as f:
+        f.write(sigma_csv())
+    print(f"wrote {path}")
     return 0
 
 

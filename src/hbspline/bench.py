@@ -60,6 +60,8 @@ BENCH_METHODS = METHODS + ("full",)
 
 CSV_HEADER = "distribution,function,method,q,replicate,mse,fit_seconds,lambda,cond5"
 
+_CALIBRATE_BLOCK = 4096  # design rows that calibrate_noise scales and evaluates at once
+
 
 def gen_design(dist: str, n: int, d: int, seed, d2_variant: str = "mixture") -> np.ndarray:
     """Draw n raw design points from one of the synthetic distributions.
@@ -182,22 +184,34 @@ def calibrate_noise(
 ) -> float:
     """Noise standard deviation hitting a target signal-to-noise ratio.
 
-    Draws n_mc design points, scales them to the unit cube, and sets
-    sigma = sqrt(var(surface) / snr) from the Monte Carlo variance of
-    the surface over that scaled sample.  Deterministic given the seed.
+    Draws n_mc design points, scales them to the unit cube by their own
+    column min and max, and sets sigma = sqrt(var(surface) / snr) from the
+    Monte Carlo variance of the surface over that scaled sample.
+    Deterministic given the seed.  It holds the raw design, one n_mc
+    vector of surface values and one block of _CALIBRATE_BLOCK scaled
+    rows, never a scaled copy of the whole design.
 
     Raises
     ------
     InvalidConfigError
-        If snr <= 0 or the surface is constant on the design.
+        Before any draw, if snr <= 0, fn is unknown or n_mc < 1; after
+        it, if the surface is constant on the design.
     """
     snr = as_real("snr", snr)
     if snr <= 0:
         raise InvalidConfigError(f"snr must be positive, got {snr}")
-    d = FUNCTION_DIMS[fn]
-    raw = gen_design(dist, n_mc, d, seed, d2_variant=d2_variant)
-    data = scale_to_unit_cube(raw, np.zeros(n_mc))
-    values = eval_function(fn, data.X)
+    if fn not in FUNCTIONS:
+        raise InvalidConfigError(f"unknown function {fn!r}")
+    if (n_mc := as_int("n_mc", n_mc)) < 1:
+        raise InvalidConfigError(f"n_mc must be >= 1, got {n_mc}")
+    raw = gen_design(dist, n_mc, FUNCTION_DIMS[fn], seed, d2_variant=d2_variant)
+    # scale_to_unit_cube's scaler, applied a block at a time: each row's
+    # scaling and surface value are elementwise, so values are the same.
+    scaler = np.vstack([raw.min(axis=0), raw.max(axis=0)])
+    values = np.empty(n_mc)
+    for start in range(0, n_mc, _CALIBRATE_BLOCK):
+        block = slice(start, start + _CALIBRATE_BLOCK)
+        values[block] = eval_function(fn, apply_scaler(raw[block], scaler)[0])
     var = float(np.var(values))
     if var <= 0.0:
         raise InvalidConfigError(f"surface {fn} is constant on design {dist}")

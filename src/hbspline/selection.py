@@ -236,7 +236,8 @@ class BasisSelection:
     for the Hilbert selector, and 1/q for the baselines.  Weights of a
     selection sum to (points falling in non-empty bins)/n, which is 1
     whenever every point is binned.  indices and bin_weight are read-only
-    copies, checked against the data where they are used.
+    copies of at least one axis (a scalar is one entry), checked against the
+    data where they are used.
     """
 
     indices: np.ndarray
@@ -246,7 +247,7 @@ class BasisSelection:
 
     def __post_init__(self):
         for name in ("indices", "bin_weight"):
-            frozen = as_array(name, getattr(self, name)).copy()
+            frozen = np.atleast_1d(as_array(name, getattr(self, name))).copy()
             frozen.setflags(write=False)
             object.__setattr__(self, name, frozen)
 

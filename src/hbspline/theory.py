@@ -281,20 +281,20 @@ def stratified_integral_estimate(
     ------
     InvalidInputError
         If an index is not a row of data (errors.as_indices), or the
-        weights are not one positive finite number per index.
+        weights are not one positive finite number per index (read by
+        errors.as_points as one column).
     """
     nu, mu = phi_pair
     indices = as_indices("sel.indices", sel.indices, data.n)
-    if sel.bin_weight.shape[0] != indices.shape[0]:
-        raise InvalidInputError(
-            f"{sel.bin_weight.shape[0]} weights for {indices.shape[0]} indices"
-        )
-    if not np.all(np.isfinite(sel.bin_weight)) or np.any(sel.bin_weight <= 0):
-        raise InvalidInputError("selection weights must be positive and finite")
-    if float(sel.bin_weight.sum()) > 1.0 + 1e-9:
+    weights = as_points("sel.bin_weight", sel.bin_weight, d=1, column=True).ravel()
+    if weights.shape[0] != indices.shape[0]:
+        raise InvalidInputError(f"{weights.shape[0]} weights for {indices.shape[0]} indices")
+    if np.any(weights <= 0):
+        raise InvalidInputError("selection weights must be positive")
+    if float(weights.sum()) > 1.0 + 1e-9:
         raise InvalidInputError("selection weights sum above 1")
     pts = data.X[indices]
-    return float(np.sum(sel.bin_weight * nu(pts) * mu(pts)))
+    return float(np.sum(weights * nu(pts) * mu(pts)))
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,11 @@ class TestBasisSelection:
         assert sel.indices.tolist() == [0, 3] and sel.bin_weight.tolist() == [0.5, 0.5]
         assert not sel.indices.flags.writeable and not sel.bin_weight.flags.writeable
 
+    def test_a_scalar_index_is_one_index(self):
+        sel = BasisSelection(3, [1.0], nonempty_bins=1)
+        assert sel.q == 1 and sel.indices.shape == (1,) and not sel.indices.flags.writeable
+        assert BasisSelection(3, 1.0, nonempty_bins=1).bin_weight.shape == (1,)
+
     def test_takes_lists(self):
         sel = BasisSelection([0, 3], [0.5, 0.5], nonempty_bins=2)
         assert sel.q == 2 and not sel.indices.flags.writeable

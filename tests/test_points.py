@@ -22,7 +22,7 @@ from hbspline.selection import (
     scale_to_unit_cube,
 )
 from hbspline.solver import fit_fixed_lambda, gcv_select, predict
-from hbspline.theory import EigenSurrogate, reference_integral
+from hbspline.theory import EigenSurrogate, reference_integral, stratified_integral_estimate
 
 SPEC = default_spec(2)
 BASIS = np.array([[0.2, 0.3], [0.6, 0.9]])
@@ -136,6 +136,47 @@ class TestFitInputs:
         integral = BasisSelection(sel.indices.astype(np.float64), weights, sel.nonempty_bins)
         a, b = gcv_select(data, sel, SPEC), gcv_select(data, integral, SPEC)
         assert a.lam == b.lam and np.array_equal(a.beta, b.beta)
+
+
+class TestSelectionWeights:
+    """stratified_integral_estimate reads sel.bin_weight as one column of
+    points: one positive finite weight per index, a (q, 1) column the same
+    as a (q,) vector, never broadcast against the q terms."""
+
+    PAIR = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
+    DATA = scale_to_unit_cube(np.random.Generator(np.random.Philox(11)).random((50, 2)), None)
+
+    def estimate(self, indices, weights):
+        return stratified_integral_estimate(
+            self.DATA, BasisSelection(indices, weights, nonempty_bins=1), self.PAIR
+        )
+
+    # (weights for indices [0, 1], message)
+    BAD = {
+        "string": (["0.5", "0.5"], "sel.bin_weight must hold integers or floats, not <U3"),
+        "bool": ([True, False], "sel.bin_weight must hold integers or floats, not bool"),
+        "two columns": ([[0.25, 0.25], [0.25, 0.25]], "sel.bin_weight has 2 columns, expected 1"),
+        "three axes": (np.full((2, 1, 1), 0.5), "sel.bin_weight has 3 axes"),
+        "nan": ([0.5, np.nan], "non-finite sel.bin_weight at row 1, column 0"),
+        "one for two": (0.5, "1 weights for 2 indices"),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_bad_weights_are_named(self, case):
+        weights, message = self.BAD[case]
+        with pytest.raises(InvalidInputError, match=message):
+            self.estimate([0, 1], weights)
+
+    # (indices, weights, the same selection as a vector of each)
+    SAME = {
+        "column": ([0, 1], [[0.5], [0.5]], ([0, 1], [0.5, 0.5])),
+        "scalars": (3, 1.0, ([3], [1.0])),
+    }
+
+    @pytest.mark.parametrize("case", SAME)
+    def test_a_column_or_scalar_reads_as_a_vector(self, case):
+        indices, weights, vectors = self.SAME[case]
+        assert self.estimate(indices, weights) == self.estimate(*vectors)
 
 
 class TestCounts:
