@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigError, SingularSystemError, as_int, as_points, as_real
+from .errors import InvalidConfigError, SingularSystemError, as_choice, as_int, as_points, as_real
 from .kernels import default_spec
 from .selection import (
     METHODS,
@@ -41,6 +41,7 @@ from .solver import gcv_select, mse, predict
 
 __all__ = [
     "DISTRIBUTIONS",
+    "D2_VARIANTS",
     "FUNCTIONS",
     "FUNCTION_DIMS",
     "ExperimentConfig",
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 DISTRIBUTIONS = ("d1", "d2", "d3", "d4")
+D2_VARIANTS = ("mixture", "average")
 FUNCTIONS = ("f1", "f2", "f3", "f4")
 FUNCTION_DIMS = {"f1": 2, "f2": 2, "f3": 3, "f4": 4}
 BENCH_METHODS = METHODS + ("full",)
@@ -74,30 +76,27 @@ def gen_design(dist: str, n: int, d: int, seed, d2_variant: str = "mixture") -> 
         covariance 0.9^|i-j|; 'd4' banana shape (Z1, Z2 + Z1^2/1.2, ...,
         Zd + Z1^2/1.2) with Z standard normal.
     n, d : int
-        Sample size and dimension.
+        Sample size (>= 0) and dimension (>= 1; >= 2 for 'd4').
     seed : int, SeedSequence or Generator
-        Randomness source; an int or a SeedSequence (its entropy and
-        spawn key) seeds a Philox stream.
+        Randomness source (_seed_rng): an int >= 0 or a SeedSequence (its
+        entropy and spawn key) seeds a Philox stream.
     d2_variant : str
-        'mixture' draws each coordinate from one randomly chosen
-        component; 'average' instead averages two independent t draws
-        with opposite shifts (a unimodal alternative reading).
+        One of D2_VARIANTS, checked for every design.  'mixture' draws each
+        coordinate from one randomly chosen component; 'average' instead
+        averages two independent t draws with opposite shifts (a unimodal
+        alternative reading).
 
     Returns
     -------
     ndarray
-        Raw (n, d) sample, unscaled.
+        Raw (n, d) sample, unscaled; a bad argument raises InvalidConfigError
+        before any draw.
     """
-    if dist not in DISTRIBUTIONS:
-        raise InvalidConfigError(f"unknown distribution {dist!r}")
-    n, d = as_int("n", n), as_int("d", d)
-    if n < 0 or d < 1:
-        raise InvalidConfigError(f"n={n} must be >= 0 and dimension d={d} >= 1")
-    if dist == "d4" and d < 2:
-        raise InvalidConfigError("banana design needs d >= 2")
-    if isinstance(seed, np.random.SeedSequence):
-        seed = _rng(seed.entropy, *seed.spawn_key)
-    rng = seed if isinstance(seed, np.random.Generator) else _rng(seed)
+    dist = as_choice("distribution", dist, DISTRIBUTIONS)
+    n = as_int("n", n, low=0)
+    d = as_int("d", d, low=2 if dist == "d4" else 1)
+    as_choice("d2_variant", d2_variant, D2_VARIANTS)
+    rng = _seed_rng(seed)
     if dist == "d1":
         return rng.random((n, d))
     if dist == "d2":
@@ -105,11 +104,18 @@ def gen_design(dist: str, n: int, d: int, seed, d2_variant: str = "mixture") -> 
         if d2_variant == "mixture":
             shift = np.where(rng.random((n, d)) < 0.5, -5.0, 5.0)
             return t + shift
-        if d2_variant == "average":
-            t2 = rng.standard_t(10, size=(n, d))
-            return ((t - 5.0) + (t2 + 5.0)) / 2.0
-        raise InvalidConfigError(f"unknown d2_variant {d2_variant!r}")
+        t2 = rng.standard_t(10, size=(n, d))
+        return ((t - 5.0) + (t2 + 5.0)) / 2.0
     return _from_normal(dist, d)(rng.standard_normal((n, d)))
+
+
+def _seed_rng(seed) -> np.random.Generator:
+    """A Generator as it is; else the Philox stream of a SeedSequence or of an int >= 0."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if isinstance(seed, np.random.SeedSequence):
+        return _rng(seed.entropy, *seed.spawn_key)
+    return _rng(as_int("seed", seed, low=0))
 
 
 def _from_normal(dist: str, d: int):
@@ -141,9 +147,7 @@ def eval_function(fn: str, x) -> np.ndarray:
         + [0.1 sin(2 pi x4) + 0.2 cos(4 pi x4) + 0.3 sin(6 pi x4)^2
            + 0.4 cos(8 pi x4)^3 + 0.5 sin(10 pi x4)^3] / 4.
     """
-    if fn not in FUNCTIONS:
-        raise InvalidConfigError(f"unknown function {fn!r}")
-    X = as_points("x", x, FUNCTION_DIMS[fn])
+    X = as_points("x", x, FUNCTION_DIMS[as_choice("function", fn, FUNCTIONS)])
     if fn == "f1":
         out = np.sin(10.0 / (X[:, 0] + X[:, 1] + 0.15))
     elif fn == "f2":
@@ -194,17 +198,18 @@ def calibrate_noise(
     Raises
     ------
     InvalidConfigError
-        Before any draw, if snr <= 0, fn is unknown or n_mc < 1; after
-        it, if the surface is constant on the design.
+        Before any draw, if snr <= 0, fn is unknown, n_mc < 1, or the seed
+        or d2_variant is not one that gen_design takes; after it, if the
+        surface is constant on the design.
     """
     snr = as_real("snr", snr)
     if snr <= 0:
         raise InvalidConfigError(f"snr must be positive, got {snr}")
-    if fn not in FUNCTIONS:
-        raise InvalidConfigError(f"unknown function {fn!r}")
-    if (n_mc := as_int("n_mc", n_mc)) < 1:
-        raise InvalidConfigError(f"n_mc must be >= 1, got {n_mc}")
-    raw = gen_design(dist, n_mc, FUNCTION_DIMS[fn], seed, d2_variant=d2_variant)
+    fn = as_choice("function", fn, FUNCTIONS)
+    n_mc = as_int("n_mc", n_mc, low=1)
+    as_choice("d2_variant", d2_variant, D2_VARIANTS)
+    rng = _seed_rng(seed)
+    raw = gen_design(dist, n_mc, FUNCTION_DIMS[fn], rng, d2_variant=d2_variant)
     # scale_to_unit_cube's scaler, applied a block at a time: each row's
     # scaling and surface value are elementwise, so values are the same.
     scaler = np.vstack([raw.min(axis=0), raw.max(axis=0)])
@@ -223,7 +228,8 @@ class ExperimentConfig:
     """Grid of benchmark cells to run.
 
     Each replicate draws n training and n test rows, and q_grid entries
-    must not exceed n.  The 'full' method ignores q and is skipped (rows
+    must lie in [1, n].  Neither list may name a method (after lowercasing)
+    or a q twice.  The 'full' method ignores q and is skipped (rows
     marked failed) past full_cap rows: the full-basis solve is cubic in n.
     """
 
@@ -240,9 +246,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, low in (("n", 2), ("replicates", 1), ("seed", 0), ("full_cap", 0)):
-            object.__setattr__(self, name, v := as_int(name, getattr(self, name)))
-            if v < low:
-                raise InvalidConfigError(f"{name} must be >= {low}")
+            object.__setattr__(self, name, as_int(name, getattr(self, name), low=low))
         object.__setattr__(self, "snr", as_real("snr", self.snr))
         if self.snr <= 0:
             raise InvalidConfigError("snr must be positive")
@@ -250,33 +254,34 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)):
                 raise InvalidConfigError(f"{name} must be a list, not {v!r}")
-        if self.distribution not in DISTRIBUTIONS:
-            raise InvalidConfigError(f"unknown distribution {self.distribution!r}")
-        if self.function not in FUNCTIONS:
-            raise InvalidConfigError(f"unknown function {self.function!r}")
+        as_choice("distribution", self.distribution, DISTRIBUTIONS)
+        as_choice("function", self.function, FUNCTIONS)
+        as_choice("d2_variant", self.d2_variant, D2_VARIANTS)
         # An integral float such as 10.0 counts as an integer; 2.5, "40"
         # and true do not.
         whole = [int(q) if isinstance(q, (float, np.floating)) and q.is_integer() else q
                  for q in self.q_grid]
         try:
-            object.__setattr__(self, "q_grid", tuple(as_int("q_grid", q) for q in whole))
+            q_grid = tuple(as_int("q_grid", q) for q in whole)
         except InvalidConfigError:
-            raise InvalidConfigError(f"q_grid must be a list of integers, not {self.q_grid!r}") from None
+            raise InvalidConfigError(
+                f"q_grid must be a list of integers, not {self.q_grid!r}") from None
         object.__setattr__(
-            self, "methods", tuple(str(m).lower() for m in self.methods)
+            self, "q_grid", tuple(as_int("q", q, low=1, high=self.n) for q in q_grid)
         )
-        if not self.q_grid:
-            raise InvalidConfigError("q_grid is empty")
-        for q in self.q_grid:
-            if not (1 <= q <= self.n):
-                raise InvalidConfigError(f"q={q} outside [1, n={self.n}]")
-        if not self.methods:
-            raise InvalidConfigError("methods is empty")
-        for m in self.methods:
-            if m not in BENCH_METHODS:
-                raise InvalidConfigError(
-                    f"unknown method {m!r}; expected subset of {BENCH_METHODS}"
-                )
+        object.__setattr__(self, "methods", tuple(
+            as_choice("method", m.lower() if isinstance(m, str) else m, BENCH_METHODS)
+            for m in self.methods
+        ))
+        for name in ("q_grid", "methods"):
+            v = getattr(self, name)
+            if not v:
+                raise InvalidConfigError(f"{name} is empty")
+            # A repeated cell would give each of its (method, q, replicate)
+            # keys two rows, which the medians would mix.
+            repeats = [x for i, x in enumerate(v) if x in v[:i]]
+            if repeats:
+                raise InvalidConfigError(f"{name} lists {repeats[0]!r} twice")
 
     @property
     def d(self) -> int:
@@ -399,8 +404,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1, timings: bool = False) 
         One row per cell; failed fits carry NaN markers instead of
         aborting the run.
     """
-    if (jobs := as_int("jobs", jobs)) < 1:
-        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
+    jobs = as_int("jobs", jobs, low=1)
     sigma = calibrate_noise(
         cfg.function, cfg.distribution, cfg.snr,
         np.random.SeedSequence(cfg.seed, spawn_key=(0,)), d2_variant=cfg.d2_variant,

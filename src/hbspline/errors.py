@@ -2,9 +2,10 @@
 
 Each class maps onto one process exit code used by the command-line
 interface: configuration problems exit 1, data problems exit 2, and
-numeric failures exit 3.  as_int and as_real say what counts as an integer or a
-number, as_points what counts as an array of points, and as_indices what
-counts as an array of indices (or of curve cells).
+numeric failures exit 3.  as_int and as_real say what counts as an integer (in
+a range) or a number, as_choice what counts as a name from a list, as_points
+what counts as an array of points, and as_indices what counts as an array of
+indices (or of curve cells).
 """
 
 from numbers import Integral, Real
@@ -47,11 +48,26 @@ class SingularSystemError(HbsplineError):
     exit_code = 3
 
 
-def as_int(name, value, error=InvalidConfigError) -> int:
-    """value as a plain int: Python and numpy integers, never bools or truncated."""
-    if isinstance(value, Integral) and not isinstance(value, bool):
-        return int(value)
-    raise error(f"{name} must be an integer, not {value!r}")
+def as_int(name, value, error=InvalidConfigError, low=None, high=None) -> int:
+    """value as a plain int: Python and numpy integers, never bools or truncated.
+
+    With low, the int must be >= low; with low and high, in [low, high].
+    """
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, not {value!r}")
+    v = int(value)
+    if high is not None and not low <= v <= high:
+        raise error(f"{name}={v} must be in [{low}, {high}]")
+    if low is not None and v < low:
+        raise error(f"{name}={v} must be >= {low}")
+    return v
+
+
+def as_choice(name, value, choices, error=InvalidConfigError) -> str:
+    """value if it is a str among choices (a tuple of names)."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise error(f"unknown {name} {value!r}; expected one of {choices}")
 
 
 def as_real(name, value, error=InvalidConfigError) -> float:

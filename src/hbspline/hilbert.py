@@ -32,7 +32,11 @@ __all__ = [
     "index_to_center",
     "locality_bound_check",
     "LocalityReport",
+    "MAX_BITS",
 ]
+
+# Most bits a curve index may have (d*k): an int64 with headroom.
+MAX_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -49,24 +53,16 @@ class CurveOrder:
     Raises
     ------
     InvalidConfigError
-        If d is outside [1, 16], k < 1, or d*k exceeds 62 (indices are
-        kept within a 64-bit signed integer with headroom).
+        If d is outside [1, 16], or k outside [1, MAX_BITS // d] (d*k
+        index bits fit a 64-bit signed integer with headroom).
     """
 
     k: int
     d: int
 
     def __post_init__(self):
-        for name in ("d", "k"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        if not (1 <= self.d <= 16):
-            raise InvalidConfigError(f"dimension d={self.d} outside [1, 16]")
-        if self.k < 1:
-            raise InvalidConfigError(f"order k={self.k} must be >= 1")
-        if self.d * self.k > 62:
-            raise InvalidConfigError(
-                f"d*k = {self.d * self.k} exceeds 62; index would overflow"
-            )
+        object.__setattr__(self, "d", d := as_int("d", self.d, low=1, high=16))
+        object.__setattr__(self, "k", as_int("k", self.k, low=1, high=MAX_BITS // d))
 
     @property
     def cells_per_dim(self) -> int:

@@ -94,9 +94,10 @@ class AnovaSpec:
     Attributes
     ----------
     d : int
-        Ambient dimension of the predictors.
+        Ambient dimension of the predictors, at least 1.
     main_effects : tuple of int
-        Zero-based dimensions with a smooth main effect; at least one.
+        Zero-based dimensions in [0, d - 1] with a smooth main effect; at
+        least one, none twice.
     interactions : tuple of (int, int)
         Dimension pairs (j, j') with j < j'; both members must appear
         in main_effects.
@@ -111,18 +112,15 @@ class AnovaSpec:
     term_scales: tuple | None = None
 
     def __post_init__(self):
-        mains = tuple(as_int("spec entry", j) for j in self.main_effects)
+        object.__setattr__(self, "d", d := as_int("spec d", self.d, low=1))
+        mains = tuple(as_int("main effect", j, low=0, high=d - 1) for j in self.main_effects)
         inters = tuple(tuple(as_int("spec entry", v) for v in p) for p in self.interactions)
-        object.__setattr__(self, "d", as_int("spec d", self.d))
         object.__setattr__(self, "main_effects", mains)
         object.__setattr__(self, "interactions", inters)
         if not mains:
             raise InvalidConfigError("spec needs at least one main effect")
         if len(set(mains)) != len(mains):
             raise InvalidConfigError("duplicate main effect")
-        for j in mains:
-            if not (0 <= j < self.d):
-                raise InvalidConfigError(f"main effect {j} outside [0, {self.d})")
         seen = set()
         for a, b in inters:
             if a >= b:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidInputError, as_array, as_int, as_points
-from .hilbert import CurveOrder, index_to_center, point_to_index
+from .errors import InvalidConfigError, InvalidInputError, as_array, as_choice, as_int, as_points
+from .hilbert import MAX_BITS, CurveOrder, index_to_center, point_to_index
 
 __all__ = [
     "Dataset",
@@ -188,7 +188,7 @@ class SelectionConfig:
         Histogram bin count, 'hbs' only; defaults to q.
     k : int or None
         Curve order, 'hbs' only; defaults to max(ceil(log2(C)/d) + 2, 4),
-        capped so that d*k <= 62.
+        capped so that d*k <= hilbert.MAX_BITS.
 
     q, seed, C and k take integers only (numpy's too), never truncated.
     """
@@ -200,16 +200,11 @@ class SelectionConfig:
     k: int | None = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidConfigError(
-                f"unknown method {self.method!r}; expected one of {METHODS}"
-            )
+        as_choice("method", self.method, METHODS)
         for name, low in (("q", 1), ("seed", 0), ("C", 1), ("k", 1)):
             v = getattr(self, name)
             if v is not None or name in ("q", "seed"):
-                object.__setattr__(self, name, v := as_int(name, v))
-                if v < low:
-                    raise InvalidConfigError(f"{name}={v} must be >= {low}")
+                object.__setattr__(self, name, as_int(name, v, low=low))
         unused = [name for name in ("C", "k") if getattr(self, name) is not None]
         if unused and self.method != "hbs":
             raise InvalidConfigError(
@@ -224,7 +219,7 @@ class SelectionConfig:
             return self.k
         C = self.resolved_C()
         k = max(math.ceil(math.log2(max(C, 2)) / d) + 2, 4)
-        return min(k, 62 // d)
+        return min(k, MAX_BITS // d)
 
 
 @dataclass(frozen=True)

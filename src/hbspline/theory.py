@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import selection
-from .errors import InvalidConfigError, InvalidInputError, as_indices, as_int, as_points
+from .errors import InvalidConfigError, InvalidInputError, as_choice, as_indices, as_int, as_points
+from .hilbert import MAX_BITS
 from .selection import (
     SOBOL_BITS,
     BasisSelection,
@@ -77,9 +78,7 @@ class EigenSurrogate:
     nu: tuple
 
     def __post_init__(self):
-        nu = tuple(as_int("multi-index entry", v) for v in self.nu)
-        if any(v < 0 for v in nu):
-            raise InvalidConfigError("multi-index entries must be >= 0")
+        nu = tuple(as_int("multi-index entry", v, low=0) for v in self.nu)
         object.__setattr__(self, "nu", nu)
 
     def __call__(self, X) -> np.ndarray:
@@ -95,6 +94,15 @@ class EigenSurrogate:
                 else:
                     out *= f
         return np.ones(X.shape[0]) if out is None else out
+
+
+def _as_phi_pair(phi_pair, d: int) -> tuple:
+    """phi_pair as (nu, mu), unless it is not two EigenSurrogates of width d."""
+    if not (isinstance(phi_pair, (tuple, list)) and len(phi_pair) == 2 and all(
+            isinstance(phi, EigenSurrogate) and len(phi.nu) == d for phi in phi_pair)):
+        raise InvalidInputError(
+            f"phi_pair must be two EigenSurrogates of width d={d}, not {phi_pair!r}")
+    return tuple(phi_pair)
 
 
 def _t10_mixture_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -138,19 +146,18 @@ def _usable_cores() -> int:
 
 
 def _qmc_design(
-    dist: str, d: int, log2_points: int, seed: int, keep: list, runs: list, pool
+    dist: str, d: int, log2_points: int, seed: int, keep: list, starts: range, pool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw design draws via a scrambled Sobol sequence (inverse transforms).
 
     Returns the columns `keep` of the (n, d) design, as one Fortran-
     ordered (n, len(keep)) array, and the (2, d) min-max scaler of all
     d columns.  One engine, built here, serves every thread: `pool` takes
-    each of the contiguous `runs` of chunk starts as one task, which
-    draws, transforms and stores one chunk at a time from the run's first
-    index (a Sobol point depends only on its index).  Rows depend only on
-    their own points and extremes are exact, so the result is bitwise that
-    of transforming one draw of all 2**log2_points points (checked in the
-    tests).
+    each of the chunk `starts` as one task, which draws, transforms and
+    stores that chunk (a Sobol point depends only on its index).  Rows
+    depend only on their own points and extremes are exact, so the result
+    is bitwise that of transforming one draw of all 2**log2_points points
+    (checked in the tests).
     """
     # Imported here so that importing the CLI does not load scipy, which
     # is slow to import and which predict never needs.
@@ -165,7 +172,10 @@ def _qmc_design(
     design = np.empty((len(keep), n)).T
     eps = 2.0**-53
 
-    def transform(U, start):
+    points = selection._sobol(d, seed, step)
+
+    def draw(start):
+        U = points(start, step)
         np.clip(U, eps, 1.0 - eps, out=U)
         if dist == "d2":
             U = _t10_mixture_quantiles(U, grid)
@@ -178,12 +188,7 @@ def _qmc_design(
         cols = [U[:, j] for j in range(d)]
         return [c.min() for c in cols], [c.max() for c in cols]
 
-    points = selection._sobol(d, seed, step)
-
-    def draw(run):
-        return [transform(points(start, step), start) for start in run]
-
-    extremes = np.concatenate(list(pool.map(draw, runs)))
+    extremes = np.array(list(pool.map(draw, starts)))
     return design, np.vstack([extremes[:, 0].min(axis=0), extremes[:, 1].max(axis=0)])
 
 
@@ -199,15 +204,16 @@ def reference_integral(
     Uses 2**log2_points scrambled Sobol draws of the design pushed
     through its min-max scaler.  Returns (value, scaler); the scaler
     defines the population and must be reused to scale every sample
-    whose estimates are compared against the value.
+    whose estimates are compared against the value.  log2_points is in
+    [1, SOBOL_BITS]: the Sobol sequence holds 2**SOBOL_BITS points.
+    phi_pair must be two EigenSurrogates of width d (InvalidInputError).
 
     The stream is cut into chunks of about 2**16 values (2**15 rows at
-    d = 2), and the chunks into one contiguous run per thread, with one
-    thread per usable core (the process's CPU affinity, so ``taskset``
-    limits it).  Each thread draws and transforms its run one chunk at a
-    time; then the threads scale and evaluate the chunks.  Only the
-    design columns that the pair reads are stored; the others count only
-    through their extremes.  The extremes and the mean are taken over the
+    d = 2), each one task for a pool of one thread per usable core (the
+    process's CPU affinity, so ``taskset`` limits it) or per chunk if fewer.
+    The threads draw and transform the chunks, then scale and evaluate
+    them.  Only the design columns that the pair reads are stored; the
+    others count only through their extremes.  The extremes and the mean are taken over the
     whole design, so the value and scaler are the same for any thread count.
 
     Memory: 2**log2_points doubles per column that the pair reads, plus one
@@ -215,49 +221,32 @@ def reference_integral(
     sum) draws every chunk twice: a study's peak RSS fell 194 -> 76 MiB but its
     op time rose 0.52 -> 0.64 s (n = 10**5, d = 2), so the design is stored.
     """
-    if dist not in DISTRIBUTIONS:
-        raise InvalidConfigError(f"unknown distribution {dist!r}")
-    d, log2_points = as_int("d", d), as_int("log2_points", log2_points)
-    seed = as_int("seed", seed)
-    if d < 1:
-        raise InvalidConfigError(f"d={d} must be >= 1")
-    if seed < 0:
-        raise InvalidConfigError(f"seed={seed} must be >= 0")
-    if not 1 <= log2_points <= SOBOL_BITS:
-        raise InvalidConfigError(
-            f"log2_points={log2_points} must be in [1, {SOBOL_BITS}]: the Sobol "
-            f"sequence holds 2**{SOBOL_BITS} points"
-        )
-    for phi in phi_pair:
-        if len(phi.nu) != d:
-            raise InvalidInputError(
-                f"multi-index {phi.nu} has {len(phi.nu)} coordinates, design has d={d}"
-            )
+    as_choice("distribution", dist, DISTRIBUTIONS)
+    d, seed = as_int("d", d, low=1), as_int("seed", seed, low=0)
+    log2_points = as_int("log2_points", log2_points, low=1, high=SOBOL_BITS)
+    nu, mu = _as_phi_pair(phi_pair, d)
     # Imported here, as in bench.run_experiment, so that importing the
     # CLI does not load concurrent.futures.
     from concurrent.futures import ThreadPoolExecutor
 
-    nu, mu = phi_pair
     keep = [j for j in range(d) if nu.nu[j] or mu.nu[j]] or [0]
     nu_kept = EigenSurrogate(tuple(nu.nu[j] for j in keep))
     mu_kept = EigenSurrogate(tuple(mu.nu[j] for j in keep))
     step = _chunk_rows(d)
     starts = range(0, 1 << log2_points, step)
-    workers = min(_usable_cores(), len(starts))
-    runs = [starts[w * len(starts) // workers : (w + 1) * len(starts) // workers]
-            for w in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(_usable_cores(), len(starts))) as pool:
         design, scaler = _qmc_design(
-            dist, d, log2_points, seed & (2**63 - 1), keep, runs, pool
+            dist, d, log2_points, seed & (2**63 - 1), keep, starts, pool
         )
         kept_scaler = scaler[:, keep]
 
         # Each chunk's product overwrites the first stored column of the
         # rows it has just consumed; that column is contiguous, so its mean
         # is bitwise that of a separate product vector.  One task per chunk:
-        # one per run left repeated studies' peak RSS 8 MiB higher.  The
-        # scaler is the selection module's: perfbench's tracer wraps this
-        # module's names and expects their spans from one thread.
+        # one per contiguous run of chunks left repeated studies' peak RSS
+        # 8 MiB higher.  The scaler is the selection module's: perfbench's
+        # tracer wraps this module's names and expects their spans from one
+        # thread.
         def evaluate(start):
             rows = design[start : start + step]
             scaled, _ = selection.apply_scaler(rows, kept_scaler)
@@ -280,11 +269,12 @@ def stratified_integral_estimate(
     Raises
     ------
     InvalidInputError
-        If an index is not a row of data (errors.as_indices), or the
-        weights are not one positive finite number per index (read by
-        errors.as_points as one column).
+        If phi_pair is not two EigenSurrogates of the data's width, an
+        index is not a row of data (errors.as_indices), or the weights are
+        not one positive finite number per index (read by errors.as_points
+        as one column).
     """
-    nu, mu = phi_pair
+    nu, mu = _as_phi_pair(phi_pair, data.d)
     indices = as_indices("sel.indices", sel.indices, data.n)
     weights = as_points("sel.bin_weight", sel.bin_weight, d=1, column=True).ravel()
     if weights.shape[0] != indices.shape[0]:
@@ -359,33 +349,31 @@ def variance_scaling_study(
 
     The integrand is the product of the first two nonconstant
     coordinate cosines, nu = (1, 0, ...) and mu = (0, 1, 0, ...), and
-    the curve order is min(12, 62 // d), so bins are unions of many
+    the curve order is min(12, MAX_BITS // d), so bins are unions of many
     fine cells at every q in the default list.
 
     Parameters
     ----------
     dist, d : str, int
-        Design distribution and dimension.
+        Design distribution and dimension, d >= 2 for the pair's two
+        coordinates.
     q_list : tuple
         Strictly increasing bin counts.
+    replicates : int
+        At least 2, for a standard error.
     """
-    d, n = as_int("d", d), as_int("n", n)
-    replicates, seed = as_int("replicates", replicates), as_int("seed", seed)
+    d, n = as_int("d", d, low=2), as_int("n", n)
+    replicates = as_int("replicates", replicates, low=2)
+    seed = as_int("seed", seed, low=0)
     q_list = tuple(as_int("q_list entry", q) for q in q_list)
-    if d < 2:
-        raise InvalidConfigError("the scaling study needs d >= 2")
-    if replicates < 2:
-        raise InvalidConfigError("replicates must be >= 2 for a standard error")
     if len(q_list) < 2 or any(b <= a for a, b in zip(q_list, q_list[1:])):
         raise InvalidConfigError("q_list must be strictly increasing, length >= 2")
     if max(q_list) > n:
         raise InvalidConfigError(f"max q {max(q_list)} exceeds n={n}")
-    if seed < 0:
-        raise InvalidConfigError(f"seed={seed} must be >= 0")
     nu = tuple(1 if j == 0 else 0 for j in range(d))
     mu = tuple(1 if j == 1 else 0 for j in range(d))
     phi_pair = (EigenSurrogate(nu), EigenSurrogate(mu))
-    k = min(12, 62 // d)
+    k = min(12, MAX_BITS // d)
     # The checks each hbs selection would make, with their messages, made
     # here so that a bad q or curve order fails before the reference draw.
     # The curve's own come first: they name a d that it cannot take, for

@@ -88,6 +88,23 @@ class TestGenDesign:
             gen_design("d2", 10, 2, seed=0, d2_variant="median")
 
     @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"d2_variant": "bogus"}, "unknown d2_variant 'bogus'"),
+            ({"seed": -1}, "seed=-1 must be >= 0"),
+            ({"seed": 1.5}, "seed must be an integer, not 1.5"),
+            ({"seed": "x"}, "seed must be an integer, not 'x'"),
+            ({"seed": True}, "seed must be an integer, not True"),
+            ({"seed": None}, "seed must be an integer, not None"),
+        ],
+    )
+    def test_rejects_bad_seed_and_variant_for_every_design(self, kwargs, message):
+        for dist in DISTRIBUTIONS:
+            args = {"dist": dist, "n": 5, "d": 2, "seed": 0, **kwargs}
+            with pytest.raises(InvalidConfigError, match=re.escape(message)):
+                gen_design(**args)
+
+    @pytest.mark.parametrize(
         "n, d", [(10.5, 2), (10, 2.0), (-1, 2), (True, 2), (10, np.True_), ("10", 2)]
     )
     def test_rejects_counts_that_are_not_integers_or_negative(self, n, d):
@@ -186,8 +203,13 @@ class TestCalibrateNoise:
             ({"n_mc": True}, "n_mc must be an integer, not True"),
             ({"n_mc": 2.5}, "n_mc must be an integer, not 2.5"),
             ({"n_mc": "100"}, "n_mc must be an integer, not '100'"),
-            ({"n_mc": 0}, "n_mc must be >= 1, got 0"),
-            ({"n_mc": -1}, "n_mc must be >= 1, got -1"),
+            ({"n_mc": 0}, "n_mc=0 must be >= 1"),
+            ({"n_mc": -1}, "n_mc=-1 must be >= 1"),
+            ({"seed": -1}, "seed=-1 must be >= 0"),
+            ({"seed": 1.5}, "seed must be an integer, not 1.5"),
+            ({"seed": "x"}, "seed must be an integer, not 'x'"),
+            ({"seed": True}, "seed must be an integer, not True"),
+            ({"d2_variant": "bogus"}, "unknown d2_variant 'bogus'"),
         ],
     )
     def test_rejects_bad_arguments_before_any_draw(self, monkeypatch, kwargs, message):
@@ -293,6 +315,11 @@ class TestExperimentConfig:
             {"snr": float("nan")},
             {"q_grid": [np.True_]},
             {"q_grid": [np.float64(2.5)]},
+            # A name not on its list, and a cell named twice.
+            {"d2_variant": "bogus"},
+            {"methods": ("ubs", "UBS")},
+            {"q_grid": (10, 10)},
+            {"q_grid": (10, 10.0)},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -300,6 +327,17 @@ class TestExperimentConfig:
         base.update(kwargs)
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"methods": ("ubs", "hbs", "UBS")}, "methods lists 'ubs' twice"),
+            ({"q_grid": (10, 20, 10.0)}, "q_grid lists 10 twice"),
+        ],
+    )
+    def test_names_a_repeated_cell(self, kwargs, message):
+        with pytest.raises(InvalidConfigError, match=message):
+            ExperimentConfig("d1", "f1", n=100, **kwargs)
 
 
 def tiny_config(**overrides):

@@ -669,6 +669,18 @@ class TestBench:
         assert f"{field} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("methods", ["ubs", "UBS"], "methods lists 'ubs' twice"),
+         ("q_grid", [10, 10], "q_grid lists 10 twice")],
+    )
+    def test_repeated_cell_exits_1(self, tmp_path, capsys, field, value, message):
+        cfg = self.bench_config(tmp_path, **{field: value})
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--config", cfg, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_array_config_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "bench.json"
         cfg.write_text(json.dumps([{"distribution": "d1", "function": "f1"}]))

@@ -4,15 +4,17 @@ Each public function that takes points rejects the same bad inputs with
 an InvalidInputError naming its argument: more than two axes, the wrong
 number of columns, NaN or inf, a bool, string or ragged array, and, where
 the kernel or curve lives on [0, 1]^d, a point outside the cube.
+TestCounts also holds every count's range (errors.as_int) and every name
+from a list (errors.as_choice) to one wording.
 """
 
 import numpy as np
 import pytest
 
-from hbspline.bench import ExperimentConfig, eval_function, run_experiment
+from hbspline.bench import ExperimentConfig, eval_function, gen_design, run_experiment
 from hbspline.errors import InvalidConfigError, InvalidInputError
 from hbspline.hilbert import CurveOrder, point_to_index
-from hbspline.kernels import default_spec, gram_matrix, null_space_eval
+from hbspline.kernels import AnovaSpec, default_spec, gram_matrix, null_space_eval
 from hbspline.selection import (
     BasisSelection,
     SelectionConfig,
@@ -22,7 +24,8 @@ from hbspline.selection import (
     scale_to_unit_cube,
 )
 from hbspline.solver import fit_fixed_lambda, gcv_select, predict
-from hbspline.theory import EigenSurrogate, reference_integral, stratified_integral_estimate
+from hbspline.theory import (EigenSurrogate, reference_integral, stratified_integral_estimate,
+                             variance_scaling_study)
 
 SPEC = default_spec(2)
 BASIS = np.array([[0.2, 0.3], [0.6, 0.9]])
@@ -198,3 +201,36 @@ class TestCounts:
         cfg = ExperimentConfig("d1", "f1", n=50, q_grid=[5], replicates=2)
         with pytest.raises(InvalidConfigError, match="jobs must be an integer"):
             run_experiment(cfg, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: CurveOrder(k=3, d=17), "d=17 must be in [1, 16]"),
+            (lambda: CurveOrder(k=32, d=2), "k=32 must be in [1, 31]"),
+            (lambda: CurveOrder(k=0, d=2), "k=0 must be in [1, 31]"),
+            (lambda: AnovaSpec(d=2, main_effects=(0, 2)), "main effect=2 must be in [0, 1]"),
+            (lambda: AnovaSpec(d=0, main_effects=(0,)), "spec d=0 must be >= 1"),
+            (lambda: SelectionConfig(q=0), "q=0 must be >= 1"),
+            (lambda: ExperimentConfig("d1", "f1", n=100, q_grid=[101]),
+             "q=101 must be in [1, 100]"),
+            (lambda: gen_design("d4", 5, 1, 0), "d=1 must be >= 2"),
+            (lambda: gen_design("d1", -1, 2, 0), "n=-1 must be >= 0"),
+            (lambda: EigenSurrogate((1, -1)), "multi-index entry=-1 must be >= 0"),
+            (lambda: variance_scaling_study("d1", 1), "d=1 must be >= 2"),
+            (lambda: variance_scaling_study("d1", 2, replicates=1), "replicates=1 must be >= 2"),
+            (lambda: run_experiment(ExperimentConfig("d1", "f1", n=50, q_grid=[5]), jobs=0),
+             "jobs=0 must be >= 1"),
+            (lambda: gen_design("d9", 5, 2, 0),
+             "unknown distribution 'd9'; expected one of ('d1', 'd2', 'd3', 'd4')"),
+            (lambda: eval_function("f9", [0.5, 0.5]),
+             "unknown function 'f9'; expected one of ('f1', 'f2', 'f3', 'f4')"),
+            (lambda: ExperimentConfig("d1", "f1", methods=["knn"]),
+             "unknown method 'knn'; expected one of ('hbs', 'ubs', 'abs', 'sbs', 'full')"),
+            (lambda: SelectionConfig(q=5, method="HBS"),
+             "unknown method 'HBS'; expected one of ('hbs', 'ubs', 'abs', 'sbs')"),
+        ],
+    )
+    def test_every_range_and_name_is_worded_one_way(self, call, message):
+        with pytest.raises(InvalidConfigError) as info:
+            call()
+        assert str(info.value) == message

@@ -28,6 +28,17 @@ from hbspline.theory import (
 )
 
 
+# Not two EigenSurrogates of width 2: too few, too many, plain tuples, a
+# bare surrogate, and one of the wrong width.
+BAD_PAIRS = [
+    (EigenSurrogate((1, 0)),),
+    (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)), EigenSurrogate((1, 1))),
+    ((1, 0), (0, 1)),
+    EigenSurrogate((1, 0)),
+    (EigenSurrogate((1, 0)), EigenSurrogate((0, 1, 0))),
+]
+
+
 class TestEigenSurrogate:
     def test_constant_index_is_one(self):
         phi = EigenSurrogate((0, 0))
@@ -108,6 +119,17 @@ class TestReferenceIntegral:
         v1, s1 = reference_integral("d4", 2, pair, seed=7, log2_points=12)
         v2, s2 = reference_integral("d4", 2, pair, seed=7, log2_points=12)
         assert v1 == v2 and np.array_equal(s1, s2)
+
+    @pytest.mark.parametrize("pair", BAD_PAIRS)
+    def test_rejects_a_bad_pair_before_any_draw(self, monkeypatch, pair):
+        from hbspline import selection
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("Sobol sequence reached before validation")
+
+        monkeypatch.setattr(selection, "_sobol", no_draw)
+        with pytest.raises(InvalidInputError, match="two EigenSurrogates of width d=2"):
+            reference_integral("d1", 2, pair, log2_points=10)
 
     def test_rejects_bad_arguments_before_any_draw(self, monkeypatch):
         from hbspline import selection
@@ -341,6 +363,13 @@ class TestStratifiedEstimate:
             ests[r] = stratified_integral_estimate(data, sel, pair)
         se = ests.std(ddof=1) / math.sqrt(reps)
         assert abs(ests.mean() - population) < 3 * se
+
+    @pytest.mark.parametrize("pair", BAD_PAIRS)
+    def test_rejects_a_bad_pair(self, uniform_data, pair):
+        data = uniform_data(n=50, seed=5)
+        sel = ubs_select(data, SelectionConfig(q=10, method="ubs", seed=1))
+        with pytest.raises(InvalidInputError, match="two EigenSurrogates of width d=2"):
+            stratified_integral_estimate(data, sel, pair)
 
     def test_rejects_malformed_selections(self, uniform_data):
         data = uniform_data(n=50, seed=5)
