@@ -207,9 +207,7 @@ def calibrate_noise(
         raise InvalidConfigError(f"snr must be positive, got {snr}")
     fn = as_choice("function", fn, FUNCTIONS)
     n_mc = as_int("n_mc", n_mc, low=1)
-    as_choice("d2_variant", d2_variant, D2_VARIANTS)
-    rng = _seed_rng(seed)
-    raw = gen_design(dist, n_mc, FUNCTION_DIMS[fn], rng, d2_variant=d2_variant)
+    raw = gen_design(dist, n_mc, FUNCTION_DIMS[fn], seed, d2_variant=d2_variant)
     # scale_to_unit_cube's scaler, applied a block at a time: each row's
     # scaling and surface value are elementwise, so values are the same.
     scaler = np.vstack([raw.min(axis=0), raw.max(axis=0)])

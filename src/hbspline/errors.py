@@ -51,23 +51,26 @@ class SingularSystemError(HbsplineError):
 def as_int(name, value, error=InvalidConfigError, low=None, high=None) -> int:
     """value as a plain int: Python and numpy integers, never bools or truncated.
 
-    With low, the int must be >= low; with low and high, in [low, high].
+    With low, the int must be >= low; with high, <= high; with both, in
+    [low, high].
     """
     if not isinstance(value, Integral) or isinstance(value, bool):
         raise error(f"{name} must be an integer, not {value!r}")
     v = int(value)
-    if high is not None and not low <= v <= high:
+    if low is not None and high is not None and not low <= v <= high:
         raise error(f"{name}={v} must be in [{low}, {high}]")
     if low is not None and v < low:
         raise error(f"{name}={v} must be >= {low}")
+    if high is not None and v > high:
+        raise error(f"{name}={v} must be <= {high}")
     return v
 
 
-def as_choice(name, value, choices, error=InvalidConfigError) -> str:
+def as_choice(name, value, choices) -> str:
     """value if it is a str among choices (a tuple of names)."""
     if isinstance(value, str) and value in choices:
         return value
-    raise error(f"unknown {name} {value!r}; expected one of {choices}")
+    raise InvalidConfigError(f"unknown {name} {value!r}; expected one of {choices}")
 
 
 def as_real(name, value, error=InvalidConfigError) -> float:

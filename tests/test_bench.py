@@ -215,10 +215,12 @@ class TestCalibrateNoise:
     def test_rejects_bad_arguments_before_any_draw(self, monkeypatch, kwargs, message):
         import hbspline.bench as bench
 
-        def no_draw(*args, **kw):
-            raise AssertionError("drew a design")
+        class NoDraw:
+            def __getattr__(self, name):
+                raise AssertionError("drew a design")
 
-        monkeypatch.setattr(bench, "gen_design", no_draw)
+        # An int seed reaches gen_design's draw only through bench._rng.
+        monkeypatch.setattr(bench, "_rng", lambda *args: NoDraw())
         args = {"fn": "f1", "dist": "d1", "snr": 2.0, "seed": 0, **kwargs}
         with pytest.raises(InvalidConfigError, match=re.escape(message)):
             calibrate_noise(**args)

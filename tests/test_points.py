@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hbspline.bench import ExperimentConfig, eval_function, gen_design, run_experiment
-from hbspline.errors import InvalidConfigError, InvalidInputError
+from hbspline.errors import InvalidConfigError, InvalidInputError, as_int
 from hbspline.hilbert import CurveOrder, point_to_index
 from hbspline.kernels import AnovaSpec, default_spec, gram_matrix, null_space_eval
 from hbspline.selection import (
@@ -220,6 +220,7 @@ class TestCounts:
             (lambda: variance_scaling_study("d1", 2, replicates=1), "replicates=1 must be >= 2"),
             (lambda: run_experiment(ExperimentConfig("d1", "f1", n=50, q_grid=[5]), jobs=0),
              "jobs=0 must be >= 1"),
+            (lambda: as_int("m", 4, high=3), "m=4 must be <= 3"),
             (lambda: gen_design("d9", 5, 2, 0),
              "unknown distribution 'd9'; expected one of ('d1', 'd2', 'd3', 'd4')"),
             (lambda: eval_function("f9", [0.5, 0.5]),
