@@ -3,7 +3,7 @@
 
     python scripts/oracle_outputs.py OUT_DIR
 
-Writes six files into OUT_DIR, the first five through the command line:
+Writes seven files into OUT_DIR, the first five through the command line:
 
     bench.csv       hbspline bench --config configs/default_bench.json
     theory.csv      hbspline theory --dist d4 --dim 2 --replicates 20 --n 20000
@@ -14,6 +14,9 @@ Writes six files into OUT_DIR, the first five through the command line:
     sigma.csv       calibrate_noise's sigma, as repr, for every (function,
                     distribution) pair and d2's "average" variant, at the
                     default n_mc and seed 60, computed in this process
+    reference.csv   reference_integral's value and scaler, as float.hex, for
+                    every distribution at d = 2 and 4 (the study's pair,
+                    seed 60, the default 2**23 points), in this process
 
 The manifests carry timestamps, so they stay out of OUT_DIR: run the script
 on two checkouts and ``diff -r parent_out change_out`` is the check.  BLAS
@@ -34,6 +37,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from hbspline.bench import DISTRIBUTIONS, FUNCTIONS, calibrate_noise  # noqa: E402
 from hbspline.cli import main as hbspline  # noqa: E402
+from hbspline.theory import EigenSurrogate, reference_integral  # noqa: E402
 from perfbench.workloads import FitLarge  # noqa: E402
 
 SEED = 60
@@ -67,6 +71,18 @@ def sigma_csv() -> str:
     return "\n".join(rows) + "\n"
 
 
+def reference_csv() -> str:
+    """reference_integral's value and scaler for every design at d = 2 and 4."""
+    rows = ["distribution,d,value,scaler_min,scaler_max"]
+    for dist in DISTRIBUTIONS:
+        for d in (2, 4):
+            pair = tuple(EigenSurrogate(tuple(int(j == k) for j in range(d))) for k in (0, 1))
+            value, scaler = reference_integral(dist, d, pair, seed=SEED)
+            lo, hi = (" ".join(v.hex() for v in row.tolist()) for row in scaler)
+            rows.append(f"{dist},{d},{value.hex()},{lo},{hi}")
+    return "\n".join(rows) + "\n"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out_dir")
@@ -81,10 +97,11 @@ def main(argv=None) -> int:
                 return code
             shutil.copyfile(out, os.path.join(args.out_dir, name))
             print(f"wrote {os.path.join(args.out_dir, name)}")
-    path = os.path.join(args.out_dir, "sigma.csv")
-    with open(path, "w") as f:
-        f.write(sigma_csv())
-    print(f"wrote {path}")
+    for name, write in (("sigma.csv", sigma_csv), ("reference.csv", reference_csv)):
+        path = os.path.join(args.out_dir, name)
+        with open(path, "w") as f:
+            f.write(write())
+        print(f"wrote {path}")
     return 0
 
 

@@ -118,6 +118,16 @@ def _seed_rng(seed) -> np.random.Generator:
     return _rng(as_int("seed", seed, low=0))
 
 
+_D3_RHO = 0.9  # d3's correlation of coordinates i and j is _D3_RHO**|i-j|
+_D4_BEND = 1.2  # d4 adds Z1^2/_D4_BEND to every other coordinate
+
+
+def _d3_factor(d: int) -> np.ndarray:
+    """C' for d3's Cholesky factor C of the covariance _D3_RHO^|i-j|."""
+    cov = _D3_RHO ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    return np.linalg.cholesky(cov).T
+
+
 def _from_normal(dist: str, d: int):
     """d3's or d4's map from standard-normal (n, d) rows Z to the design.
 
@@ -125,13 +135,36 @@ def _from_normal(dist: str, d: int):
     in place.  Worker threads call it, so perfbench's tracer must not wrap it.
     """
     if dist == "d3":
-        cov = 0.9 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
-        chol_t = np.linalg.cholesky(cov).T
+        chol_t = _d3_factor(d)
         return lambda Z: Z @ chol_t
 
     def banana(Z):
-        Z[:, 1:] += (Z[:, :1] ** 2) / 1.2
+        Z[:, 1:] += (Z[:, :1] ** 2) / _D4_BEND
         return Z
+    return banana
+
+
+def _from_normal_bounds(dist: str, d: int):
+    """_from_normal in interval form, before rounding.
+
+    Maps boxes of Z, given as their (m, d) corners lo <= hi, to the
+    (m, d) corners of boxes that hold the exact image of every row of Z
+    inside them: for d3 the interval sum over C' split by sign, for d4
+    the interval of Z1^2 added to the other columns.
+    """
+    if dist == "d3":
+        chol_t = _d3_factor(d)
+        pos, neg = np.maximum(chol_t, 0.0), np.minimum(chol_t, 0.0)
+        return lambda lo, hi: (lo @ pos + hi @ neg, hi @ pos + lo @ neg)
+
+    def banana(lo, hi):
+        a, b = lo[:, :1], hi[:, :1]
+        sq_lo = np.where(a * b > 0, np.minimum(a * a, b * b), 0.0)
+        sq_hi = np.maximum(a * a, b * b)
+        lo, hi = lo.copy(), hi.copy()
+        lo[:, 1:] += sq_lo / _D4_BEND
+        hi[:, 1:] += sq_hi / _D4_BEND
+        return lo, hi
     return banana
 
 

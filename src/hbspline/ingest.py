@@ -79,12 +79,16 @@ def _plain_shape(path):
 
     Reads the file in pieces of about 64 KiB, with '\r\n' made '\n' (a
     piece ending in '\r' takes one more byte).  A file of no lines, an
-    empty header line or repeated column names is not plain either.
+    empty header line, repeated column names or a line whose comma count
+    is not the header's is not plain either.
     """
     limit = csv.field_size_limit()
     lines = 0
     size = 0  # bytes read, counting each '\r\n' as one
     last_end = -1  # offset of the last line break read
+    commas = 0  # commas read
+    commas_at_end = 0  # commas read before the last line break
+    width = None  # the header line's comma count
     try:
         with open(path, "rb") as fh:
             while piece := fh.read(_PIECE):
@@ -93,14 +97,23 @@ def _plain_shape(path):
                     piece = piece.replace(b"\r\n", b"\n")
                 if b'"' in piece or b"\r" in piece or b"\0" in piece:
                     return None
-                ends = size + np.flatnonzero(np.frombuffer(piece, np.uint8) == 10)
-                if len(ends):  # 10 is '\n'; each line's length is checked
-                    lengths = np.diff(ends, prepend=last_end) - 1
+                buf = np.frombuffer(piece, np.uint8)
+                ends = np.flatnonzero(buf == 10)  # 10 is '\n', 44 is ','
+                at = np.flatnonzero(buf == 44)
+                if len(ends):  # each line's length and comma count are checked
+                    lengths = np.diff(size + ends, prepend=last_end) - 1
                     if lengths.min() < 1 or lengths.max() > limit:  # empty or too long
                         return None
-                    last_end = int(ends[-1])
+                    through = commas + np.searchsorted(at, ends)
+                    per_line = np.diff(through, prepend=commas_at_end)
+                    width = per_line[0] if width is None else width
+                    if per_line.min() != width or per_line.max() != width:
+                        return None
+                    last_end = size + int(ends[-1])
+                    commas_at_end = int(through[-1])
                     lines += len(ends)
                 size += len(piece)
+                commas += len(at)
         with _open(path) as fh:
             header = fh.readline().rstrip("\r\n")
     except (OSError, UnicodeDecodeError):
@@ -109,16 +122,21 @@ def _plain_shape(path):
     names = [h.strip() for h in header.split(",")]
     if tail > limit or not header or len(set(names)) != len(names):
         return None
+    if tail and width is not None and commas - commas_at_end != width:
+        return None
     return names, lines + (tail > 0) - 1
 
 
 def _parse_plain(path, wanted):
     """_parse_rows' result for a plain file with data rows, else None.
 
-    numpy's loadtxt parses every cell.  It parses with PyOS_string_to_double,
-    the routine behind float(), and rejects the cells on which the two
-    differ (digit separators, non-ASCII digits); any failure, or rows
-    whose width is not the header's, leaves the file to the csv reader.
+    numpy's loadtxt parses the wanted columns' cells, so a text column that
+    nothing reads keeps the file on this path.  It parses with
+    PyOS_string_to_double, the routine behind float(), and rejects the
+    cells on which the two differ (digit separators, non-ASCII digits); any
+    failure leaves the file to the csv reader.  Every row's width is the
+    header's (_plain_shape), which loadtxt does not check beyond the
+    columns it reads.
     """
     # loadtxt reads a named file in blocks but an open one line by line.
     # Named, it would also fetch a URL, so the name is made absolute, and
@@ -128,17 +146,19 @@ def _parse_plain(path, wanted):
     if shape is None or not shape[1]:  # the csv reader reads a header-only file
         return None
     header, n = shape
+    usecols = [j for j, name in enumerate(header) if wanted(name)]
+    if not usecols:
+        return None
     try:
         data = np.loadtxt(
-            path, delimiter=",", comments=None, skiprows=1, ndmin=2,
+            path, delimiter=",", comments=None, skiprows=1, ndmin=2, usecols=usecols,
             dtype=np.float64, encoding="utf-8-sig",
         )
     except (OSError, ValueError):
         return None
-    if data.shape != (n, len(header)):
+    if data.shape != (n, len(usecols)):
         return None
-    values = {name: data[:, j] for j, name in enumerate(header) if wanted(name)}
-    return header, values, {}, n
+    return header, {header[j]: data[:, i] for i, j in enumerate(usecols)}, {}, n
 
 
 def _parse_rows(path, wanted):
@@ -259,8 +279,6 @@ def _copy_plain(in_path, out, predictions):
             fh.readline()
             out.write(",".join(header) + ",prediction\r\n")
             while lines := fh.readlines(_PIECE):
-                if {line.count(",") for line in lines} != {len(header) - 1}:
-                    return False
                 rows = [line.rstrip("\r\n") for line in lines]
                 preds = values[done:done + len(rows)].tolist()
                 out.write("".join([f"{row},{p!r}\r\n" for row, p in zip(rows, preds)]))

@@ -45,7 +45,7 @@ from .selection import (
     hbs_select,
     ubs_select,
 )
-from .bench import DISTRIBUTIONS, _from_normal, gen_design
+from .bench import DISTRIBUTIONS, _from_normal, _from_normal_bounds, gen_design
 
 __all__ = [
     "EigenSurrogate",
@@ -107,7 +107,7 @@ def _as_phi_pair(phi_pair, d: int) -> tuple:
 
 def _t10_mixture_grid() -> tuple[np.ndarray, np.ndarray]:
     """Dense (cdf, x) grid of the equal t(10) mixture centered at -5 and +5."""
-    from scipy.special import stdtr  # see _qmc_design
+    from scipy.special import stdtr  # see _design_maps
 
     xs = np.linspace(-25.0, 25.0, 1 << 15)
     cdf = 0.5 * stdtr(10.0, xs + 5.0) + 0.5 * stdtr(10.0, xs - 5.0)
@@ -128,13 +128,24 @@ def _t10_mixture_quantiles(u: np.ndarray, grid=None) -> np.ndarray:
 
 # The reference design is drawn, transformed, scaled and evaluated in
 # chunks of about this many values (2**15 rows at d = 2), so the working
-# memory beyond the stored columns is O(workers * chunk) at any d.
+# memory is O(workers * chunk) at any d and any number of points.
 _REFERENCE_CHUNK = 1 << 16
+
+# numpy sums a contiguous float64 vector pairwise, halving it down to
+# blocks of this many values, which it sums in eight interleaved lanes.
+_PAIRWISE_BLOCK = 128
+
+# The relative margin by which a chunk's bounds are widened, far above
+# the rounding of the transforms (a few ulps) and far below the gaps
+# between the extremes of different chunks.
+_BOUND_MARGIN = 1e-9
 
 
 def _chunk_rows(d: int) -> int:
-    """Rows per reference chunk: the largest power of two <= _REFERENCE_CHUNK / d."""
-    return 1 << ((_REFERENCE_CHUNK // d).bit_length() - 1)
+    """Rows per reference chunk: a power of two, the largest <= _REFERENCE_CHUNK / d
+    but at least _PAIRWISE_BLOCK, so that every chunk sum is one subtree of
+    numpy's pairwise sum of the whole column."""
+    return max(_PAIRWISE_BLOCK, 1 << ((_REFERENCE_CHUNK // d).bit_length() - 1))
 
 
 def _usable_cores() -> int:
@@ -145,51 +156,53 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _qmc_design(
-    dist: str, d: int, log2_points: int, seed: int, keep: list, starts: range, pool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw design draws via a scrambled Sobol sequence (inverse transforms).
+def _design_maps(dist: str, d: int):
+    """The reference's map from uniform draws to design rows, and its bounds.
 
-    Returns the columns `keep` of the (n, d) design, as one Fortran-
-    ordered (n, len(keep)) array, and the (2, d) min-max scaler of all
-    d columns.  One engine, built here, serves every thread: `pool` takes
-    each of the chunk `starts` as one task, which draws, transforms and
-    stores that chunk (a Sobol point depends only on its index).  Rows
-    depend only on their own points and extremes are exact, so the result
-    is bitwise that of transforming one draw of all 2**log2_points points
-    (checked in the tests).
+    Returns (transform, bounds).  transform(U) maps clipped uniform (n, d)
+    rows to design rows by inverse transforms, overwriting U where it can.
+    bounds(lo, hi) maps (m, d) boxes of U, given by their corners, to the
+    (m, d) corners of boxes holding every row that transform makes from a
+    U inside them: the marginal quantile function is monotone and the
+    coupling's interval form (bench._from_normal_bounds) encloses its exact
+    image, and _BOUND_MARGIN covers the rounding of both.
     """
     # Imported here so that importing the CLI does not load scipy, which
     # is slow to import and which predict never needs.
     from scipy.special import ndtri
 
-    n = 1 << log2_points
-    step = min(n, _chunk_rows(d))
     if dist == "d2":
         grid = _t10_mixture_grid()
+
+        def marginal(U):
+            return _t10_mixture_quantiles(U, grid)
+    else:
+        def marginal(U):
+            return U if dist == "d1" else ndtri(U, out=U)
+
     if dist in ("d3", "d4"):
-        from_normal = _from_normal(dist, d)
-    design = np.empty((len(keep), n)).T
-    eps = 2.0**-53
+        couple, couple_bounds = _from_normal(dist, d), _from_normal_bounds(dist, d)
+    else:
+        couple, couple_bounds = (lambda Z: Z), (lambda lo, hi: (lo, hi))
 
-    points = selection._sobol(d, seed, step)
+    def transform(U):
+        return couple(marginal(U))
 
-    def draw(start):
-        U = points(start, step)
-        np.clip(U, eps, 1.0 - eps, out=U)
-        if dist == "d2":
-            U = _t10_mixture_quantiles(U, grid)
-        elif dist != "d1":
-            U = from_normal(ndtri(U, out=U))
-        for i, j in enumerate(keep):
-            design[start : start + step, i] = U[:, j]
-        # Column by column: a reduction along axis 0 of a C-ordered chunk
-        # is an order of magnitude slower.
-        cols = [U[:, j] for j in range(d)]
-        return [c.min() for c in cols], [c.max() for c in cols]
+    def bounds(lo, hi):
+        lo, hi = couple_bounds(marginal(lo.copy()), marginal(hi.copy()))
+        return lo - _BOUND_MARGIN * (1 + np.abs(lo)), hi + _BOUND_MARGIN * (1 + np.abs(hi))
 
-    extremes = np.array(list(pool.map(draw, starts)))
-    return design, np.vstack([extremes[:, 0].min(axis=0), extremes[:, 1].max(axis=0)])
+    return transform, bounds
+
+
+def _column_extremes(X: np.ndarray) -> np.ndarray:
+    """(2, d) column minima and maxima of X.
+
+    Column by column: a reduction along axis 0 of a C-ordered chunk is an
+    order of magnitude slower.
+    """
+    cols = [X[:, j] for j in range(X.shape[1])]
+    return np.array([[c.min() for c in cols], [c.max() for c in cols]])
 
 
 def reference_integral(
@@ -211,15 +224,23 @@ def reference_integral(
     The stream is cut into chunks of about 2**16 values (2**15 rows at
     d = 2), each one task for a pool of one thread per usable core (the
     process's CPU affinity, so ``taskset`` limits it) or per chunk if fewer.
-    The threads draw and transform the chunks, then scale and evaluate
-    them.  Only the design columns that the pair reads are stored; the
-    others count only through their extremes.  The extremes and the mean are taken over the
-    whole design, so the value and scaler are the same for any thread count.
+    A Sobol point depends only on its index, so every task draws its own
+    chunk, and no design is stored.  Pass 1 takes the scaler: each task
+    keeps only its chunk's per-column box of uniform draws, which bounds
+    the chunk's design values (_design_maps); then, round by round, the
+    pool transforms for each of the 2d extremes the untransformed chunk
+    whose bound reaches furthest past the best extreme found so far, until
+    no bound reaches past one.  Pass 2 draws, transforms, scales and
+    evaluates every chunk and sums its products; the chunk sums, a power
+    of two of them, are added in pairs, which is numpy's pairwise order
+    for the mean of the whole product column.  So the value and scaler
+    are bitwise those of one draw of the whole design, on any number of
+    threads.
 
-    Memory: 2**log2_points doubles per column that the pair reads, plus one
-    chunk per worker.  Streaming two passes instead (extremes, then scale and
-    sum) draws every chunk twice: a study's peak RSS fell 194 -> 76 MiB but its
-    op time rose 0.52 -> 0.64 s (n = 10**5, d = 2), so the design is stored.
+    Memory: one chunk per worker, plus about 2 KiB of task bookkeeping per
+    chunk, at any log2_points.  Pass 1 transforms a few chunks for d1, d2
+    and d4, but every chunk for d3, whose correlated coordinates' bounds
+    are loose, so d3 transforms every chunk twice.
     """
     as_choice("distribution", dist, DISTRIBUTIONS)
     d, seed = as_int("d", d, low=1), as_int("seed", seed, low=0)
@@ -232,29 +253,56 @@ def reference_integral(
     keep = [j for j in range(d) if nu.nu[j] or mu.nu[j]] or [0]
     nu_kept = EigenSurrogate(tuple(nu.nu[j] for j in keep))
     mu_kept = EigenSurrogate(tuple(mu.nu[j] for j in keep))
-    step = _chunk_rows(d)
-    starts = range(0, 1 << log2_points, step)
+    n = 1 << log2_points
+    step = min(n, _chunk_rows(d))
+    starts = range(0, n, step)
+    # One engine, built here, serves every thread: points only reads it.
+    points = selection._sobol(d, seed & (2**63 - 1), step)
+    transform, bounds = _design_maps(dist, d)
+    eps = 2.0**-53
+
+    def draw(start):
+        U = points(start, step)
+        return np.clip(U, eps, 1.0 - eps, out=U)
+
+    # Clipping commutes with the extremes, so a chunk's box of uniform
+    # draws is clipped after them rather than draw by draw.
+    def box(start):
+        return _column_extremes(points(start, step))
+
+    def extremes(chunk):
+        return _column_extremes(transform(draw(starts[chunk])))
+
+    # The scaler is the selection module's: perfbench's tracer wraps this
+    # module's names and expects their spans from one thread.
+    def chunk_sum(start):
+        scaled, _ = selection.apply_scaler(transform(draw(start))[:, keep], kept_scaler)
+        return np.add.reduce(nu_kept(scaled) * mu_kept(scaled))
+
     with ThreadPoolExecutor(max_workers=min(_usable_cores(), len(starts))) as pool:
-        design, scaler = _qmc_design(
-            dist, d, log2_points, seed & (2**63 - 1), keep, starts, pool
-        )
+        boxes = np.clip(np.array(list(pool.map(box, starts))), eps, 1.0 - eps)
+        lo, hi = bounds(boxes[:, 0], boxes[:, 1])
+        scaler = np.array([np.full(d, np.inf), np.full(d, -np.inf)])
+        pending = np.ones(len(starts), dtype=bool)
+        while True:
+            # A NaN bound reaches: only a transform can tell.
+            below = pending[:, None] & ~(lo >= scaler[0])
+            above = pending[:, None] & ~(hi <= scaler[1])
+            picks = np.union1d(
+                np.argmin(np.where(below, lo, np.inf), axis=0)[below.any(axis=0)],
+                np.argmax(np.where(above, hi, -np.inf), axis=0)[above.any(axis=0)],
+            )
+            if not len(picks):
+                break
+            pending[picks] = False
+            for low, high in pool.map(extremes, picks):
+                np.minimum(scaler[0], low, out=scaler[0])
+                np.maximum(scaler[1], high, out=scaler[1])
         kept_scaler = scaler[:, keep]
-
-        # Each chunk's product overwrites the first stored column of the
-        # rows it has just consumed; that column is contiguous, so its mean
-        # is bitwise that of a separate product vector.  One task per chunk:
-        # one per contiguous run of chunks left repeated studies' peak RSS
-        # 8 MiB higher.  The scaler is the selection module's: perfbench's
-        # tracer wraps this module's names and expects their spans from one
-        # thread.
-        def evaluate(start):
-            rows = design[start : start + step]
-            scaled, _ = selection.apply_scaler(rows, kept_scaler)
-            np.multiply(nu_kept(scaled), mu_kept(scaled), out=rows[:, 0])
-
-        list(pool.map(evaluate, starts))
-    value = float(np.mean(design[:, 0]))
-    return value, scaler
+        sums = np.array(list(pool.map(chunk_sum, starts)))
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0] / n), scaler
 
 
 def stratified_integral_estimate(

@@ -183,30 +183,49 @@ class TestReadNumericCsv:
             assert got == read_outcome(path, response, predictors)
 
     @pytest.mark.parametrize(
-        "text, numpy_parses",
+        "text, numpy_parses, predictors",
         [
-            ("a,b,y\n1,2,3\n4,5.5,-6\n", True),
-            ("\ufeff a , b ,y\n1,2,nan\n4,inf,1e999", True),
-            ("a,b,y\n1,2,3\n\n4,5,6\n", False),  # loadtxt skips a blank line
-            ("a,b,y\n1,2\n4,5\n", False),  # uniformly narrower than the header
-            ("a,b,y\n1,2,3,4\n5,6,7,8\n", False),  # uniformly wider
-            ("a,b,y\n", False),  # header only
-            ("\ufeff\n1\n2\n", False),  # an empty header line after the mark
-            ("a,b,y\n1,1_0,3\n", False),
-            ('a,b,y\n1,"2",3\n', False),
-            ("a,b,y\r\n1,2,3\r\n", True),
-            ("a,b,y\r\n1,2,3\r\n4,5,6", True),
-            ("a,b,y\r1,2,3\r", False),  # a lone '\r'
-            ("a,b,y\r\n1,2,3\r\n\r\n4,5,6\r\n", False),  # an empty '\r\n' line
-            ("a,label,y\n1,red,3\n", False),
+            ("a,b,y\n1,2,3\n4,5.5,-6\n", True, None),
+            ("\ufeff a , b ,y\n1,2,nan\n4,inf,1e999", True, None),
+            ("a,b,y\n1,2,3\n\n4,5,6\n", False, None),  # loadtxt skips a blank line
+            ("a,b,y\n1,2\n4,5\n", False, None),  # uniformly narrower than the header
+            ("a,b,y\n1,2,3,4\n5,6,7,8\n", False, None),  # uniformly wider
+            ("a,b,y\n", False, None),  # header only
+            ("\ufeff\n1\n2\n", False, None),  # an empty header line after the mark
+            ("a,b,y\n1,1_0,3\n", False, None),
+            ('a,b,y\n1,"2",3\n', False, None),
+            ("a,b,y\r\n1,2,3\r\n", True, None),
+            ("a,b,y\r\n1,2,3\r\n4,5,6", True, None),
+            ("a,b,y\r1,2,3\r", False, None),  # a lone '\r'
+            ("a,b,y\r\n1,2,3\r\n\r\n4,5,6\r\n", False, None),  # an empty '\r\n' line
+            ("a,label,y\n1,red,3\n", False, None),
+            # loadtxt reads only the wanted columns, and the comma count
+            # keeps rows of another width off its path.
+            ("a,label,y\n1,red,3\n", True, ["a"]),
+            ("a,label,y\n1,red,3\n4,blue,6,7\n", False, ["a"]),
+            ("a,label,y\n1,red,3\n4,blue\n", False, ["a"]),
+            ("a,label,y\n1,red,3\n4,blue,6,", False, ["a"]),
+            ("a,label,y\r\n1,red,3\r\n4,blue,6\r\n", True, ["a"]),
         ],
     )
-    def test_which_files_numpy_parses(self, tmp_path, text, numpy_parses):
+    def test_which_files_numpy_parses(self, tmp_path, text, numpy_parses, predictors):
         p = write(tmp_path / "d.csv", text)
-        assert (ingest._parse_plain(p, lambda name: True) is not None) == numpy_parses
+
+        def wanted(name):
+            return predictors is None or name in predictors or name == "y"
+
+        assert (ingest._parse_plain(p, wanted) is not None) == numpy_parses
         with csv_reader_only():
-            want = read_outcome(p, "y", None)
-        assert read_outcome(p, "y", None) == want
+            want = read_outcome(p, "y", predictors)
+        assert read_outcome(p, "y", predictors) == want
+
+    @pytest.mark.parametrize(
+        "text", ["a,label,y\n1,red,3\n4,blue,6,7\n", "a,label,y\n1,red,3\n4,blue,6,7"]
+    )
+    def test_a_long_row_is_reported_beside_an_unread_column(self, tmp_path, text):
+        p = write(tmp_path / "d.csv", text)
+        with pytest.raises(IngestionError, match="row 3 has 4 cells, header has 3"):
+            read_numeric_csv(p, response="y", predictors=["a"])
 
     def test_crlf_split_across_pieces(self, tmp_path):
         # The first 64 KiB piece ends between a '\r' and its '\n'.
@@ -217,6 +236,17 @@ class TestReadNumericCsv:
         with csv_reader_only():
             want = read_outcome(p, "y", None)
         assert read_outcome(p, "y", None) == want
+
+    def test_comma_counts_across_pieces(self, tmp_path):
+        # 10-byte header, 8-byte rows: the 64 KiB pieces end inside lines.
+        rows = ["1,red,3\n"] * 20000
+        p = write(tmp_path / "d.csv", "a,label,y\n" + "".join(rows))
+        assert ingest._plain_shape(p) == (["a", "label", "y"], 20000)
+        rows[15000] = "1,red,3,\n"
+        p = write(tmp_path / "d.csv", "a,label,y\n" + "".join(rows))
+        assert ingest._plain_shape(p) is None
+        with pytest.raises(IngestionError, match="row 15002 has 4 cells"):
+            read_numeric_csv(p, response="y", predictors=["a"])
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_is_read_as_text(self, tmp_path, suffix):

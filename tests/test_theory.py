@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import stdtr
 
 from hbspline import (
@@ -13,6 +14,7 @@ from hbspline import (
     ubs_select,
 )
 from hbspline import theory
+from hbspline.bench import DISTRIBUTIONS
 from hbspline.errors import InvalidConfigError, InvalidInputError
 from hbspline.selection import BasisSelection
 from hbspline.theory import (
@@ -144,8 +146,7 @@ class TestReferenceIntegral:
             reference_integral("d9", 2, pair)
         with pytest.raises(InvalidInputError):
             reference_integral("d1", 2, wide)
-        # The sequence holds 2**30 points; 2**31 would first reserve 16 GiB
-        # per stored column.
+        # The sequence holds 2**30 points.
         for log2_points in (31, 0):
             bound = rf"log2_points={log2_points} must be in \[1, 30\]"
             with pytest.raises(InvalidConfigError, match=bound):
@@ -203,20 +204,81 @@ def workers(monkeypatch):
     return use
 
 
+@pytest.fixture
+def transforms(monkeypatch):
+    """Count the chunks reference_integral transforms; optionally replace the bounds."""
+    count = [0]
+    maps = theory._design_maps
+
+    def use(bounds=None):
+        def counting(dist, d):
+            transform, own = maps(dist, d)
+
+            def counted(U):
+                count[0] += 1
+                return transform(U)
+
+            return counted, bounds or own
+
+        monkeypatch.setattr(theory, "_design_maps", counting)
+        return count
+
+    return use
+
+
+# A uniform draw's extremes after clipping, and every value between.
+_UNIFORM = st.one_of(
+    st.sampled_from([2.0**-53, 1.0 - 2.0**-53]), st.floats(2.0**-53, 1.0 - 2.0**-53)
+)
+
+
+@settings(max_examples=300)
+@given(
+    dist=st.sampled_from(DISTRIBUTIONS),
+    d=st.integers(1, 8),
+    data=st.data(),
+)
+def test_bounds_hold_every_transformed_row(dist, d, data):
+    corners = np.sort(
+        np.array(data.draw(st.lists(st.tuples(_UNIFORM, _UNIFORM), min_size=d, max_size=d))),
+        axis=1,
+    )
+    lo, hi = corners[:, 0], corners[:, 1]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # The box's corners, where d3's and d4's extremes lie, then rows inside.
+    U = np.vstack([
+        lo, hi,
+        np.where(rng.random((62, d)) < 0.5, lo, hi),
+        np.clip(lo + (hi - lo) * rng.random((64, d)), lo, hi),
+    ])
+    transform, bounds = theory._design_maps(dist, d)
+    X = transform(np.asfortranarray(U))
+    low, high = bounds(lo[None], hi[None])
+    assert np.all(low <= X) and np.all(X <= high)
+
+
 class TestChunkedReferenceIntegral:
-    # The reference design is streamed in chunks of 2**15 rows at d = 2
-    # and 2**14 at d = 3: 12 is below one chunk, 15 one or two, 17 four
-    # or eight of them.
-    @pytest.mark.parametrize("log2_points", [12, 15, 17])
-    @pytest.mark.parametrize("dist, d", [("d1", 2), ("d2", 2), ("d3", 3), ("d4", 3)])
-    def test_bitwise_equal_to_one_shot(self, dist, d, log2_points):
+    # The reference design is streamed in chunks of 2**15 rows at d = 2,
+    # 2**14 at d = 3 and 2**13 at d = 6: 4 and 12 are below one chunk, 15
+    # one to four, 17 four to sixteen of them.
+    @pytest.mark.parametrize("seed", [2024, 5, 11])
+    @pytest.mark.parametrize("log2_points", [4, 12, 15, 17])
+    @pytest.mark.parametrize(
+        "dist, d", [("d1", 2), ("d2", 2), ("d3", 3), ("d4", 3), ("d4", 6), ("d3", 1)]
+    )
+    def test_bitwise_equal_to_one_shot(self, dist, d, log2_points, seed):
+        self.check(dist, d, log2_points, seed)
+
+    @staticmethod
+    def check(dist, d, log2_points, seed=2024):
+        """reference_integral against _one_shot_reference, bit for bit."""
         nu = tuple(1 if j == 0 else 0 for j in range(d))
         mu = tuple(1 if j == d - 1 else 0 for j in range(d))
         pair = (EigenSurrogate(nu), EigenSurrogate(mu))
         value, scaler = reference_integral(
-            dist, d, pair, seed=2024, log2_points=log2_points
+            dist, d, pair, seed=seed, log2_points=log2_points
         )
-        ref_value, ref_scaler = _one_shot_reference(dist, d, pair, 2024, log2_points)
+        ref_value, ref_scaler = _one_shot_reference(dist, d, pair, seed, log2_points)
         assert value == ref_value
         assert np.array_equal(scaler, ref_scaler)
 
@@ -228,11 +290,37 @@ class TestChunkedReferenceIntegral:
     ):
         # At 12 there is one chunk, so fewer chunks than threads.
         workers(count)
-        self.test_bitwise_equal_to_one_shot(dist, d, log2_points)
+        self.check(dist, d, log2_points)
+
+    def test_chunks_of_wide_designs_are_whole_pairwise_blocks(self):
+        # At d = 600 a chunk of 2**16 values is 64 rows, but numpy sums
+        # blocks of 128 in interleaved lanes, so chunks hold 128 rows.
+        assert theory._chunk_rows(600) == 128
+        self.check("d1", 600, 9)
+
+    @pytest.mark.parametrize("unbounded", [np.inf, np.nan])
+    @pytest.mark.parametrize("dist, d", [("d1", 2), ("d2", 3), ("d4", 6)])
+    def test_bitwise_equal_when_every_bound_reaches(self, transforms, dist, d, unbounded):
+        # Pass 1 then transforms every chunk, and pass 2 every chunk again.
+        def bounds(lo, hi):
+            return np.full(lo.shape, -unbounded), np.full(hi.shape, unbounded)
+
+        count = transforms(bounds)
+        self.check(dist, d, 17)
+        assert count[0] == 2 * (1 << 17) // theory._chunk_rows(d)
+
+    @pytest.mark.parametrize("dist", ["d1", "d2"])
+    def test_exact_marginals_transform_one_chunk_per_extreme(self, transforms, dist):
+        # Each column's interval is its own draws' extremes, so pass 1
+        # transforms at most the 2d chunks that hold them: 4 of 16 here.
+        count = transforms()
+        self.check(dist, 2, 19)
+        chunks = (1 << 19) // theory._chunk_rows(2)
+        assert chunks < count[0] <= chunks + 4
 
     @staticmethod
-    def traced_peak(pair):
-        """tracemalloc peak of a 2**20-point d4 reference on two threads."""
+    def traced_peak(pair, log2_points):
+        """tracemalloc peak of a d4 reference on the current thread count."""
         import tracemalloc
 
         d = len(pair[0].nu)
@@ -241,36 +329,23 @@ class TestChunkedReferenceIntegral:
         reference_integral("d4", d, pair, seed=5, log2_points=4)
         tracemalloc.start()
         try:
-            reference_integral("d4", d, pair, seed=5, log2_points=20)
+            reference_integral("d4", d, pair, seed=5, log2_points=log2_points)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def test_traced_peak_is_a_small_multiple_of_the_design(self, workers):
-        # Each thread holds one chunk at a time; fix their number.
+    @pytest.mark.parametrize("d", [2, 6])
+    def test_traced_peak_does_not_grow_with_the_points(self, workers, d):
+        # Each thread holds one chunk at a time; fix their number.  No
+        # design is stored: at 2**20 points the peak is below one column,
+        # and it is less than one chunk per thread above the peak at 2**18.
         workers(2)
-        pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
-        design_bytes = (1 << 20) * 2 * 8
-        assert self.traced_peak(pair) < 2.5 * design_bytes
-
-    def test_traced_peak_holds_no_product_vector(self, workers):
-        # The design plus two threads' chunks: no n-length vector beside
-        # the design (that alone would be 1.5x at d = 2).
-        workers(2)
-        pair = (EigenSurrogate((1, 0)), EigenSurrogate((0, 1)))
-        design_bytes = (1 << 20) * 2 * 8
-        assert self.traced_peak(pair) < 1.25 * design_bytes
-
-    def test_traced_peak_holds_only_the_columns_the_pair_reads(self, workers):
-        # At d = 6 the pair reads 2 columns; the other 4 count only through
-        # their extremes (the whole design would be 3x the bound).
-        workers(2)
-        pair = (
-            EigenSurrogate((1, 0, 0, 0, 0, 0)),
-            EigenSurrogate((0, 0, 0, 0, 1, 0)),
-        )
-        two_columns = (1 << 20) * 2 * 8
-        assert self.traced_peak(pair) < 1.25 * two_columns
+        nu = tuple(1 if j == 0 else 0 for j in range(d))
+        mu = tuple(1 if j == d - 2 else 0 for j in range(d))
+        pair = (EigenSurrogate(nu), EigenSurrogate(mu))
+        peak = self.traced_peak(pair, 20)
+        assert peak < (1 << 20) * 8
+        assert peak - self.traced_peak(pair, 18) < 2 * theory._REFERENCE_CHUNK * 8
 
     def test_wrapped_names_are_called_from_the_calling_thread_only(
         self, workers, monkeypatch
